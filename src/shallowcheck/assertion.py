@@ -4,11 +4,12 @@ An assertion tuple is a list of local projections that the output state
 of a circuit is claimed to satisfy.  Two checking modes exist:
 
 * :func:`verify_static` decides each claim exactly, without simulating
-  the state, by dragging the projection backward through the circuit's
-  inverted layers: the output satisfies ``Q`` iff the all-zeros input
-  satisfies the back-propagated projection.  Supports grow by the same
-  light-cone rule the description engine uses, so the check stays
-  linear in qubit count for fixed depth.
+  the whole state: the output satisfies ``Q`` iff the all-zeros input
+  satisfies the back-propagated projection ``U† Q U``.  Supports grow
+  backward by the light-cone walker the description engine uses, and
+  the membership test runs on a ``16·2^w``-byte state vector over the
+  ``w`` cone qubits rather than on the ``16·4^w``-byte projection, so
+  the check stays linear in qubit count for fixed depth.
 
 * :func:`runtime_assert` simulates what measuring the assertions one by
   one would do to a state: each projection becomes a two-outcome
@@ -31,21 +32,11 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import Circuit, validate
+from .cone import cone_residual, walk_light_cones
 from .config import EQUIV_THRESHOLD, support_cap
-from .description import Description, LocalProjection
-from .errors import CapacityError, DomainError, ValidationError
-from .linalg import (
-    ErrorTriple,
-    apply_local,
-    conjugate_local,
-    dagger,
-    embed,
-    is_projection,
-    membership_residual,
-    mul_local_left,
-    mul_local_right,
-    zero_state,
-)
+from .description import Description, LocalProjection, commutator_deviations
+from .errors import DomainError, ValidationError
+from .linalg import ErrorTriple, apply_local, dagger, is_projection
 
 __all__ = [
     "RuntimeAssertReport",
@@ -89,27 +80,13 @@ def _check_commuting(
     entries: Sequence[LocalProjection], tol: float
 ) -> None:
     """Reject tuples with a non-commuting overlapping pair."""
-    for i in range(len(entries)):
-        a = entries[i]
-        set_a = set(a.support)
-        for j in range(i + 1, len(entries)):
-            b = entries[j]
-            if not set_a.intersection(b.support):
-                continue
-            union = sorted(set_a.union(b.support))
-            position = {q: k for k, q in enumerate(union)}
-            width = len(union)
-            b_embedded = embed(b.matrix, list(b.support), union)
-            axes_a = [position[q] for q in a.support]
-            ab = mul_local_left(a.matrix, b_embedded, axes_a, width)
-            ba = mul_local_right(a.matrix, b_embedded, axes_a, width)
-            dev = float(np.max(np.abs(ab - ba)))
-            if dev > tol:
-                raise DomainError(
-                    f"assertions {i} and {j} do not commute (max deviation "
-                    f"{dev:.3e}); sequential measurement outcomes would "
-                    f"depend on their order"
-                )
+    for i, j, dev in commutator_deviations(entries):
+        if dev > tol:
+            raise DomainError(
+                f"assertions {i} and {j} do not commute (max deviation "
+                f"{dev:.3e}); sequential measurement outcomes would "
+                f"depend on their order"
+            )
 
 
 @dataclass(frozen=True)
@@ -135,11 +112,13 @@ def verify_static(
     """Decide each assertion exactly by backward propagation.
 
     The output of ``c`` on the all-zeros input satisfies projection
-    ``Q`` exactly when the all-zeros input satisfies the conjugation of
-    ``Q`` backward through the circuit.  Walking layers last to first,
-    each entry's support grows by the overlapping gates' qubits and its
-    matrix is conjugated by the inverted gates; the final membership
-    residual of the all-zeros state decides the verdict.
+    ``Q`` exactly when the all-zeros input satisfies ``U† Q U``, the
+    conjugation of ``Q`` backward through the circuit.  Walking layers
+    last to first, each entry's support grows by the overlapping gates'
+    qubits; the membership residual of the all-zeros state on the final
+    support decides the verdict.  It is computed on the cone's state
+    vector, ``U† Q U|0...0>``: the cone gates forward, then ``Q``, then
+    their daggers in reverse, so ``U† Q U`` is never formed.
 
     Entries are evaluated independently and the list always covers all
     of them; there is no early exit on a failed entry.
@@ -169,47 +148,22 @@ def verify_static(
     _check_entry_shapes(entries, c.n_qubits)
     if cap is None:
         cap = support_cap()
-    # One qubit-to-gate map per layer, shared across entries, so overlap
-    # lookups cost O(|support|) instead of scanning every gate.
-    owners = [
-        {q: g for g in layer.gates for q in g.qubits} for layer in c.layers
-    ]
+    cones = walk_light_cones(
+        c, [e.support for e in entries], "assertion {}: support", cap, backward=True
+    )
     results = []
-    for index, entry in enumerate(entries):
-        support = list(entry.support)
-        p = entry.matrix
-        for layer_index in range(c.depth - 1, -1, -1):
-            owner = owners[layer_index]
-            current = set(support)
-            touched_by_id = {
-                id(g): g
-                for q in current
-                if (g := owner.get(q)) is not None
-            }
-            touched = list(touched_by_id.values())
-            if not touched:
-                continue
-            grown = set(current)
-            for g in touched:
-                grown.update(g.qubits)
-            new_support = sorted(grown)
-            if len(new_support) > cap:
-                raise CapacityError(
-                    f"assertion {index}: support would reach "
-                    f"{len(new_support)} qubit(s) at layer {layer_index}, "
-                    f"exceeding the support cap of {cap}",
-                    size=len(new_support),
-                    cap=cap,
-                )
-            p = embed(p, support, new_support)
-            position = {q: i for i, q in enumerate(new_support)}
-            width = len(new_support)
-            for g in sorted(touched, key=lambda g: min(g.qubits)):
-                axes = [position[q] for q in g.qubits]
-                p = conjugate_local(dagger(g.matrix), p, axes, width)
-            p = (p + dagger(p)) / 2
-            support = new_support
-        residual = membership_residual(p, zero_state(len(support)))
+    for index, (entry, steps) in enumerate(zip(entries, cones)):
+        support = steps[-1][1] if steps else entry.support
+        # Walk order is last layer first, so reversed it is the forward
+        # circuit restricted to the cone.
+        gates = [g for touched, _ in steps for g in touched]
+        residual = cone_residual(
+            support,
+            [(g.matrix, g.qubits) for g in reversed(gates)],
+            entry.matrix,
+            entry.support,
+            [(dagger(g.matrix), g.qubits) for g in gates],
+        )
         results.append(
             StaticCheck(
                 index=index,

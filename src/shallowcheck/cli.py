@@ -12,10 +12,10 @@ Subcommands::
 
 Exit codes: 0 on success (for ``equiv`` and ``assert``, a passing
 verdict), 1 for a failing verdict, 2 for malformed input or an invalid
-circuit, 3 when a computation would exceed a capacity cap.  All file
-writes go through a temporary file in the destination directory
-followed by an atomic replace, so an interrupted run never leaves a
-truncated output behind.
+circuit, 3 when a computation would exceed a capacity cap or runs out
+of memory.  All file writes go through a temporary file in the
+destination directory followed by an atomic replace, so an interrupted
+run never leaves a truncated output behind.
 """
 
 from __future__ import annotations
@@ -299,6 +299,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except CapacityError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:
+        # A crash is never reported as a failing verdict (exit 1).
+        print(f"error: out of memory: {str(e) or 'allocation failed'}", file=sys.stderr)
         return 3
     except (SchemaError, ValidationError, DomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

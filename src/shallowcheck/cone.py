@@ -1,0 +1,156 @@
+"""Light-cone walker and the cone-state kernel of the membership test.
+
+Every check in this package reduces to the same question about a local
+projection ``P`` on a light cone: how far is ``P|0...0>`` from
+``|0...0>``?  Two pieces answer it.
+
+* :func:`walk_light_cones` grows supports layer by layer: at each layer
+  a support absorbs the qubits of every gate that overlaps it.  The
+  description engine, the static assertion check and the weak
+  equivalence check all walk their cones with it, so supports, gate
+  order and capacity errors agree between them.
+
+* :func:`cone_residual` answers the question without ever forming
+  ``P`` as a matrix.  When ``P = A Q A†`` for a product ``A`` of cone
+  gates and a local projector ``Q``, it simulates ``|0...0>`` on the
+  ``w`` cone qubits through ``A†``, ``Q`` and ``A`` and measures the
+  defect.  That costs ``16·2^w`` bytes and ``O(gates·2^w)`` time
+  instead of the ``16·4^w`` bytes of the dense projection, the
+  light-cone idea of Bravyi, Gosset and Movassagh ("Classical
+  algorithms for quantum mean values", arXiv:1909.11485) applied to the
+  membership test.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from .circuit import Circuit, Gate
+from .errors import CapacityError
+from .linalg import ErrorTriple, apply_to_axes, residual_norms
+
+__all__ = [
+    "ZERO_PROJECTOR",
+    "cone_residual",
+    "walk_light_cones",
+]
+
+#: The projector onto ``|0>`` on one qubit.
+ZERO_PROJECTOR = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+ZERO_PROJECTOR.setflags(write=False)
+
+#: One layer of a cone walk: the gates that overlapped the support,
+#: sorted by smallest qubit, and the grown, sorted support.
+ConeStep = tuple[list[Gate], tuple[int, ...]]
+
+
+def walk_light_cones(
+    c: Circuit,
+    starts: Sequence[Sequence[int]],
+    what: str,
+    cap: int,
+    backward: bool = False,
+) -> list[list[ConeStep]]:
+    """Grow each starting support through the layers of ``c``.
+
+    Parameters
+    ----------
+    c
+        The circuit whose layers are walked, first to last, or last to
+        first when ``backward`` is set.
+    starts
+        Sorted starting supports, one per cone.
+    what
+        Format string naming cone ``i`` in a capacity error, such as
+        ``"support of qubit {}"``.
+    cap
+        Largest support size allowed.
+    backward
+        Walk the layers in reverse order.
+
+    Returns
+    -------
+    list of list of ConeStep
+        For each start, one step per layer in which some gate overlapped
+        the support, in walk order.  The last step's support is the
+        cone's final support; a cone with no steps keeps its start.
+
+    Raises
+    ------
+    CapacityError
+        If a support would exceed ``cap``.  All cones advance one layer
+        at a time, so the error names the first layer, in walk order, at
+        which any cone overflows, and no cone is simulated before every
+        cone is known to fit.
+    """
+    supports = [tuple(s) for s in starts]
+    steps: list[list[ConeStep]] = [[] for _ in supports]
+    order = range(c.depth - 1, -1, -1) if backward else range(c.depth)
+    for layer_index in order:
+        # Gates keyed by the qubits they own, so finding the gates that
+        # overlap a support costs O(|support|) rather than a scan of the
+        # whole layer; this keeps the total work linear in qubit count.
+        owner = {q: g for g in c.layers[layer_index].gates for q in g.qubits}
+        for i, current in enumerate(supports):
+            touched = {
+                id(g): g for q in current if (g := owner.get(q)) is not None
+            }
+            if not touched:
+                continue
+            grown = set(current)
+            for g in touched.values():
+                grown.update(g.qubits)
+            if len(grown) > cap:
+                raise CapacityError(
+                    f"{what.format(i)} would reach {len(grown)} qubit(s) at "
+                    f"layer {layer_index}, exceeding the support cap of {cap}",
+                    size=len(grown),
+                    cap=cap,
+                )
+            supports[i] = tuple(sorted(grown))
+            gates = sorted(touched.values(), key=lambda g: min(g.qubits))
+            steps[i].append((gates, supports[i]))
+    return steps
+
+
+def cone_residual(
+    support: Sequence[int],
+    pre: Sequence[tuple[np.ndarray, Sequence[int]]],
+    projector: np.ndarray,
+    projector_qubits: Sequence[int],
+    post: Sequence[tuple[np.ndarray, Sequence[int]]],
+) -> ErrorTriple:
+    """Norms of ``P|0...0> - |0...0>`` for ``P = post · Q · pre`` on a cone.
+
+    Parameters
+    ----------
+    support
+        Sorted cone qubits; the state has ``2**len(support)`` amplitudes.
+    pre, post
+        ``(matrix, qubits)`` operators applied in list order before and
+        after the projector.  Qubits are listed as in
+        :class:`~shallowcheck.circuit.Gate`, most significant first, and
+        must lie in ``support``.
+    projector, projector_qubits
+        The local projector ``Q`` and the qubits it acts on.
+
+    Returns
+    -------
+    ErrorTriple
+        The same norms :func:`~shallowcheck.linalg.membership_residual`
+        gives for the dense ``P`` on ``support``.
+    """
+    axis = {q: i for i, q in enumerate(support)}
+    width = len(support)
+    state = np.zeros((2,) * width, dtype=complex)
+    state[(0,) * width] = 1.0
+    for m, qubits in pre:
+        state = apply_to_axes(m, state, [axis[q] for q in qubits])
+    state = apply_to_axes(projector, state, [axis[q] for q in projector_qubits])
+    for m, qubits in post:
+        state = apply_to_axes(m, state, [axis[q] for q in qubits])
+    e = state.reshape(-1)
+    e[0] -= 1.0
+    return residual_norms(e)

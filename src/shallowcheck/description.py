@@ -18,11 +18,12 @@ and the tuple doubles as a machine-checkable assertion about the state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate, validate
+from .circuit import Circuit, validate
+from .cone import ZERO_PROJECTOR, walk_light_cones
 from .config import DEFAULT_ORACLE_CAP, support_cap
 from .errors import CapacityError, DomainError, SchemaError, ValidationError
 from .linalg import (
@@ -41,6 +42,7 @@ __all__ = [
     "Description",
     "LocalProjection",
     "commutation_check",
+    "commutator_deviations",
     "compute_description",
     "description_from_json",
     "description_to_json",
@@ -104,10 +106,6 @@ class Description:
         )
 
 
-_ZERO_PROJ = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_ZERO_PROJ.setflags(write=False)
-
-
 def compute_description(c: Circuit, cap: int | None = None) -> Description:
     """Compute the tuple of local projections describing ``c``'s output.
 
@@ -136,13 +134,16 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
 
     Notes
     -----
-    Conjugation proceeds gate by gate via tensor contraction, which is
-    algebraically identical to conjugating by the full embedded tensor
-    product of the layer's overlapping gates (their supports are
-    disjoint).  Gates are visited in order of smallest qubit index and
-    each matrix is re-symmetrized as ``(P + P†)/2`` after a layer to
-    damp floating-point drift; both choices pin the output bits exactly
-    for a given input.
+    Supports come from :func:`~shallowcheck.cone.walk_light_cones`, the
+    walker the checks share.  Conjugation proceeds gate by gate via
+    tensor contraction, which is algebraically identical to conjugating
+    by the full embedded tensor product of the layer's overlapping gates
+    (their supports are disjoint).  Gates are visited in order of
+    smallest qubit index and each matrix is re-symmetrized as
+    ``(P + P†)/2`` after a layer to damp floating-point drift; both
+    choices pin the output bits exactly for a given input.  This is the
+    dense ``16·4^w``-byte path; the checks use the cone-state kernel
+    instead and this function is their reference.
     """
     violations = validate(c)
     if violations:
@@ -150,50 +151,22 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     if cap is None:
         cap = support_cap()
     n = c.n_qubits
-    supports: list[tuple[int, ...]] = [(t,) for t in range(n)]
-    matrices: list[np.ndarray] = [_ZERO_PROJ] * n
-    for layer_index, layer in enumerate(c.layers):
-        # Gates keyed by the qubits they own, so finding the gates that
-        # overlap a support costs O(|support|) rather than a scan of the
-        # whole layer; this keeps the total work linear in qubit count.
-        owner: dict[int, Gate] = {
-            q: g for g in layer.gates for q in g.qubits
-        }
-        for t in range(n):
-            current = set(supports[t])
-            touched_by_id = {
-                id(g): g
-                for q in current
-                if (g := owner.get(q)) is not None
-            }
-            touched = list(touched_by_id.values())
-            if not touched:
-                continue
-            grown = set(current)
-            for g in touched:
-                grown.update(g.qubits)
-            new_support = sorted(grown)
-            if len(new_support) > cap:
-                raise CapacityError(
-                    f"support of qubit {t} would reach {len(new_support)} "
-                    f"qubit(s) at layer {layer_index}, exceeding the support "
-                    f"cap of {cap}",
-                    size=len(new_support),
-                    cap=cap,
-                )
-            p = embed(matrices[t], supports[t], new_support)
+    cones = walk_light_cones(c, [(t,) for t in range(n)], "support of qubit {}", cap)
+    entries = []
+    for t, steps in enumerate(cones):
+        support: tuple[int, ...] = (t,)
+        p = ZERO_PROJECTOR
+        for touched, new_support in steps:
+            p = embed(p, support, new_support)
             position = {q: i for i, q in enumerate(new_support)}
             width = len(new_support)
-            for g in sorted(touched, key=lambda g: min(g.qubits)):
+            for g in touched:
                 axes = [position[q] for q in g.qubits]
                 p = conjugate_local(g.matrix, p, axes, width)
             p = (p + dagger(p)) / 2
-            supports[t] = tuple(new_support)
-            matrices[t] = p
-    entries = tuple(
-        LocalProjection(supports[t], matrices[t]) for t in range(n)
-    )
-    return Description(n, entries)
+            support = new_support
+        entries.append(LocalProjection(support, p))
+    return Description(n, tuple(entries))
 
 
 def initial_state_residuals(d: Description) -> list[ErrorTriple]:
@@ -210,44 +183,30 @@ def initial_state_residuals(d: Description) -> list[ErrorTriple]:
     ]
 
 
-def commutation_check(
-    d: Description,
-    tol: float = 1e-10,
+def commutator_deviations(
+    entries: Sequence[LocalProjection],
     cap: int | None = None,
-) -> float:
-    """Largest pairwise commutator norm among overlapping projections.
+) -> Iterator[tuple[int, int, float]]:
+    """Yield ``(i, j, deviation)`` for every overlapping pair ``i < j``.
 
     Each overlapping pair is embedded into its union support and the
-    entrywise maximum of ``AB - BA`` is taken; pairs with disjoint
-    supports commute exactly and are skipped.  Returns the maximum over
-    all pairs (0.0 when nothing overlaps).  ``tol`` is the bound callers
-    typically compare the result against; it does not change the
-    computation.
+    deviation is the entrywise maximum of ``AB - BA``; pairs with
+    disjoint supports commute exactly and are skipped.
 
     Raises
     ------
     CapacityError
         If a union support exceeds the cap.
     """
-    del tol  # the raw maximum is returned; callers apply their own bound
     if cap is None:
         cap = support_cap()
-    # Entries with identical support and bit-identical matrix commute
-    # exactly; collapsing them avoids redundant pair checks.
-    unique: dict[tuple, tuple[tuple[int, ...], np.ndarray]] = {}
-    for p in d.projections:
-        key = (p.support, p.matrix.tobytes())
-        unique.setdefault(key, (p.support, p.matrix))
-    entries = list(unique.values())
-    worst = 0.0
-    for i in range(len(entries)):
-        s_i, m_i = entries[i]
-        set_i = set(s_i)
+    for i, a in enumerate(entries):
+        set_a = set(a.support)
         for j in range(i + 1, len(entries)):
-            s_j, m_j = entries[j]
-            if not set_i.intersection(s_j):
+            b = entries[j]
+            if not set_a.intersection(b.support):
                 continue
-            union = sorted(set_i.union(s_j))
+            union = sorted(set_a.union(b.support))
             if len(union) > cap:
                 raise CapacityError(
                     f"union support of entries {i} and {j} spans "
@@ -257,14 +216,33 @@ def commutation_check(
                 )
             position = {q: k for k, q in enumerate(union)}
             width = len(union)
-            b_embedded = embed(m_j, s_j, union)
-            axes_i = [position[q] for q in s_i]
-            ab = mul_local_left(m_i, b_embedded, axes_i, width)
-            ba = mul_local_right(m_i, b_embedded, axes_i, width)
-            dev = float(np.max(np.abs(ab - ba)))
-            if dev > worst:
-                worst = dev
-    return worst
+            b_embedded = embed(b.matrix, b.support, union)
+            axes_a = [position[q] for q in a.support]
+            ab = mul_local_left(a.matrix, b_embedded, axes_a, width)
+            ba = mul_local_right(a.matrix, b_embedded, axes_a, width)
+            yield i, j, float(np.max(np.abs(ab - ba)))
+
+
+def commutation_check(d: Description, cap: int | None = None) -> float:
+    """Largest pairwise commutator norm among overlapping projections.
+
+    Returns the maximum of :func:`commutator_deviations` over all pairs
+    (0.0 when nothing overlaps); callers apply their own bound.
+
+    Raises
+    ------
+    CapacityError
+        If a union support exceeds the cap.
+    """
+    # Entries with identical support and bit-identical matrix commute
+    # exactly; collapsing them avoids redundant pair checks.
+    unique: dict[tuple, LocalProjection] = {}
+    for p in d.projections:
+        unique.setdefault((p.support, p.matrix.tobytes()), p)
+    return max(
+        (dev for _, _, dev in commutator_deviations(list(unique.values()), cap)),
+        default=0.0,
+    )
 
 
 def intersection_rank_small(

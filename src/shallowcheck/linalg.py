@@ -12,11 +12,12 @@ convention holds package-wide and no per-call permutation flags exist.
 Besides the core operations (:func:`kron`, :func:`dagger`, :func:`embed`,
 :func:`conjugate`, :func:`is_projection`, :func:`membership_residual`),
 this module provides locality-aware multiplication primitives
-(:func:`mul_local_left`, :func:`mul_local_right`, :func:`apply_local`,
-:func:`conjugate_local`) that act on a few tensor axes of a larger
-operator or state without materializing the embedded matrix.  They are
-algebraically identical to ``embed`` followed by a dense product and are
-cross-checked against that path in the test suite.
+(:func:`apply_to_axes`, :func:`mul_local_left`, :func:`mul_local_right`,
+:func:`apply_local`, :func:`conjugate_local`) that act on a few tensor
+axes of a larger operator or state without materializing the embedded
+matrix.  They are algebraically identical to ``embed`` followed by a
+dense product and are cross-checked against that path in the test
+suite.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import CapacityError, DomainError
 __all__ = [
     "ErrorTriple",
     "apply_local",
+    "apply_to_axes",
     "conjugate",
     "conjugate_local",
     "dagger",
@@ -43,6 +45,7 @@ __all__ = [
     "membership_residual",
     "mul_local_left",
     "mul_local_right",
+    "residual_norms",
     "zero_state",
 ]
 
@@ -245,6 +248,17 @@ class ErrorTriple(NamedTuple):
     linf: float
 
 
+def residual_norms(e: np.ndarray) -> ErrorTriple:
+    """The :class:`ErrorTriple` of a flat residual vector ``e``."""
+    n = e.size
+    abs_e = np.abs(e)
+    return ErrorTriple(
+        l1=float(np.sum(abs_e) / n),
+        l2=float(np.sqrt(np.sum(abs_e**2) / n)),
+        linf=float(np.max(abs_e)) if n else 0.0,
+    )
+
+
 def membership_residual(p: np.ndarray, v: np.ndarray) -> ErrorTriple:
     """Norms of ``E = p @ v - v``, the defect of ``v`` from ``range(p)``.
 
@@ -265,14 +279,7 @@ def membership_residual(p: np.ndarray, v: np.ndarray) -> ErrorTriple:
             f"dimension mismatch: p is {p.shape[0]}-dimensional, "
             f"v has {v.size} entries"
         )
-    e = p @ v - v
-    n = e.size
-    abs_e = np.abs(e)
-    return ErrorTriple(
-        l1=float(np.sum(abs_e) / n),
-        l2=float(np.sqrt(np.sum(abs_e**2) / n)),
-        linf=float(np.max(abs_e)) if n else 0.0,
-    )
+    return residual_norms(p @ v - v)
 
 
 def _check_local_args(
@@ -292,6 +299,22 @@ def _check_local_args(
             f"positions {pos} out of range for {n_qubits} qubit(s)"
         )
     return op, pos
+
+
+def apply_to_axes(
+    op: np.ndarray, tensor: np.ndarray, axes: Sequence[int]
+) -> np.ndarray:
+    """Contract ``op`` into the given axes of a qubit tensor of shape ``(2, ..., 2)``.
+
+    ``axes[i]`` is the axis acted on by the ``i``-th (most significant
+    first) qubit of ``op``.  The one contraction behind
+    :func:`apply_local`, :func:`mul_local_left` and the cone-state
+    kernel; it checks no arguments, so callers must.
+    """
+    k = len(axes)
+    u = op.reshape((2,) * (2 * k))
+    t = np.tensordot(u, tensor, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(t, list(range(k)), axes)
 
 
 def apply_local(
@@ -314,12 +337,7 @@ def apply_local(
         raise DomainError(
             f"state has {vec.size} amplitudes, expected {1 << n_qubits}"
         )
-    k = len(pos)
-    t = vec.reshape((2,) * n_qubits)
-    u = op.reshape((2,) * (2 * k))
-    t = np.tensordot(u, t, axes=(list(range(k, 2 * k)), pos))
-    t = np.moveaxis(t, list(range(k)), pos)
-    return t.reshape(-1)
+    return apply_to_axes(op, vec.reshape((2,) * n_qubits), pos).reshape(-1)
 
 
 def mul_local_left(
@@ -334,12 +352,8 @@ def mul_local_left(
     dim = 1 << n_qubits
     if mat.shape[0] != dim:
         raise DomainError(f"mat is {mat.shape[0]}-dimensional, expected {dim}")
-    k = len(pos)
     t = mat.reshape((2,) * (2 * n_qubits))
-    u = op.reshape((2,) * (2 * k))
-    t = np.tensordot(u, t, axes=(list(range(k, 2 * k)), pos))
-    t = np.moveaxis(t, list(range(k)), pos)
-    return t.reshape(dim, dim)
+    return apply_to_axes(op, t, pos).reshape(dim, dim)
 
 
 def mul_local_right(

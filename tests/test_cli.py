@@ -119,6 +119,16 @@ class TestEquiv:
         assert main(["equiv", str(a), str(b)]) == 2
         capsys.readouterr()
 
+    def test_memory_error_exits_three_not_one(self, circuit_file, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("shallowcheck.cli.check_strong", exhausted)
+        assert main(["equiv", circuit_file, circuit_file, "--mode", "strong"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: allocation failed\n"
+
 
 class TestAssert:
     def test_own_description_holds(self, circuit_file, tmp_path, capsys):
