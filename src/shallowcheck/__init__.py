@@ -55,7 +55,6 @@ from .equivalence import (
     ResidualEntry,
     check_strong,
     check_weak,
-    micro_fixtures,
 )
 from .errors import (
     CapacityError,
@@ -64,6 +63,7 @@ from .errors import (
     ShallowcheckError,
     ValidationError,
 )
+from .fixtures import micro_fixtures
 from .linalg import (
     ErrorTriple,
     conjugate,

@@ -28,9 +28,9 @@ from .config import DEFAULT_ORACLE_CAP, support_cap
 from .errors import CapacityError, DomainError, SchemaError, ValidationError
 from .linalg import (
     ErrorTriple,
-    conjugate_local,
-    dagger,
+    conjugate_layer,
     embed,
+    hermitian_part,
     identity,
     membership_residual,
     mul_local_left,
@@ -135,15 +135,19 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     Notes
     -----
     Supports come from :func:`~shallowcheck.cone.walk_light_cones`, the
-    walker the checks share.  Conjugation proceeds gate by gate via
-    tensor contraction, which is algebraically identical to conjugating
-    by the full embedded tensor product of the layer's overlapping gates
-    (their supports are disjoint).  Gates are visited in order of
-    smallest qubit index and each matrix is re-symmetrized as
-    ``(P + P†)/2`` after a layer to damp floating-point drift; both
-    choices pin the output bits exactly for a given input.  This is the
-    dense ``16·4^w``-byte path; the checks use the cone-state kernel
-    instead and this function is their reference.
+    walker the checks share.  At each layer the matrix is embedded once
+    into the grown support and conjugated by all of the layer's
+    overlapping gates at once with
+    :func:`~shallowcheck.linalg.conjugate_layer`: one matrix product per
+    gate on the row axes and one on the column axes, with the tensor
+    permuted at most once before and once after the layer.  Their
+    supports are disjoint, so this equals conjugating by the embedded
+    tensor product of the layer's gates.  Gates are applied in order of
+    smallest qubit index and each finished matrix is re-symmetrized once
+    as ``(P + P†)/2`` to damp floating-point drift; both choices pin the
+    output bits exactly for a given input.  This is the dense
+    ``16·4^w``-byte path; the checks use the cone-state kernel instead
+    and this function is their reference.
     """
     violations = validate(c)
     if violations:
@@ -159,13 +163,10 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
         for touched, new_support in steps:
             p = embed(p, support, new_support)
             position = {q: i for i, q in enumerate(new_support)}
-            width = len(new_support)
-            for g in touched:
-                axes = [position[q] for q in g.qubits]
-                p = conjugate_local(g.matrix, p, axes, width)
-            p = (p + dagger(p)) / 2
+            layer = [(g.matrix, [position[q] for q in g.qubits]) for g in touched]
+            p = conjugate_layer(p, layer, len(new_support))
             support = new_support
-        entries.append(LocalProjection(support, p))
+        entries.append(LocalProjection(support, hermitian_part(p)))
     return Description(n, tuple(entries))
 
 

@@ -10,14 +10,21 @@ index.  Every embedding sorts supports ascending first, so the
 convention holds package-wide and no per-call permutation flags exist.
 
 Besides the core operations (:func:`kron`, :func:`dagger`, :func:`embed`,
-:func:`conjugate`, :func:`is_projection`, :func:`membership_residual`),
-this module provides locality-aware multiplication primitives
-(:func:`apply_to_axes`, :func:`mul_local_left`, :func:`mul_local_right`,
-:func:`apply_local`, :func:`conjugate_local`) that act on a few tensor
-axes of a larger operator or state without materializing the embedded
-matrix.  They are algebraically identical to ``embed`` followed by a
-dense product and are cross-checked against that path in the test
-suite.
+:func:`conjugate`, :func:`hermitian_part`, :func:`is_projection`,
+:func:`membership_residual`), this module provides locality-aware
+primitives that act on a few tensor axes of a larger operator or state
+without materializing the embedded matrix:
+
+* :func:`apply_to_axes` and :func:`apply_local` apply an operator to
+  some axes of a state (the contraction of the cone-state kernel);
+* :func:`mul_local_left` and :func:`mul_local_right` multiply a matrix
+  by an operator on some of its row or column axes;
+* :func:`conjugate_layer` conjugates a matrix by a whole layer of
+  disjoint operators, one matrix product per operator and side, the
+  kernel of the dense description engine.
+
+They are algebraically identical to ``embed`` followed by a dense
+product and are cross-checked against that path in the test suite.
 """
 
 from __future__ import annotations
@@ -34,9 +41,10 @@ __all__ = [
     "apply_local",
     "apply_to_axes",
     "conjugate",
-    "conjugate_local",
+    "conjugate_layer",
     "dagger",
     "embed",
+    "hermitian_part",
     "identity",
     "is_projection",
     "is_unitary",
@@ -48,6 +56,10 @@ __all__ = [
     "residual_norms",
     "zero_state",
 ]
+
+
+#: Columns per strip in :func:`hermitian_part`.
+_STRIP = 64
 
 
 def _as_operator(a: np.ndarray | Sequence, what: str = "matrix") -> np.ndarray:
@@ -137,8 +149,9 @@ def embed(
     Both supports must be sorted ascending and duplicate-free, with
     ``op_support`` a subset of ``target_support``.  Tensor factors of the
     result are ordered by ascending qubit index.  The implementation
-    maps index blocks directly instead of building an explicit identity
-    Kronecker factor, so the only allocation is the result itself.
+    assigns ``op`` to all of its identity blocks at once through a
+    transposed view of the zeroed result, so the only allocation is the
+    result itself and its entries are copied, not computed.
 
     Parameters
     ----------
@@ -183,22 +196,35 @@ def embed(
     if ops == tgt:
         return op.copy()
 
-    # Index weight of each target qubit (smallest index = most significant).
-    weight = {q: 1 << (m - 1 - i) for i, q in enumerate(tgt)}
-    sub = np.zeros(1 << k, dtype=np.intp)
-    for j, q in enumerate(ops):
-        bits = (np.arange(1 << k, dtype=np.intp) >> (k - 1 - j)) & 1
-        sub += bits * weight[q]
     rest = [q for q in tgt if q not in set(ops)]
-    r = m - k
     out = np.zeros((1 << m, 1 << m), dtype=complex)
-    for g in range(1 << r):
-        offset = 0
-        for j, q in enumerate(rest):
-            if (g >> (r - 1 - j)) & 1:
-                offset += weight[q]
-        idx = sub + offset
-        out[np.ix_(idx, idx)] = op
+    # A view of ``out`` whose axes are op's qubits, then the rest, for
+    # the rows and then the columns.
+    axis = {q: i for i, q in enumerate(tgt)}
+    order = [axis[q] for q in ops + rest]
+    view = out.reshape((2,) * (2 * m)).transpose(order + [m + a for a in order])
+    # Bits of every index of the rest, one array per rest qubit: ``op``
+    # goes on the blocks where the rest's row and column indices agree.
+    blocks = np.arange(1 << (m - k))
+    bits = tuple((blocks >> (m - k - 1 - j)) & 1 for j in range(m - k))
+    full = (slice(None),) * k
+    view[full + bits + full + bits] = op.reshape((2,) * (2 * k))
+    return out
+
+
+def hermitian_part(p: np.ndarray) -> np.ndarray:
+    """Return ``(p + dagger(p)) / 2``, bit for bit.
+
+    Formed a strip of columns at a time: a plain ``p + dagger(p)``
+    reads ``p`` down its columns, one memory page per entry once ``p``
+    is large, which makes it slower than the conjugation it follows.
+    """
+    p = _as_operator(p, "p")
+    out = np.empty_like(p)
+    for i in range(0, p.shape[0], _STRIP):
+        cols = slice(i, i + _STRIP)
+        np.add(p[:, cols], dagger(p[cols]), out=out[:, cols])
+    out *= 0.5
     return out
 
 
@@ -377,18 +403,45 @@ def mul_local_right(
     return t.reshape(dim, dim)
 
 
-def conjugate_local(
-    u: np.ndarray,
+def conjugate_layer(
     mat: np.ndarray,
-    positions: Sequence[int],
+    ops: Sequence[tuple[np.ndarray, Sequence[int]]],
     n_qubits: int,
 ) -> np.ndarray:
-    """Return ``embed(u) @ mat @ embed(dagger(u))`` by contraction.
+    """Return ``U @ mat @ dagger(U)`` for the product ``U`` of one layer's ops.
 
-    The workhorse of the description engine: conjugating by one gate of
-    a layer touches only that gate's axes, and because gates within a
-    layer have disjoint supports the per-gate products compose to the
-    conjugation by the whole layer.
+    ``ops`` holds ``(matrix, positions)`` pairs on disjoint positions,
+    listed as for :func:`apply_local`.  ``mat`` is viewed as a tensor
+    with ``2·n_qubits`` axes, rows first.  Each op is one matrix product
+    on the leading axes, ``t.reshape(2**k, -1).T @ op.T``, which applies
+    it and moves its axes to the back; ``conj(op)`` does the same on the
+    column axes.  Once every op has been applied to the rows and then
+    the columns, the axes are back in their starting order, so no copy
+    is made between ops.  When the ops' positions are not ``0, 1, ...,
+    n_qubits - 1`` in order (non-adjacent or reversed qubits, idle
+    qubits), the tensor is permuted once before and once after.
     """
-    left = mul_local_left(u, mat, positions, n_qubits)
-    return mul_local_right(dagger(u), left, positions, n_qubits)
+    mat = _as_operator(mat, "mat")
+    dim = 1 << n_qubits
+    if mat.shape[0] != dim:
+        raise DomainError(f"mat is {mat.shape[0]}-dimensional, expected {dim}")
+    checked = [_check_local_args(u, pos, n_qubits) for u, pos in ops]
+    order = [p for _, pos in checked for p in pos]
+    if len(set(order)) != len(order):
+        raise DomainError(f"ops must act on disjoint positions, got {order}")
+    acted = set(order)
+    idle = [p for p in range(n_qubits) if p not in acted]
+    # Tensor axes in the order the ops consume them, rows then columns.
+    consumed = order + [n_qubits + p for p in order]
+    idle += [n_qubits + p for p in idle]
+    permuted = consumed + idle != list(range(2 * n_qubits))
+    t = mat
+    if permuted:
+        t = mat.reshape((2,) * (2 * n_qubits)).transpose(consumed + idle)
+    for side in (np.transpose, dagger):
+        for u, pos in checked:
+            t = t.reshape(1 << len(pos), -1).T @ side(u)
+    if permuted:
+        # The consumed axes have cycled to the back, behind the idle ones.
+        t = t.reshape((2,) * (2 * n_qubits)).transpose(np.argsort(idle + consumed))
+    return t.reshape(dim, dim)

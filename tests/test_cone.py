@@ -36,7 +36,13 @@ from shallowcheck import (
     zero_state,
 )
 from shallowcheck.config import SUPPORT_CAP_ENV
-from shallowcheck.linalg import apply_local, conjugate_local, dagger, embed
+from shallowcheck.linalg import (
+    apply_local,
+    dagger,
+    embed,
+    mul_local_left,
+    mul_local_right,
+)
 
 TOL = 1e-12
 
@@ -127,7 +133,9 @@ def dense_static(c: Circuit, entry: LocalProjection):
         p = embed(p, support, grown)
         axis = {q: i for i, q in enumerate(grown)}
         for g in touched:
-            p = conjugate_local(dagger(g.matrix), p, [axis[q] for q in g.qubits], len(grown))
+            axes = [axis[q] for q in g.qubits]
+            p = mul_local_left(dagger(g.matrix), p, axes, len(grown))
+            p = mul_local_right(g.matrix, p, axes, len(grown))
         support = grown
     return tuple(support), membership_residual(p, zero_state(len(support)))
 

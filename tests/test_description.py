@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shallowcheck import (
     CapacityError,
     Circuit,
     Description,
     DomainError,
+    Gate,
     Layer,
     LocalProjection,
     SchemaError,
@@ -18,6 +21,7 @@ from shallowcheck import (
     description_from_json,
     description_to_json,
     embed,
+    haar_unitary,
     initial_state_residuals,
     intersection_rank_small,
     is_projection,
@@ -27,7 +31,16 @@ from shallowcheck import (
     simulate,
 )
 from shallowcheck.circuit import gate_in_sorted_order
-from shallowcheck.linalg import apply_local, conjugate
+from shallowcheck.cone import walk_light_cones
+from shallowcheck.linalg import (
+    apply_local,
+    conjugate,
+    conjugate_layer,
+    mul_local_left,
+    mul_local_right,
+)
+
+TOL = 1e-12
 
 
 def dense_reference_description(c):
@@ -60,6 +73,133 @@ def dense_reference_description(c):
             supports[t] = tuple(new)
             mats[t] = p
     return supports, mats
+
+
+def per_gate_reference_description(c):
+    """Re-derive the description with one gate conjugated at a time.
+
+    Each gate is one contraction on the row axes and one on the column
+    axes of the full matrix, and the matrix is re-symmetrized after
+    every layer: the same walk as the production engine, without its
+    layer kernel.
+    """
+    cones = walk_light_cones(
+        c, [(t,) for t in range(c.n_qubits)], "support of qubit {}", c.n_qubits
+    )
+    supports, mats = [], []
+    for t, steps in enumerate(cones):
+        support, p = (t,), np.array([[1, 0], [0, 0]], dtype=complex)
+        for touched, grown in steps:
+            p = embed(p, support, grown)
+            axis = {q: i for i, q in enumerate(grown)}
+            for g in touched:
+                axes = [axis[q] for q in g.qubits]
+                p = mul_local_left(g.matrix, p, axes, len(grown))
+                p = mul_local_right(dagger(g.matrix), p, axes, len(grown))
+            p = (p + dagger(p)) / 2
+            support = grown
+        supports.append(support)
+        mats.append(p)
+    return supports, mats
+
+
+def _layer_gates(n, rng):
+    """Haar gates on 1 to 3 of ``n`` shuffled qubits, in shuffled order.
+
+    Gate qubits come from a permutation, so they are often reversed or
+    non-adjacent, and some qubits stay idle.
+    """
+    free = [int(q) for q in rng.permutation(n)]
+    gates = []
+    while free:
+        k = int(rng.integers(0, 4))
+        if k == 0:
+            free.pop()
+            continue
+        qubits, free = tuple(free[:k]), free[k:]
+        gates.append(Gate(qubits, haar_unitary(len(qubits), rng)))
+    return gates
+
+
+@st.composite
+def layered_circuits(draw, max_qubits=6, max_depth=4):
+    """Circuits of 1- to 3-qubit Haar gates, some layers empty.
+
+    Depth 0 gives ``Circuit(n)`` with no layers.
+    """
+    n = draw(st.integers(1, max_qubits))
+    depth = draw(st.integers(0, max_depth))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers = [
+        Layer(() if rng.random() < 0.2 else tuple(_layer_gates(n, rng)))
+        for _ in range(depth)
+    ]
+    return Circuit(n, tuple(layers))
+
+
+def _assert_description_matches(d, supports, mats):
+    assert [p.support for p in d.projections] == [tuple(s) for s in supports]
+    for p, m in zip(d.projections, mats):
+        assert np.max(np.abs(p.matrix - m)) <= TOL
+
+
+class TestLayerKernel:
+    """Differential tests of the layer kernel behind ``compute_description``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(layered_circuits())
+    def test_matches_dense_reference(self, c):
+        _assert_description_matches(
+            compute_description(c), *dense_reference_description(c)
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(layered_circuits())
+    def test_matches_per_gate_reference(self, c):
+        _assert_description_matches(
+            compute_description(c), *per_gate_reference_description(c)
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_conjugate_layer_matches_embedded_product(self, n, seed):
+        # A general (non-Hermitian) matrix and one layer of gates in
+        # shuffled order, against the product of the embedded gates.
+        rng = np.random.default_rng(seed)
+        dim = 1 << n
+        mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        gates = _layer_gates(n, rng)
+        u = np.eye(dim, dtype=complex)
+        for g in gates:
+            gs = gate_in_sorted_order(g)
+            u = embed(gs.matrix, list(gs.qubits), list(range(n))) @ u
+        got = conjugate_layer(mat, [(g.matrix, g.qubits) for g in gates], n)
+        assert np.max(np.abs(got - u @ mat @ dagger(u))) <= TOL
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            Circuit(3),
+            Circuit(4, (Layer(()), Layer(()))),
+            # Reversed and non-adjacent qubits, a 3-qubit gate in shuffled
+            # order, gates listed out of order, idle qubits inside a grown
+            # support, and an empty layer between.
+            Circuit(
+                6,
+                (
+                    Layer((Gate((3, 1), haar_unitary(2, 1)), Gate((0,), haar_unitary(1, 2)))),
+                    Layer(()),
+                    Layer((Gate((5, 2, 4), haar_unitary(3, 3)), Gate((1, 0), haar_unitary(2, 4)))),
+                    Layer((Gate((4, 3), haar_unitary(2, 5)),)),
+                ),
+            ),
+        ],
+        ids=["no-layers", "empty-layers", "mixed-layouts"],
+    )
+    def test_edge_cases_match_references(self, c):
+        d = compute_description(c)
+        _assert_description_matches(d, *dense_reference_description(c))
+        _assert_description_matches(d, *per_gate_reference_description(c))
 
 
 class TestLocalProjection:

@@ -22,7 +22,8 @@ from shallowcheck import (
 from shallowcheck.config import SUPPORT_CAP_ENV
 from shallowcheck.linalg import (
     apply_local,
-    conjugate_local,
+    conjugate_layer,
+    hermitian_part,
     mul_local_left,
     mul_local_right,
 )
@@ -149,6 +150,36 @@ class TestEmbed:
             m = embed(u, [0, 2], [0, 1, 2, 3])
             assert is_unitary(m, 1e-12)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_block_loop(self, m, seed):
+        rng = np.random.default_rng(seed)
+        tgt = sorted(int(q) for q in rng.choice(12, size=m, replace=False))
+        ops = sorted(int(q) for q in rng.choice(tgt, size=rng.integers(0, m + 1), replace=False))
+        dim = 1 << len(ops)
+        op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        op[rng.random((dim, dim)) < 0.3] *= -0.0
+        got = embed(op, ops, tgt)
+        want = _embed_block_loop(op, ops, tgt)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _embed_block_loop(op, ops, tgt):
+    """``embed`` as one indexed assignment per identity block."""
+    k, m = len(ops), len(tgt)
+    weight = {q: 1 << (m - 1 - i) for i, q in enumerate(tgt)}
+    sub = np.zeros(1 << k, dtype=np.intp)
+    for j, q in enumerate(ops):
+        sub += ((np.arange(1 << k) >> (k - 1 - j)) & 1) * weight[q]
+    rest = [q for q in tgt if q not in ops]
+    out = np.zeros((1 << m, 1 << m), dtype=complex)
+    for g in range(1 << len(rest)):
+        offset = sum(
+            weight[q] for j, q in enumerate(rest) if (g >> (len(rest) - 1 - j)) & 1
+        )
+        out[np.ix_(sub + offset, sub + offset)] = op
+    return out
+
 
 class TestConjugate:
     def test_hadamard_rotates_zero_projector(self):
@@ -258,14 +289,35 @@ class TestLocalPrimitives:
             dense = mat @ embed(u, [0, 2], [0, 1, 2])
             assert np.allclose(mul_local_right(u, mat, [0, 2], n), dense)
 
-    def test_conjugate_local_matches_dense(self):
+    def test_conjugate_layer_matches_dense(self):
         n = 4
+        full = list(range(n))
         rng = np.random.default_rng(11)
         mat = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        for u in small_unitaries(2):
-            ue = embed(u, [0, 3], list(range(n)))
-            dense = ue @ mat @ dagger(ue)
-            assert np.allclose(conjugate_local(u, mat, [0, 3], n), dense)
+        for u, v in zip(small_unitaries(2), small_unitaries(1)):
+            # Non-adjacent with an idle qubit (permuted), then positions
+            # 0, 1, 2, 3 in order (not permuted).
+            for layer in ([(u, [0, 3]), (v, [1])], [(v, [0]), (u, [1, 2]), (v, [3])]):
+                ue = np.eye(16)
+                for op, pos in layer:
+                    ue = embed(op, pos, full) @ ue
+                dense = ue @ mat @ dagger(ue)
+                assert np.allclose(conjugate_layer(mat, layer, n), dense)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 2**32 - 1))
+    def test_hermitian_part_bit_identical(self, n, seed):
+        rng = np.random.default_rng(seed)
+        dim = 1 << n
+        p = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        want = (p + dagger(p)) / 2
+        assert np.array_equal(hermitian_part(p).view(np.uint64), want.view(np.uint64))
+
+    def test_conjugate_layer_rejects_overlapping_ops(self):
+        with pytest.raises(DomainError, match="disjoint"):
+            conjugate_layer(np.eye(8), [(X, [1]), (np.eye(4), [0, 1])], 3)
+        with pytest.raises(DomainError):
+            conjugate_layer(np.eye(4), [(X, [2])], 2)
 
     def test_position_validation(self):
         v = self._random_state(2, 12)
