@@ -66,13 +66,10 @@ from .errors import (
 from .fixtures import micro_fixtures
 from .linalg import (
     ErrorTriple,
-    conjugate,
     dagger,
     embed,
     identity,
     is_projection,
-    is_unitary,
-    kron,
     max_abs,
     membership_residual,
     zero_state,
@@ -119,7 +116,6 @@ __all__ = [
     "commutation_check",
     "compute_description",
     "concat",
-    "conjugate",
     "dagger",
     "description_from_json",
     "description_to_json",
@@ -131,8 +127,6 @@ __all__ = [
     "initial_state_residuals",
     "intersection_rank_small",
     "is_projection",
-    "is_unitary",
-    "kron",
     "max_abs",
     "membership_residual",
     "micro_fixtures",

@@ -5,11 +5,13 @@ of a circuit is claimed to satisfy.  Two checking modes exist:
 
 * :func:`verify_static` decides each claim exactly, without simulating
   the whole state: the output satisfies ``Q`` iff the all-zeros input
-  satisfies the back-propagated projection ``U† Q U``.  Supports grow
-  backward by the light-cone walker the description engine uses, and
-  the membership test runs on a ``16·2^w``-byte state vector over the
-  ``w`` cone qubits rather than on the ``16·4^w``-byte projection, so
-  the check stays linear in qubit count for fixed depth.
+  satisfies the back-propagated projection ``U† Q U``.  It is one call
+  of :func:`.cone.cone_residuals` on a backward walk, the loop the
+  weak check runs forward: supports grow by the light-cone walker the
+  description engine uses, and the membership test runs on a
+  ``16·2^w``-byte state vector over the ``w`` cone qubits rather than
+  on the ``16·4^w``-byte projection, so the check stays linear in
+  qubit count for fixed depth.
 
 * :func:`runtime_assert` simulates what measuring the assertions one by
   one would do to a state: each projection becomes a two-outcome
@@ -32,11 +34,11 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import Circuit, validate
-from .cone import cone_residual, walk_light_cones
+from .cone import cone_residuals
 from .config import EQUIV_THRESHOLD, support_cap
 from .description import Description, LocalProjection, commutator_deviations
 from .errors import DomainError, ValidationError
-from .linalg import ErrorTriple, apply_local, dagger, is_projection
+from .linalg import ErrorTriple, apply_local, is_projection
 
 __all__ = [
     "RuntimeAssertReport",
@@ -117,8 +119,7 @@ def verify_static(
     last to first, each entry's support grows by the overlapping gates'
     qubits; the membership residual of the all-zeros state on the final
     support decides the verdict.  It is computed on the cone's state
-    vector, ``U† Q U|0...0>``: the cone gates forward, then ``Q``, then
-    their daggers in reverse, so ``U† Q U`` is never formed.
+    vector, ``U† Q U|0...0>``, so ``U† Q U`` is never formed.
 
     Entries are evaluated independently and the list always covers all
     of them; there is no early exit on a failed entry.
@@ -148,31 +149,17 @@ def verify_static(
     _check_entry_shapes(entries, c.n_qubits)
     if cap is None:
         cap = support_cap()
-    cones = walk_light_cones(
-        c, [e.support for e in entries], "assertion {}: support", cap, backward=True
+    cones = cone_residuals(
+        c,
+        [(e.matrix, e.support) for e in entries],
+        "assertion {}: support",
+        cap,
+        backward=True,
     )
-    results = []
-    for index, (entry, steps) in enumerate(zip(entries, cones)):
-        support = steps[-1][1] if steps else entry.support
-        # Walk order is last layer first, so reversed it is the forward
-        # circuit restricted to the cone.
-        gates = [g for touched, _ in steps for g in touched]
-        residual = cone_residual(
-            support,
-            [(g.matrix, g.qubits) for g in reversed(gates)],
-            entry.matrix,
-            entry.support,
-            [(dagger(g.matrix), g.qubits) for g in gates],
-        )
-        results.append(
-            StaticCheck(
-                index=index,
-                holds=residual.linf <= threshold,
-                support=tuple(support),
-                residual=residual,
-            )
-        )
-    return results
+    return [
+        StaticCheck(index, residual.linf <= threshold, support, residual)
+        for index, (support, residual) in enumerate(cones)
+    ]
 
 
 @dataclass(frozen=True)

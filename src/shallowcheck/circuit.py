@@ -180,17 +180,15 @@ def named_gate(name: str, qubits: Sequence[int]) -> Gate:
     return Gate(tuple(qubits), matrix, name)
 
 
-def validate(
-    c: Circuit,
-    tol: float = STRUCTURAL_TOL,
-    k_max: int = DEFAULT_K_MAX,
-) -> list[str]:
+def validate(c: Circuit) -> list[str]:
     """Check every structural invariant; return violations as strings.
 
     An empty list means the circuit is valid.  Each violation names the
     layer, the gate within it, and the rule broken, so callers can
-    report all problems in one pass.  Violations are data, not errors:
-    this function never raises on a bad circuit.
+    report all problems in one pass.  Gate matrices must be unitary
+    within ``STRUCTURAL_TOL`` and act on at most ``DEFAULT_K_MAX``
+    qubits.  Violations are data, not errors: this function never
+    raises on a bad circuit.
     """
     violations: list[str] = []
     if c.n_qubits < 1:
@@ -208,10 +206,10 @@ def validate(
                         f"layer {i}, gate {j}: qubit {q} out of range for "
                         f"{c.n_qubits} qubit(s)"
                     )
-            if g.arity > k_max:
+            if g.arity > DEFAULT_K_MAX:
                 violations.append(
                     f"layer {i}, gate {j}: arity {g.arity} exceeds the "
-                    f"gate-arity limit {k_max}"
+                    f"gate-arity limit {DEFAULT_K_MAX}"
                 )
             if not np.all(np.isfinite(g.matrix)):
                 violations.append(
@@ -219,7 +217,7 @@ def validate(
                 )
             else:
                 dev = max_abs(g.matrix @ dagger(g.matrix) - np.eye(g.matrix.shape[0]))
-                if dev > tol:
+                if dev > STRUCTURAL_TOL:
                     violations.append(
                         f"layer {i}, gate {j}: matrix is not unitary "
                         f"(max deviation {dev:.3e})"

@@ -10,11 +10,14 @@ projection ``P`` on a light cone: how far is ``P|0...0>`` from
   equivalence check all walk their cones with it, so supports, gate
   order and capacity errors agree between them.
 
-* :func:`cone_residual` answers the question without ever forming
-  ``P`` as a matrix.  When ``P = A Q A†`` for a product ``A`` of cone
-  gates and a local projector ``Q``, it simulates ``|0...0>`` on the
-  ``w`` cone qubits through ``A†``, ``Q`` and ``A`` and measures the
-  defect.  That costs ``16·2^w`` bytes and ``O(gates·2^w)`` time
+* :func:`cone_residuals` answers the question for the weak, strong and
+  static checks alike, without ever forming ``P`` as a matrix.  Each
+  projection is ``P = A Q A†`` for a local projector ``Q`` and the
+  product ``A`` of the cone's gates: the gates in circuit order on a
+  forward walk (the weak check's ``V Π_t V†``), ``U†`` on a backward
+  walk (the static check's ``U† Q U``).  It simulates ``|0...0>`` on
+  the ``w`` cone qubits through ``A†``, ``Q`` and ``A`` and measures
+  the defect.  That costs ``16·2^w`` bytes and ``O(gates·2^w)`` time
   instead of the ``16·4^w`` bytes of the dense projection, the
   light-cone idea of Bravyi, Gosset and Movassagh ("Classical
   algorithms for quantum mean values", arXiv:1909.11485) applied to the
@@ -29,11 +32,11 @@ import numpy as np
 
 from .circuit import Circuit, Gate
 from .errors import CapacityError
-from .linalg import ErrorTriple, apply_to_axes, residual_norms
+from .linalg import ErrorTriple, apply_to_axes, dagger, residual_norms
 
 __all__ = [
     "ZERO_PROJECTOR",
-    "cone_residual",
+    "cone_residuals",
     "walk_light_cones",
 ]
 
@@ -115,42 +118,63 @@ def walk_light_cones(
     return steps
 
 
-def cone_residual(
-    support: Sequence[int],
-    pre: Sequence[tuple[np.ndarray, Sequence[int]]],
-    projector: np.ndarray,
-    projector_qubits: Sequence[int],
-    post: Sequence[tuple[np.ndarray, Sequence[int]]],
-) -> ErrorTriple:
-    """Norms of ``P|0...0> - |0...0>`` for ``P = post · Q · pre`` on a cone.
+def cone_residuals(
+    c: Circuit,
+    projections: Sequence[tuple[np.ndarray, Sequence[int]]],
+    what: str,
+    cap: int,
+    backward: bool = False,
+) -> list[tuple[tuple[int, ...], ErrorTriple]]:
+    """Norms of ``A Q A†|0...0> - |0...0>`` on the light cone of each ``Q``.
 
     Parameters
     ----------
-    support
-        Sorted cone qubits; the state has ``2**len(support)`` amplitudes.
-    pre, post
-        ``(matrix, qubits)`` operators applied in list order before and
-        after the projector.  Qubits are listed as in
-        :class:`~shallowcheck.circuit.Gate`, most significant first, and
-        must lie in ``support``.
-    projector, projector_qubits
-        The local projector ``Q`` and the qubits it acts on.
+    c
+        The circuit whose cones are walked, as for
+        :func:`walk_light_cones`.
+    projections
+        ``(matrix, support)`` pairs: a local projector ``Q`` and the
+        sorted qubits it acts on, which start its cone.
+    what, cap
+        As for :func:`walk_light_cones`.
+    backward
+        Walk last layer first.  ``A`` is the cone's gates applied in
+        walk order: ``V`` restricted to the cone on a forward walk,
+        ``U†`` on a backward one.
 
     Returns
     -------
-    ErrorTriple
-        The same norms :func:`~shallowcheck.linalg.membership_residual`
-        gives for the dense ``P`` on ``support``.
+    list of (support, ErrorTriple)
+        One pair per projection: its cone's final support and the same
+        norms :func:`~shallowcheck.linalg.membership_residual` gives for
+        the dense ``A Q A†`` on that support.
+
+    Raises
+    ------
+    CapacityError
+        If a cone would exceed ``cap``, before any cone is simulated.
     """
-    axis = {q: i for i, q in enumerate(support)}
-    width = len(support)
-    state = np.zeros((2,) * width, dtype=complex)
-    state[(0,) * width] = 1.0
-    for m, qubits in pre:
-        state = apply_to_axes(m, state, [axis[q] for q in qubits])
-    state = apply_to_axes(projector, state, [axis[q] for q in projector_qubits])
-    for m, qubits in post:
-        state = apply_to_axes(m, state, [axis[q] for q in qubits])
-    e = state.reshape(-1)
-    e[0] -= 1.0
-    return residual_norms(e)
+    cones = walk_light_cones(c, [s for _, s in projections], what, cap, backward)
+    results = []
+    for (projector, start), steps in zip(projections, cones):
+        support = steps[-1][1] if steps else tuple(start)
+        axis = {q: i for i, q in enumerate(support)}
+        # ``(a, a†, axes)`` per factor of ``A``, in walk order.
+        factors = []
+        for touched, _ in steps:
+            for g in touched:
+                m, d = g.matrix, dagger(g.matrix)
+                a, a_dag = (d, m) if backward else (m, d)
+                factors.append((a, a_dag, [axis[q] for q in g.qubits]))
+        width = len(support)
+        state = np.zeros((2,) * width, dtype=complex)
+        state[(0,) * width] = 1.0
+        for _, a_dag, axes in reversed(factors):
+            state = apply_to_axes(a_dag, state, axes)
+        state = apply_to_axes(projector, state, [axis[q] for q in start])
+        for a, _, axes in factors:
+            state = apply_to_axes(a, state, axes)
+        e = state.reshape(-1)
+        e[0] -= 1.0
+        results.append((support, residual_norms(e)))
+    return results

@@ -28,13 +28,12 @@ from .config import DEFAULT_ORACLE_CAP, support_cap
 from .errors import CapacityError, DomainError, SchemaError, ValidationError
 from .linalg import (
     ErrorTriple,
+    apply_local,
     conjugate_layer,
     embed,
     hermitian_part,
     identity,
     membership_residual,
-    mul_local_left,
-    mul_local_right,
     zero_state,
 )
 
@@ -54,7 +53,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class LocalProjection:
-    """A projection matrix bound to a sorted, duplicate-free support."""
+    """A projection matrix bound to a sorted, duplicate-free support.
+
+    The matrix is stored read-only.  A read-only complex array that
+    owns its data is kept as given; any other matrix is copied first,
+    so a caller's writable array never aliases the entry.
+    """
 
     support: tuple[int, ...]
     matrix: np.ndarray
@@ -67,7 +71,14 @@ class LocalProjection:
             raise DomainError(
                 f"support must be sorted and duplicate-free, got {support}"
             )
-        matrix = np.array(self.matrix, dtype=complex)
+        matrix = self.matrix
+        if (
+            not isinstance(matrix, np.ndarray)
+            or matrix.dtype != complex
+            or matrix.flags.writeable
+            or matrix.base is not None
+        ):
+            matrix = np.array(matrix, dtype=complex)
         dim = 1 << len(support)
         if matrix.shape != (dim, dim):
             raise DomainError(
@@ -166,7 +177,9 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
             layer = [(g.matrix, [position[q] for q in g.qubits]) for g in touched]
             p = conjugate_layer(p, layer, len(new_support))
             support = new_support
-        entries.append(LocalProjection(support, hermitian_part(p)))
+        p = hermitian_part(p)
+        p.setflags(write=False)
+        entries.append(LocalProjection(support, p))
     return Description(n, tuple(entries))
 
 
@@ -219,8 +232,8 @@ def commutator_deviations(
             width = len(union)
             b_embedded = embed(b.matrix, b.support, union)
             axes_a = [position[q] for q in a.support]
-            ab = mul_local_left(a.matrix, b_embedded, axes_a, width)
-            ba = mul_local_right(a.matrix, b_embedded, axes_a, width)
+            ab = apply_local(a.matrix, b_embedded, axes_a, width)
+            ba = apply_local(a.matrix.T, b_embedded.T, axes_a, width).T
             yield i, j, float(np.max(np.abs(ab - ba)))
 
 
@@ -268,7 +281,7 @@ def intersection_rank_small(
         )
     product = identity(n)
     for p in d.projections:
-        product = mul_local_left(p.matrix, product, list(p.support), n)
+        product = apply_local(p.matrix, product, list(p.support), n)
     trace = float(np.trace(product).real)
     return int(round(trace))
 

@@ -6,10 +6,11 @@ they agree (up to phase) on every input.  The weak check composes the
 first circuit with the inverse of the second and asks whether the
 all-zeros state satisfies the composite's local-projection description;
 the residuals of that membership test are the report's diagnostics.
-Each entry is tested on a state vector over its light cone
-(``16·2^w`` bytes for a cone of ``w`` qubits, see :mod:`.cone`), so the
-dense ``16·4^w``-byte projections that ``compute_description`` emits
-are never formed here; their residuals agree with the dense path to
+Each entry is tested by :func:`.cone.cone_residuals` on a state vector
+over its light cone (``16·2^w`` bytes for a cone of ``w`` qubits), the
+same loop the static assertion check runs backward, so the dense
+``16·4^w``-byte projections that ``compute_description`` emits are
+never formed here; their residuals agree with the dense path to
 rounding.
 The strong check reduces to the weak one by doubling both circuits with
 Bell-pair preparations, which turns agreement on every input into
@@ -28,10 +29,9 @@ import time
 from dataclasses import dataclass, replace
 
 from .circuit import Circuit, adjoint, choi_extend, concat, validate
-from .cone import ZERO_PROJECTOR, cone_residual, walk_light_cones
+from .cone import ZERO_PROJECTOR, cone_residuals
 from .config import EQUIV_THRESHOLD, support_cap
 from .errors import DomainError, ValidationError
-from .linalg import dagger
 
 __all__ = [
     "EquivalenceReport",
@@ -115,28 +115,18 @@ def _weak_report(
     """The weak check on circuits already known to be valid.
 
     Entry ``t`` of the composite ``V = c0 · c1†`` is the projection
-    ``V Π_t V†`` with ``Π_t = |0><0|`` on qubit ``t``.  Its residual
-    comes from the cone state ``V Π_t V†|0...0>``: the cone gates'
-    daggers in reverse order, then ``Π_t``, then the gates forward.
+    ``V Π_t V†`` with ``Π_t = |0><0|`` on qubit ``t``, whose residual
+    the forward cone walk of ``V`` gives.
     """
     start = time.perf_counter()
     composite = concat(c0, adjoint(c1))
-    n = composite.n_qubits
-    cones = walk_light_cones(
-        composite, [(t,) for t in range(n)], "support of qubit {}", support_cap()
+    cones = cone_residuals(
+        composite,
+        [(ZERO_PROJECTOR, (t,)) for t in range(composite.n_qubits)],
+        "support of qubit {}",
+        support_cap(),
     )
-    residuals = []
-    for t, steps in enumerate(cones):
-        support = steps[-1][1] if steps else (t,)
-        gates = [g for touched, _ in steps for g in touched]
-        triple = cone_residual(
-            support,
-            [(dagger(g.matrix), g.qubits) for g in reversed(gates)],
-            ZERO_PROJECTOR,
-            (t,),
-            [(g.matrix, g.qubits) for g in gates],
-        )
-        residuals.append(ResidualEntry(support, *triple))
+    residuals = [ResidualEntry(support, *triple) for support, triple in cones]
     seconds = time.perf_counter() - start
     max_linf = max(r.linf for r in residuals)
     verdict = "equivalent" if max_linf <= threshold else "inequivalent"

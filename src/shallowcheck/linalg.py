@@ -9,22 +9,23 @@ the smallest index is the most significant bit of the row and column
 index.  Every embedding sorts supports ascending first, so the
 convention holds package-wide and no per-call permutation flags exist.
 
-Besides the core operations (:func:`kron`, :func:`dagger`, :func:`embed`,
-:func:`conjugate`, :func:`hermitian_part`, :func:`is_projection`,
+Besides the core operations (:func:`dagger`, :func:`embed`,
+:func:`hermitian_part`, :func:`is_projection`,
 :func:`membership_residual`), this module provides locality-aware
 primitives that act on a few tensor axes of a larger operator or state
 without materializing the embedded matrix:
 
 * :func:`apply_to_axes` and :func:`apply_local` apply an operator to
-  some axes of a state (the contraction of the cone-state kernel);
-* :func:`mul_local_left` and :func:`mul_local_right` multiply a matrix
-  by an operator on some of its row or column axes;
+  some qubit axes of a state, or of the rows of a matrix (the
+  contraction of the cone-state kernel; ``mat @ embed(op)`` is
+  ``apply_local(op.T, mat.T, ...).T``);
 * :func:`conjugate_layer` conjugates a matrix by a whole layer of
   disjoint operators, one matrix product per operator and side, the
   kernel of the dense description engine.
 
 They are algebraically identical to ``embed`` followed by a dense
 product and are cross-checked against that path in the test suite.
+Every public name here is used by another module of the package.
 """
 
 from __future__ import annotations
@@ -40,19 +41,14 @@ __all__ = [
     "ErrorTriple",
     "apply_local",
     "apply_to_axes",
-    "conjugate",
     "conjugate_layer",
     "dagger",
     "embed",
     "hermitian_part",
     "identity",
     "is_projection",
-    "is_unitary",
-    "kron",
     "max_abs",
     "membership_residual",
-    "mul_local_left",
-    "mul_local_right",
     "residual_norms",
     "zero_state",
 ]
@@ -99,39 +95,6 @@ def identity(n_qubits: int) -> np.ndarray:
     if n_qubits < 0:
         raise DomainError(f"qubit count must be non-negative, got {n_qubits}")
     return np.eye(1 << n_qubits, dtype=complex)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``a``'s qubits more significant than ``b``'s.
-
-    Parameters
-    ----------
-    a, b
-        Square operators whose dimensions are powers of two.
-
-    Returns
-    -------
-    numpy.ndarray
-        The ``(2**(j+k), 2**(j+k))`` product.
-
-    Raises
-    ------
-    CapacityError
-        If the result would act on more qubits than the support cap.
-    """
-    a = _as_operator(a, "left factor")
-    b = _as_operator(b, "right factor")
-    ka = _qubit_count(a.shape[0], "left factor")
-    kb = _qubit_count(b.shape[0], "right factor")
-    cap = support_cap()
-    if ka + kb > cap:
-        raise CapacityError(
-            f"kron result would act on {ka + kb} qubits, exceeding the "
-            f"support cap of {cap}",
-            size=ka + kb,
-            cap=cap,
-        )
-    return np.kron(a, b)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -228,22 +191,6 @@ def hermitian_part(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def conjugate(u: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Return ``u @ p @ dagger(u)``.
-
-    For unitary ``u`` this preserves projections, hermiticity, and the
-    spectrum of ``p``.
-    """
-    u = _as_operator(u, "u")
-    p = _as_operator(p, "p")
-    if u.shape != p.shape:
-        raise DomainError(
-            f"dimension mismatch: u is {u.shape[0]}-dimensional, "
-            f"p is {p.shape[0]}-dimensional"
-        )
-    return u @ p @ dagger(u)
-
-
 def is_projection(p: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
     """True iff ``p`` is idempotent and Hermitian within ``tol``.
 
@@ -253,12 +200,6 @@ def is_projection(p: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
     return bool(
         max_abs(p @ p - p) <= tol and max_abs(p - dagger(p)) <= tol
     )
-
-
-def is_unitary(u: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
-    """True iff ``u @ dagger(u)`` is the identity within ``tol`` entrywise."""
-    u = _as_operator(u, "u")
-    return bool(max_abs(u @ dagger(u) - np.eye(u.shape[0])) <= tol)
 
 
 class ErrorTriple(NamedTuple):
@@ -334,8 +275,8 @@ def apply_to_axes(
 
     ``axes[i]`` is the axis acted on by the ``i``-th (most significant
     first) qubit of ``op``.  The one contraction behind
-    :func:`apply_local`, :func:`mul_local_left` and the cone-state
-    kernel; it checks no arguments, so callers must.
+    :func:`apply_local` and the cone-state kernel; it checks no
+    arguments, so callers must.
     """
     k = len(axes)
     u = op.reshape((2,) * (2 * k))
@@ -352,55 +293,22 @@ def apply_local(
     """Apply ``op`` to the given qubit axes of an ``n_qubits`` state.
 
     Equivalent to ``embed(op, sorted_positions, full) @ vec`` but works
-    by tensor contraction.  ``positions[i]`` is the axis acted on by the
-    ``i``-th (most significant first) qubit of ``op``, so an unsorted
-    positions list expresses a gate whose listed qubit order differs
-    from ascending order.
+    by tensor contraction.  ``vec`` is a state of shape ``(2**n,)`` or a
+    matrix of shape ``(2**n, m)`` whose rows are acted on.
+    ``positions[i]`` is the axis acted on by the ``i``-th (most
+    significant first) qubit of ``op``, so an unsorted positions list
+    expresses a gate whose listed qubit order differs from ascending
+    order.
     """
     op, pos = _check_local_args(op, positions, n_qubits)
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if vec.size != 1 << n_qubits:
+    vec = np.asarray(vec, dtype=complex)
+    dim = 1 << n_qubits
+    if vec.ndim not in (1, 2) or vec.shape[0] != dim:
         raise DomainError(
-            f"state has {vec.size} amplitudes, expected {1 << n_qubits}"
+            f"state has shape {vec.shape}, expected ({dim},) or ({dim}, m)"
         )
-    return apply_to_axes(op, vec.reshape((2,) * n_qubits), pos).reshape(-1)
-
-
-def mul_local_left(
-    op: np.ndarray,
-    mat: np.ndarray,
-    positions: Sequence[int],
-    n_qubits: int,
-) -> np.ndarray:
-    """Return ``embed(op) @ mat`` by contracting ``mat``'s row axes."""
-    op, pos = _check_local_args(op, positions, n_qubits)
-    mat = _as_operator(mat, "mat")
-    dim = 1 << n_qubits
-    if mat.shape[0] != dim:
-        raise DomainError(f"mat is {mat.shape[0]}-dimensional, expected {dim}")
-    t = mat.reshape((2,) * (2 * n_qubits))
-    return apply_to_axes(op, t, pos).reshape(dim, dim)
-
-
-def mul_local_right(
-    op: np.ndarray,
-    mat: np.ndarray,
-    positions: Sequence[int],
-    n_qubits: int,
-) -> np.ndarray:
-    """Return ``mat @ embed(op)`` by contracting ``mat``'s column axes."""
-    op, pos = _check_local_args(op, positions, n_qubits)
-    mat = _as_operator(mat, "mat")
-    dim = 1 << n_qubits
-    if mat.shape[0] != dim:
-        raise DomainError(f"mat is {mat.shape[0]}-dimensional, expected {dim}")
-    k = len(pos)
-    col_axes = [n_qubits + p for p in pos]
-    t = mat.reshape((2,) * (2 * n_qubits))
-    u = op.reshape((2,) * (2 * k))
-    t = np.tensordot(t, u, axes=(col_axes, list(range(k))))
-    t = np.moveaxis(t, list(range(2 * n_qubits - k, 2 * n_qubits)), col_axes)
-    return t.reshape(dim, dim)
+    t = vec.reshape((2,) * n_qubits + vec.shape[1:])
+    return apply_to_axes(op, t, pos).reshape(vec.shape)
 
 
 def conjugate_layer(

@@ -36,13 +36,7 @@ from shallowcheck import (
     zero_state,
 )
 from shallowcheck.config import SUPPORT_CAP_ENV
-from shallowcheck.linalg import (
-    apply_local,
-    dagger,
-    embed,
-    mul_local_left,
-    mul_local_right,
-)
+from shallowcheck.linalg import apply_local, dagger, embed
 
 TOL = 1e-12
 
@@ -134,8 +128,8 @@ def dense_static(c: Circuit, entry: LocalProjection):
         axis = {q: i for i, q in enumerate(grown)}
         for g in touched:
             axes = [axis[q] for q in g.qubits]
-            p = mul_local_left(dagger(g.matrix), p, axes, len(grown))
-            p = mul_local_right(g.matrix, p, axes, len(grown))
+            p = apply_local(dagger(g.matrix), p, axes, len(grown))
+            p = apply_local(g.matrix.T, p.T, axes, len(grown)).T
         support = grown
     return tuple(support), membership_residual(p, zero_state(len(support)))
 
@@ -150,6 +144,21 @@ def test_static_residuals_match_dense_back_propagation(pair):
         assert check.support == support
         for got, want in zip(check.residual, residual):
             assert abs(got - want) <= TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs())
+def test_weak_residuals_equal_static_residuals_of_the_inverse(pair):
+    # The backward walk of V† meets the gates of V's forward walk in the
+    # same order, so the two directions must agree bit for bit.
+    c0, c1 = pair
+    v = concat(c0, adjoint(c1))
+    zero = np.diag([1.0, 0.0]).astype(complex)
+    claims = [LocalProjection((t,), zero) for t in range(v.n_qubits)]
+    weak = check_weak(c0, c1).residuals
+    static = verify_static(adjoint(v), claims)
+    assert [r.support for r in weak] == [s.support for s in static]
+    assert [(r.l1, r.l2, r.linf) for r in weak] == [tuple(s.residual) for s in static]
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shallowcheck.description as description
 from shallowcheck import (
     CapacityError,
     Circuit,
@@ -32,13 +33,7 @@ from shallowcheck import (
 )
 from shallowcheck.circuit import gate_in_sorted_order
 from shallowcheck.cone import walk_light_cones
-from shallowcheck.linalg import (
-    apply_local,
-    conjugate,
-    conjugate_layer,
-    mul_local_left,
-    mul_local_right,
-)
+from shallowcheck.linalg import apply_local, conjugate_layer
 
 TOL = 1e-12
 
@@ -68,7 +63,7 @@ def dense_reference_description(c):
             for g in touched:
                 gs = gate_in_sorted_order(g)
                 u = embed(gs.matrix, list(gs.qubits), new)
-                p = conjugate(u, p)
+                p = u @ p @ dagger(u)
             p = (p + dagger(p)) / 2
             supports[t] = tuple(new)
             mats[t] = p
@@ -79,9 +74,9 @@ def per_gate_reference_description(c):
     """Re-derive the description with one gate conjugated at a time.
 
     Each gate is one contraction on the row axes and one on the column
-    axes of the full matrix, and the matrix is re-symmetrized after
-    every layer: the same walk as the production engine, without its
-    layer kernel.
+    axes (through transposes) of the full matrix, and the matrix is
+    re-symmetrized after every layer: the same walk as the production
+    engine, without its layer kernel.
     """
     cones = walk_light_cones(
         c, [(t,) for t in range(c.n_qubits)], "support of qubit {}", c.n_qubits
@@ -94,8 +89,8 @@ def per_gate_reference_description(c):
             axis = {q: i for i, q in enumerate(grown)}
             for g in touched:
                 axes = [axis[q] for q in g.qubits]
-                p = mul_local_left(g.matrix, p, axes, len(grown))
-                p = mul_local_right(dagger(g.matrix), p, axes, len(grown))
+                p = apply_local(g.matrix, p, axes, len(grown))
+                p = apply_local(dagger(g.matrix).T, p.T, axes, len(grown)).T
             p = (p + dagger(p)) / 2
             support = grown
         supports.append(support)
@@ -219,6 +214,38 @@ class TestLocalProjection:
         p = LocalProjection((0,), np.eye(2))
         with pytest.raises(ValueError):
             p.matrix[0, 0] = 2.0
+
+    def test_writable_matrix_is_copied(self):
+        m = np.diag([1, 0]).astype(complex)
+        p = LocalProjection((0,), m)
+        assert p.matrix is not m
+        m[0, 0] = 7.0
+        assert p.matrix[0, 0] == 1.0
+        assert m.flags.writeable
+
+    def test_readonly_view_is_copied(self):
+        m = np.diag([1, 0, 0, 0]).astype(complex)
+        view = m[:2, :2]
+        view.setflags(write=False)
+        p = LocalProjection((0,), view)
+        assert p.matrix is not view
+        m[0, 0] = 7.0
+        assert p.matrix[0, 0] == 1.0
+
+    def test_described_matrices_are_not_copied(self, monkeypatch):
+        built = []
+        original = description.hermitian_part
+
+        def recording(p):
+            built.append(original(p))
+            return built[-1]
+
+        monkeypatch.setattr(description, "hermitian_part", recording)
+        d = compute_description(random_circuit(6, 3, seed=2))
+        assert len(built) == len(d.projections)
+        for p, m in zip(d.projections, built):
+            assert p.matrix is m
+            assert not p.matrix.flags.writeable
 
 
 class TestComputeDescription:
