@@ -229,19 +229,29 @@ class TestLocalPrimitives:
         dense = embed(perm, [0, 2], [0, 1, 2]) @ v
         assert np.allclose(swapped, dense)
 
-    def test_apply_local_to_matrix_matches_embed(self):
-        # ``embed(u) @ mat`` directly, ``mat @ embed(u)`` through transposes.
+    def _random_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+
+    def test_mul_local_left_matches_embed(self):
+        # ``embed(u) @ mat`` is ``apply_local`` on the matrix's rows.
         n = 3
         full = [0, 1, 2]
-        rng = np.random.default_rng(9)
-        mat = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        mat = self._random_matrix(9)
         for u, pos in [(small_unitaries(1)[0], [1]), (small_unitaries(2)[0], [0, 2])]:
             left = embed(u, pos, full) @ mat
-            right = mat @ embed(u, pos, full)
             assert np.allclose(apply_local(u, mat, pos, n), left)
-            assert np.allclose(apply_local(u.T, mat.T, pos, n).T, right)
         wide = mat[:, :3]
         assert np.allclose(apply_local(X, wide, [2], n), embed(X, [2], full) @ wide)
+
+    def test_mul_local_right_matches_embed(self):
+        # ``mat @ embed(u)`` is ``apply_local`` through transposes.
+        n = 3
+        full = [0, 1, 2]
+        mat = self._random_matrix(10)
+        for u, pos in [(small_unitaries(1)[0], [1]), (small_unitaries(2)[0], [0, 2])]:
+            right = mat @ embed(u, pos, full)
+            assert np.allclose(apply_local(u.T, mat.T, pos, n).T, right)
 
     def test_conjugate_layer_matches_dense(self):
         n = 4
