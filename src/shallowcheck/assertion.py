@@ -134,7 +134,7 @@ def verify_static(
     threshold
         Bound on the L-infinity residual for an entry to hold.
     cap
-        Support cap override for the backward light cones.
+        Support cap override (at least 1) for the backward light cones.
 
     Raises
     ------

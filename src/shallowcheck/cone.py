@@ -15,13 +15,13 @@ projection ``P`` on a light cone: how far is ``P|0...0>`` from
   projection is ``P = A Q A†`` for a local projector ``Q`` and the
   product ``A`` of the cone's gates: the gates in circuit order on a
   forward walk (the weak check's ``V Π_t V†``), ``U†`` on a backward
-  walk (the static check's ``U† Q U``).  It simulates ``|0...0>`` on
-  the ``w`` cone qubits through ``A†``, ``Q`` and ``A`` and measures
-  the defect.  That costs ``16·2^w`` bytes and ``O(gates·2^w)`` time
-  instead of the ``16·4^w`` bytes of the dense projection, the
-  light-cone idea of Bravyi, Gosset and Movassagh ("Classical
-  algorithms for quantum mean values", arXiv:1909.11485) applied to the
-  membership test.
+  walk (the static check's ``U† Q U``).  It runs ``|0...0>`` on the
+  ``w`` cone qubits through ``A†``, ``Q`` and ``A``, one layer per
+  :func:`~shallowcheck.linalg.apply_layer` call, and measures the
+  defect: ``16·2^w`` bytes and ``O(gates·2^w)`` time instead of the
+  ``16·4^w`` bytes of the dense projection, the light-cone idea of
+  Bravyi, Gosset and Movassagh ("Classical algorithms for quantum mean
+  values", arXiv:1909.11485) applied to the membership test.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .errors import CapacityError
-from .linalg import ErrorTriple, apply_to_axes, dagger, residual_norms
+from .errors import CapacityError, DomainError
+from .linalg import ErrorTriple, apply_layer, dagger, residual_norms
 
 __all__ = [
     "ZERO_PROJECTOR",
@@ -82,12 +82,16 @@ def walk_light_cones(
 
     Raises
     ------
+    DomainError
+        If ``cap`` is below 1, which no support can meet.
     CapacityError
         If a support would exceed ``cap``.  All cones advance one layer
         at a time, so the error names the first layer, in walk order, at
         which any cone overflows, and no cone is simulated before every
         cone is known to fit.
     """
+    if cap < 1:
+        raise DomainError(f"the support cap must be at least 1, got {cap}")
     supports = [tuple(s) for s in starts]
     steps: list[list[ConeStep]] = [[] for _ in supports]
     order = range(c.depth - 1, -1, -1) if backward else range(c.depth)
@@ -159,21 +163,16 @@ def cone_residuals(
     for (projector, start), steps in zip(projections, cones):
         support = steps[-1][1] if steps else tuple(start)
         axis = {q: i for i, q in enumerate(support)}
-        # ``(a, a†, axes)`` per factor of ``A``, in walk order.
-        factors = []
-        for touched, _ in steps:
-            for g in touched:
-                m, d = g.matrix, dagger(g.matrix)
-                a, a_dag = (d, m) if backward else (m, d)
-                factors.append((a, a_dag, [axis[q] for q in g.qubits]))
+        # The ops of each layer of ``A`` and of ``A†``, in walk order.
+        gates = [[(g.matrix, [axis[q] for q in g.qubits]) for g in t] for t, _ in steps]
+        daggers = [[(dagger(u), axes) for u, axes in ops] for ops in gates]
+        a_layers, a_dag_layers = (daggers, gates) if backward else (gates, daggers)
         width = len(support)
         state = np.zeros((2,) * width, dtype=complex)
         state[(0,) * width] = 1.0
-        for _, a_dag, axes in reversed(factors):
-            state = apply_to_axes(a_dag, state, axes)
-        state = apply_to_axes(projector, state, [axis[q] for q in start])
-        for a, _, axes in factors:
-            state = apply_to_axes(a, state, axes)
+        q_ops = [(projector, [axis[q] for q in start])]
+        for ops in a_dag_layers[::-1] + [q_ops] + a_layers:
+            state = apply_layer(state, ops)
         e = state.reshape(-1)
         e[0] -= 1.0
         results.append((support, residual_norms(e)))

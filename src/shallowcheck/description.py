@@ -28,6 +28,7 @@ from .config import DEFAULT_ORACLE_CAP, support_cap
 from .errors import CapacityError, DomainError, SchemaError, ValidationError
 from .linalg import (
     ErrorTriple,
+    apply_layer,
     apply_local,
     conjugate_layer,
     embed,
@@ -51,13 +52,20 @@ __all__ = [
 ]
 
 
+def _frozen(a: np.ndarray) -> bool:
+    """True iff ``a`` and every array whose memory it views are read-only."""
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        a = a.base
+    return a is None
+
+
 @dataclass(frozen=True, eq=False)
 class LocalProjection:
     """A projection matrix bound to a sorted, duplicate-free support.
 
-    The matrix is stored read-only.  A read-only complex array that
-    owns its data is kept as given; any other matrix is copied first,
-    so a caller's writable array never aliases the entry.
+    The matrix is stored read-only.  It is kept as given when it is a
+    complex array that no writable array shares memory with, and copied
+    otherwise, so a caller's writable array never aliases the entry.
     """
 
     support: tuple[int, ...]
@@ -75,8 +83,7 @@ class LocalProjection:
         if (
             not isinstance(matrix, np.ndarray)
             or matrix.dtype != complex
-            or matrix.flags.writeable
-            or matrix.base is not None
+            or not _frozen(matrix)
         ):
             matrix = np.array(matrix, dtype=complex)
         dim = 1 << len(support)
@@ -125,7 +132,7 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     c
         A valid circuit.
     cap
-        Support cap override; defaults to the configured cap.
+        Support cap override, at least 1; defaults to the configured cap.
 
     Returns
     -------
@@ -170,7 +177,7 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     entries = []
     for t, steps in enumerate(cones):
         support: tuple[int, ...] = (t,)
-        p = ZERO_PROJECTOR
+        p = ZERO_PROJECTOR.copy()  # hermitian_part writes it in place
         for touched, new_support in steps:
             p = embed(p, support, new_support)
             position = {q: i for i, q in enumerate(new_support)}
@@ -178,7 +185,9 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
             p = conjugate_layer(p, layer, len(new_support))
             support = new_support
         p = hermitian_part(p)
-        p.setflags(write=False)
+        for a in (p, p.base):  # ``p`` may view the conjugation's output
+            if a is not None:
+                a.setflags(write=False)
         entries.append(LocalProjection(support, p))
     return Description(n, tuple(entries))
 
@@ -230,10 +239,11 @@ def commutator_deviations(
                 )
             position = {q: k for k, q in enumerate(union)}
             width = len(union)
-            b_embedded = embed(b.matrix, b.support, union)
-            axes_a = [position[q] for q in a.support]
-            ab = apply_local(a.matrix, b_embedded, axes_a, width)
-            ba = apply_local(a.matrix.T, b_embedded.T, axes_a, width).T
+            # ``A`` on the row axes of ``B`` is ``AB``, ``A.T`` on its columns ``BA``.
+            b_tensor = embed(b.matrix, b.support, union).reshape((2,) * (2 * width))
+            rows = [position[q] for q in a.support]
+            ab = apply_layer(b_tensor, [(a.matrix, rows)])
+            ba = apply_layer(b_tensor, [(a.matrix.T, [width + r for r in rows])])
             yield i, j, float(np.max(np.abs(ab - ba)))
 
 

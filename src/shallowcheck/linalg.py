@@ -13,15 +13,15 @@ Besides the core operations (:func:`dagger`, :func:`embed`,
 :func:`hermitian_part`, :func:`is_projection`,
 :func:`membership_residual`), this module provides locality-aware
 primitives that act on a few tensor axes of a larger operator or state
-without materializing the embedded matrix:
+without materializing the embedded matrix.  One kernel,
+:func:`apply_layer`, applies a layer of operators on disjoint axes of a
+tensor, one matrix product per operator; the cone-state kernel calls it
+once per cone layer, and each of these is one call to it:
 
-* :func:`apply_to_axes` and :func:`apply_local` apply an operator to
-  some qubit axes of a state, or of the rows of a matrix (the
-  contraction of the cone-state kernel; ``mat @ embed(op)`` is
-  ``apply_local(op.T, mat.T, ...).T``);
-* :func:`conjugate_layer` conjugates a matrix by a whole layer of
-  disjoint operators, one matrix product per operator and side, the
-  kernel of the dense description engine.
+* :func:`apply_local` applies an operator to some qubit axes of a
+  state, or of the rows of a matrix;
+* :func:`conjugate_layer` conjugates a matrix by a layer of disjoint
+  operators, the kernel of the dense description engine.
 
 They are algebraically identical to ``embed`` followed by a dense
 product and are cross-checked against that path in the test suite.
@@ -34,13 +34,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import STRUCTURAL_TOL, support_cap
-from .errors import CapacityError, DomainError
+from .config import STRUCTURAL_TOL
+from .errors import DomainError
 
 __all__ = [
     "ErrorTriple",
+    "apply_layer",
     "apply_local",
-    "apply_to_axes",
     "conjugate_layer",
     "dagger",
     "embed",
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-#: Columns per strip in :func:`hermitian_part`.
+#: Side of the square blocks :func:`hermitian_part` works on.
 _STRIP = 64
 
 
@@ -110,11 +110,11 @@ def embed(
     """Embed ``op`` into a larger support, acting as identity elsewhere.
 
     Both supports must be sorted ascending and duplicate-free, with
-    ``op_support`` a subset of ``target_support``.  Tensor factors of the
-    result are ordered by ascending qubit index.  The implementation
-    assigns ``op`` to all of its identity blocks at once through a
-    transposed view of the zeroed result, so the only allocation is the
-    result itself and its entries are copied, not computed.
+    ``op_support`` a subset of ``target_support``, whose size callers
+    bound.  Tensor factors of the result are ordered by ascending qubit
+    index.  ``op`` is assigned to all of its identity blocks at once
+    through a transposed view of the zeroed result, so the only
+    allocation is the result itself and its entries are copied.
 
     Parameters
     ----------
@@ -148,14 +148,6 @@ def embed(
             f"{k} qubit(s)"
         )
     m = len(tgt)
-    cap = support_cap()
-    if m > cap:
-        raise CapacityError(
-            f"embedding target spans {m} qubits, exceeding the support cap "
-            f"of {cap}",
-            size=m,
-            cap=cap,
-        )
     if ops == tgt:
         return op.copy()
 
@@ -176,19 +168,25 @@ def embed(
 
 
 def hermitian_part(p: np.ndarray) -> np.ndarray:
-    """Return ``(p + dagger(p)) / 2``, bit for bit.
+    """Replace ``p`` by ``(p + dagger(p)) / 2`` in place, bit for bit.
 
-    Formed a strip of columns at a time: a plain ``p + dagger(p)``
-    reads ``p`` down its columns, one memory page per entry once ``p``
-    is large, which makes it slower than the conjugation it follows.
+    ``p`` must be writable; it is returned (a complex copy when it is
+    not a complex array).  Block pairs ``(I, J)`` and ``(J, I)`` are
+    formed together, so one block at a time is allocated.
     """
     p = _as_operator(p, "p")
-    out = np.empty_like(p)
-    for i in range(0, p.shape[0], _STRIP):
-        cols = slice(i, i + _STRIP)
-        np.add(p[:, cols], dagger(p[cols]), out=out[:, cols])
-    out *= 0.5
-    return out
+    dim = p.shape[0]
+    for i in range(0, dim, _STRIP):
+        rows = slice(i, i + _STRIP)
+        for j in range(i, dim, _STRIP):
+            cols = slice(j, j + _STRIP)
+            # Formed before ``p[rows, cols]``, which it reads, is updated.
+            lower = p[cols, rows] + dagger(p[rows, cols])
+            if j > i:
+                p[rows, cols] += dagger(p[cols, rows])
+            p[cols, rows] = lower
+    p *= 0.5
+    return p
 
 
 def is_projection(p: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
@@ -268,20 +266,30 @@ def _check_local_args(
     return op, pos
 
 
-def apply_to_axes(
-    op: np.ndarray, tensor: np.ndarray, axes: Sequence[int]
+def apply_layer(
+    tensor: np.ndarray, ops: Sequence[tuple[np.ndarray, Sequence[int]]]
 ) -> np.ndarray:
-    """Contract ``op`` into the given axes of a qubit tensor of shape ``(2, ..., 2)``.
+    """Apply a layer of operators on disjoint axes of ``tensor``.
 
-    ``axes[i]`` is the axis acted on by the ``i``-th (most significant
-    first) qubit of ``op``.  The one contraction behind
-    :func:`apply_local` and the cone-state kernel; it checks no
-    arguments, so callers must.
+    ``ops`` holds ``(matrix, axes)`` pairs, ``axes[i]`` carrying the
+    ``i``-th (most significant first) qubit of the ``2**k``-dimensional
+    matrix.  Acted axes have size 2; other axes ride along, whatever
+    their size.  The tensor is transposed at most once so that the
+    acted axes lead in the order the ops use them, and back at most
+    once.  Each op is one matrix product, ``t.reshape(2**k, -1).T @
+    u.T``, which cycles its axes to the back, so no copy is made between
+    ops.  It checks no arguments, so callers must.
     """
-    k = len(axes)
-    u = op.reshape((2,) * (2 * k))
-    t = np.tensordot(u, tensor, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(t, list(range(k)), axes)
+    every = list(range(tensor.ndim))
+    order = [a for _, axes in ops for a in axes]
+    idle = [a for a in every if a not in order]
+    t = tensor if order + idle == every else tensor.transpose(order + idle)
+    shape = t.shape
+    for u, axes in ops:
+        t = t.reshape(1 << len(axes), -1).T @ u.T
+    # The acted axes have cycled to the back, behind the idle ones.
+    t = t.reshape(shape[len(order):] + shape[:len(order)])
+    return t if idle + order == every else t.transpose(np.argsort(idle + order))
 
 
 def apply_local(
@@ -293,9 +301,9 @@ def apply_local(
     """Apply ``op`` to the given qubit axes of an ``n_qubits`` state.
 
     Equivalent to ``embed(op, sorted_positions, full) @ vec`` but works
-    by tensor contraction.  ``vec`` is a state of shape ``(2**n,)`` or a
-    matrix of shape ``(2**n, m)`` whose rows are acted on.
-    ``positions[i]`` is the axis acted on by the ``i``-th (most
+    by one :func:`apply_layer` call.  ``vec`` is a state of shape
+    ``(2**n,)`` or a matrix of shape ``(2**n, m)`` whose rows are acted
+    on.  ``positions[i]`` is the axis acted on by the ``i``-th (most
     significant first) qubit of ``op``, so an unsorted positions list
     expresses a gate whose listed qubit order differs from ascending
     order.
@@ -308,7 +316,7 @@ def apply_local(
             f"state has shape {vec.shape}, expected ({dim},) or ({dim}, m)"
         )
     t = vec.reshape((2,) * n_qubits + vec.shape[1:])
-    return apply_to_axes(op, t, pos).reshape(vec.shape)
+    return apply_layer(t, [(op, pos)]).reshape(vec.shape)
 
 
 def conjugate_layer(
@@ -320,14 +328,10 @@ def conjugate_layer(
 
     ``ops`` holds ``(matrix, positions)`` pairs on disjoint positions,
     listed as for :func:`apply_local`.  ``mat`` is viewed as a tensor
-    with ``2·n_qubits`` axes, rows first.  Each op is one matrix product
-    on the leading axes, ``t.reshape(2**k, -1).T @ op.T``, which applies
-    it and moves its axes to the back; ``conj(op)`` does the same on the
-    column axes.  Once every op has been applied to the rows and then
-    the columns, the axes are back in their starting order, so no copy
-    is made between ops.  When the ops' positions are not ``0, 1, ...,
-    n_qubits - 1`` in order (non-adjacent or reversed qubits, idle
-    qubits), the tensor is permuted once before and once after.
+    with ``2·n_qubits`` axes, rows first, and conjugated by one
+    :func:`apply_layer` call: each op acts on its row axes ``p`` and its
+    complex conjugate on the column axes ``n_qubits + p``, since
+    ``mat @ dagger(u)`` is ``conj(u)`` applied to the columns.
     """
     mat = _as_operator(mat, "mat")
     dim = 1 << n_qubits
@@ -337,19 +341,6 @@ def conjugate_layer(
     order = [p for _, pos in checked for p in pos]
     if len(set(order)) != len(order):
         raise DomainError(f"ops must act on disjoint positions, got {order}")
-    acted = set(order)
-    idle = [p for p in range(n_qubits) if p not in acted]
-    # Tensor axes in the order the ops consume them, rows then columns.
-    consumed = order + [n_qubits + p for p in order]
-    idle += [n_qubits + p for p in idle]
-    permuted = consumed + idle != list(range(2 * n_qubits))
-    t = mat
-    if permuted:
-        t = mat.reshape((2,) * (2 * n_qubits)).transpose(consumed + idle)
-    for side in (np.transpose, dagger):
-        for u, pos in checked:
-            t = t.reshape(1 << len(pos), -1).T @ side(u)
-    if permuted:
-        # The consumed axes have cycled to the back, behind the idle ones.
-        t = t.reshape((2,) * (2 * n_qubits)).transpose(np.argsort(idle + consumed))
+    columns = [(np.conj(u), [n_qubits + p for p in pos]) for u, pos in checked]
+    t = apply_layer(mat.reshape((2,) * (2 * n_qubits)), checked + columns)
     return t.reshape(dim, dim)

@@ -4,7 +4,7 @@ Everything here works over all ``2**n`` amplitudes, so a hard cap keeps
 inputs at desk scale.  The simulator is the ground truth that the
 description, equivalence, and assertion engines are validated against
 in the test suite; it shares no algorithmic machinery with them beyond
-elementary tensor contraction.
+elementary tensor contraction, one gate per ``linalg.apply_local`` call.
 
 Density matrices are plain numpy arrays expected to be Hermitian,
 positive semidefinite, and trace one within 1e-10 when they represent

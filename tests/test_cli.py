@@ -68,6 +68,21 @@ class TestDescribe:
         assert main(["describe", circuit_file, "--cap", "3"]) == 3
         capsys.readouterr()
 
+    def test_cap_flag_overrides_configured_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(SUPPORT_CAP_ENV, "3")
+        doc = tmp_path / "c.json"
+        doc.write_text(json.dumps(circuit_to_json(random_circuit(8, 3, seed=1))))
+        assert main(["describe", str(doc), "--cap", "8"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["projections"]) == 8
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_is_malformed_input(self, tmp_path, capsys, cap, depth):
+        doc = tmp_path / "c.json"
+        doc.write_text(json.dumps(circuit_to_json(random_circuit(4, depth, seed=1))))
+        assert main(["describe", str(doc), "--cap", cap]) == 2
+        assert "at least 1" in capsys.readouterr().err
+
 
 class TestEquiv:
     def test_self_pair_exit_zero(self, circuit_file, capsys):

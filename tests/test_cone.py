@@ -16,6 +16,7 @@ import shallowcheck.equivalence as equivalence
 from shallowcheck import (
     CapacityError,
     Circuit,
+    DomainError,
     Gate,
     Layer,
     LocalProjection,
@@ -192,6 +193,16 @@ def test_weak_capacity_error_names_qubit_and_layer(monkeypatch):
     assert "layer 1" in str(exc.value)
     assert exc.value.size == 4
     assert exc.value.cap == 3
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_cap_below_one_rejected_by_the_walker(cap):
+    # Even a circuit with no layers: every entry has width 1 > cap.
+    for c in (Circuit(3), random_circuit(3, 2, seed=1)):
+        with pytest.raises(DomainError, match="at least 1"):
+            compute_description(c, cap=cap)
+        with pytest.raises(DomainError, match="at least 1"):
+            verify_static(c, compute_description(random_circuit(3, 1)), cap=cap)
 
 
 def test_strong_check_validates_each_input_once(monkeypatch):

@@ -232,6 +232,13 @@ class TestLocalProjection:
         m[0, 0] = 7.0
         assert p.matrix[0, 0] == 1.0
 
+    def test_readonly_view_of_readonly_array_is_kept(self):
+        m = np.diag([1, 0, 0, 0]).astype(complex)
+        view = m[:2, :2]
+        view.setflags(write=False)
+        m.setflags(write=False)
+        assert LocalProjection((0,), view).matrix is view
+
     def test_described_matrices_are_not_copied(self, monkeypatch):
         built = []
         original = description.hermitian_part

@@ -6,18 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shallowcheck import (
-    CapacityError,
     DomainError,
+    compute_description,
     dagger,
     embed,
+    haar_unitary,
     identity,
     is_projection,
     max_abs,
     membership_residual,
+    random_circuit,
     zero_state,
 )
 from shallowcheck.config import SUPPORT_CAP_ENV
-from shallowcheck.linalg import apply_local, conjugate_layer, hermitian_part
+from shallowcheck.linalg import apply_layer, apply_local, conjugate_layer, hermitian_part
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -99,10 +101,13 @@ class TestEmbed:
         with pytest.raises(DomainError):
             embed(np.eye(2), [0, 1], [0, 1, 2])
 
-    def test_cap_enforced(self, monkeypatch):
-        monkeypatch.setenv(SUPPORT_CAP_ENV, "2")
-        with pytest.raises(CapacityError):
-            embed(X, [0], [0, 1, 2])
+    def test_cap_override_honoured(self, monkeypatch):
+        # ``embed`` sets no cap of its own: an explicit cap above the
+        # configured one is honoured, since every caller bounds its target.
+        monkeypatch.setenv(SUPPORT_CAP_ENV, "3")
+        d = compute_description(random_circuit(8, 3, seed=1), cap=8)
+        assert max(len(p.support) for p in d.projections) == 6
+        assert embed(X, [0], [0, 1, 2, 3]).shape == (16, 16)
 
     def test_embedding_preserves_unitarity(self):
         for u in small_unitaries(2):
@@ -138,6 +143,43 @@ def _embed_block_loop(op, ops, tgt):
         )
         out[np.ix_(sub + offset, sub + offset)] = op
     return out
+
+
+def _sorted_op(u, axes):
+    """``u`` with its qubits reordered to ascending ``axes``, for ``embed``."""
+    k = len(axes)
+    order = [int(i) for i in np.argsort(axes)]
+    t = u.reshape((2,) * (2 * k)).transpose(order + [k + i for i in order])
+    return t.reshape(1 << k, 1 << k), sorted(axes)
+
+
+class TestApplyLayer:
+    """The one gate contraction against embed-and-multiply."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_embedded_product(self, n, trailing, seed):
+        # Ops on 1 to 3 axes drawn from a permutation: shuffled, reversed
+        # and non-adjacent axes, idle axes, sometimes no op at all, and
+        # optionally a trailing non-qubit axis of size 3 that rides along.
+        rng = np.random.default_rng(seed)
+        free = [int(q) for q in rng.permutation(n)]
+        ops = []
+        while free and rng.random() < 0.8:
+            k = min(int(rng.integers(1, 4)), len(free))
+            axes, free = free[:k], free[k:]
+            ops.append((haar_unitary(k, rng), axes))
+        shape = (2,) * n + ((3,) if trailing else ())
+        tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        before = tensor.copy()
+        dense = identity(n)
+        for u, axes in ops:
+            dense = embed(*_sorted_op(u, axes), list(range(n))) @ dense
+        want = (dense @ tensor.reshape(1 << n, -1)).reshape(shape)
+        got = apply_layer(tensor, ops)
+        assert got.shape == shape
+        assert max_abs(got - want) <= 1e-12
+        assert np.array_equal(tensor, before)
 
 
 class TestConjugate:
@@ -274,8 +316,14 @@ class TestLocalPrimitives:
         rng = np.random.default_rng(seed)
         dim = 1 << n
         p = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        # Zero imaginary parts: where ``x == y``, ``x - y`` is +0 but
+        # ``-(y - x)`` is -0, so the lower blocks must be the same sums as
+        # in ``p + dagger(p)``, not conjugates of the upper ones.
+        p.imag[rng.random((dim, dim)) < 0.5] = 0.0
         want = (p + dagger(p)) / 2
-        assert np.array_equal(hermitian_part(p).view(np.uint64), want.view(np.uint64))
+        got = hermitian_part(p)
+        assert got is p
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_conjugate_layer_rejects_overlapping_ops(self):
         with pytest.raises(DomainError, match="disjoint"):
