@@ -22,6 +22,15 @@ projection ``P`` on a light cone: how far is ``P|0...0>`` from
   ``16·4^w`` bytes of the dense projection, the light-cone idea of
   Bravyi, Gosset and Movassagh ("Classical algorithms for quantum mean
   values", arXiv:1909.11485) applied to the membership test.
+
+  Narrow cones cost Python and numpy call overhead rather than
+  arithmetic, so cones of the same shape (width, gate axes layer by
+  layer, axes of ``Q``) run as one group: their states are stacked on a
+  leading batch axis and each layer is one ``apply_layer`` call for the
+  whole group.  A stacked state holds at most ``2^16`` amplitudes
+  (1 MiB); larger groups are split into chunks, and a cone of ``2^16``
+  amplitudes or more runs alone, so wide cones take no more memory than
+  one cone at a time does.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate
 from .errors import CapacityError, DomainError
-from .linalg import ErrorTriple, apply_layer, dagger, residual_norms
+from .linalg import ErrorTriple, apply_layer, residual_norms
 
 __all__ = [
     "ZERO_PROJECTOR",
@@ -43,6 +52,11 @@ __all__ = [
 #: The projector onto ``|0>`` on one qubit.
 ZERO_PROJECTOR = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 ZERO_PROJECTOR.setflags(write=False)
+
+#: Most amplitudes in one stacked state of :func:`cone_residuals`,
+#: ``B·2^w <= 2^16`` (1 MiB of complex128); a cone of ``2^w`` at or
+#: above it runs alone.
+_BATCH_AMPLITUDES = 1 << 16
 
 #: One layer of a cone walk: the gates that overlapped the support,
 #: sorted by smallest qubit, and the grown, sorted support.
@@ -131,6 +145,16 @@ def cone_residuals(
 ) -> list[tuple[tuple[int, ...], ErrorTriple]]:
     """Norms of ``A Q A†|0...0> - |0...0>`` on the light cone of each ``Q``.
 
+    Cones of the same shape (the same width, the same cone axes for
+    every gate of every layer and the same axes for ``Q``) are simulated
+    together: their states are stacked on a leading batch axis, their
+    gates into ``(B, d, d)`` stacks, and each layer of ``A†``, ``Q`` and
+    ``A`` is one :func:`~shallowcheck.linalg.apply_layer` call for the
+    whole group.  A group is split into chunks of at most
+    ``_BATCH_AMPLITUDES`` amplitudes, so a cone that wide or wider runs
+    alone.  Each member's residual equals the one its cone gives on its
+    own, bit for bit.
+
     Parameters
     ----------
     c
@@ -149,9 +173,10 @@ def cone_residuals(
     Returns
     -------
     list of (support, ErrorTriple)
-        One pair per projection: its cone's final support and the same
-        norms :func:`~shallowcheck.linalg.membership_residual` gives for
-        the dense ``A Q A†`` on that support.
+        One pair per projection, in input order: its cone's final
+        support and the same norms
+        :func:`~shallowcheck.linalg.membership_residual` gives for the
+        dense ``A Q A†`` on that support.
 
     Raises
     ------
@@ -159,21 +184,39 @@ def cone_residuals(
         If a cone would exceed ``cap``, before any cone is simulated.
     """
     cones = walk_light_cones(c, [s for _, s in projections], what, cap, backward)
-    results = []
-    for (projector, start), steps in zip(projections, cones):
+    # Cones by shape: width, axes of Q, then the axes of each layer's
+    # gates (1 + cone axis, behind the batch axis).  Each member is its
+    # index, its support, its Q and its gate matrices, layer by layer.
+    groups: dict[tuple, list] = {}
+    for index, ((projector, start), steps) in enumerate(zip(projections, cones)):
         support = steps[-1][1] if steps else tuple(start)
-        axis = {q: i for i, q in enumerate(support)}
-        # The ops of each layer of ``A`` and of ``A†``, in walk order.
-        gates = [[(g.matrix, [axis[q] for q in g.qubits]) for g in t] for t, _ in steps]
-        daggers = [[(dagger(u), axes) for u, axes in ops] for ops in gates]
-        a_layers, a_dag_layers = (daggers, gates) if backward else (gates, daggers)
-        width = len(support)
-        state = np.zeros((2,) * width, dtype=complex)
-        state[(0,) * width] = 1.0
-        q_ops = [(projector, [axis[q] for q in start])]
-        for ops in a_dag_layers[::-1] + [q_ops] + a_layers:
-            state = apply_layer(state, ops)
-        e = state.reshape(-1)
-        e[0] -= 1.0
-        results.append((support, residual_norms(e)))
+        axis = {q: 1 + i for i, q in enumerate(support)}
+        shape = (
+            len(support),
+            tuple(axis[q] for q in start),
+            tuple(tuple(tuple(axis[q] for q in g.qubits) for g in t) for t, _ in steps),
+        )
+        member = (index, support, projector, [[g.matrix for g in t] for t, _ in steps])
+        groups.setdefault(shape, []).append(member)
+    results: list = [None] * len(projections)
+    for (width, q_axes, layer_axes), members in groups.items():
+        size = max(1, _BATCH_AMPLITUDES >> width)
+        for first in range(0, len(members), size):
+            indices, supports, projectors, matrices = zip(*members[first:first + size])
+            # Op j of layer l of ``A`` (or ``A†``), stacked over the chunk.
+            gates = [
+                [(np.stack([m[l][j] for m in matrices]), axes) for j, axes in enumerate(ops)]
+                for l, ops in enumerate(layer_axes)
+            ]
+            daggers = [[(np.conj(u).mT, axes) for u, axes in ops] for ops in gates]
+            a_layers, a_dag_layers = (daggers, gates) if backward else (gates, daggers)
+            state = np.zeros((len(indices),) + (2,) * width, dtype=complex)
+            state.reshape(len(indices), -1)[:, 0] = 1.0
+            q_ops = [(np.stack(projectors), q_axes)]
+            for ops in a_dag_layers[::-1] + [q_ops] + a_layers:
+                state = apply_layer(state, ops)
+            e = state.reshape(len(indices), -1)
+            e[:, 0] -= 1.0
+            for index, support, norms in zip(indices, supports, residual_norms(e)):
+                results[index] = (support, norms)
     return results

@@ -218,11 +218,15 @@ def commutator_deviations(
 
     Raises
     ------
+    DomainError
+        If ``cap`` is below 1, which no support can meet.
     CapacityError
         If a union support exceeds the cap.
     """
     if cap is None:
         cap = support_cap()
+    if cap < 1:
+        raise DomainError(f"the support cap must be at least 1, got {cap}")
     for i, a in enumerate(entries):
         set_a = set(a.support)
         for j in range(i + 1, len(entries)):
@@ -255,6 +259,8 @@ def commutation_check(d: Description, cap: int | None = None) -> float:
 
     Raises
     ------
+    DomainError
+        If ``cap`` is below 1, even when no entries overlap.
     CapacityError
         If a union support exceeds the cap.
     """

@@ -15,8 +15,10 @@ Besides the core operations (:func:`dagger`, :func:`embed`,
 primitives that act on a few tensor axes of a larger operator or state
 without materializing the embedded matrix.  One kernel,
 :func:`apply_layer`, applies a layer of operators on disjoint axes of a
-tensor, one matrix product per operator; the cone-state kernel calls it
-once per cone layer, and each of these is one call to it:
+tensor, one matrix product per operator, optionally for a whole stack of
+tensors with one matrix per member; the cone-state kernel calls it once
+per layer for a group of same-shape cones, and each of these is one
+call to it:
 
 * :func:`apply_local` applies an operator to some qubit axes of a
   state, or of the rows of a matrix;
@@ -213,15 +215,18 @@ class ErrorTriple(NamedTuple):
     linf: float
 
 
-def residual_norms(e: np.ndarray) -> ErrorTriple:
-    """The :class:`ErrorTriple` of a flat residual vector ``e``."""
-    n = e.size
+def residual_norms(e: np.ndarray) -> list[ErrorTriple]:
+    """The :class:`ErrorTriple` of each row of a 2-D array ``e`` of residuals.
+
+    All rows are reduced at once, and each row's norms equal those of
+    the row reduced on its own, bit for bit.
+    """
+    n = e.shape[-1]
     abs_e = np.abs(e)
-    return ErrorTriple(
-        l1=float(np.sum(abs_e) / n),
-        l2=float(np.sqrt(np.sum(abs_e**2) / n)),
-        linf=float(np.max(abs_e)) if n else 0.0,
-    )
+    l1 = np.sum(abs_e, axis=-1) / n
+    l2 = np.sqrt(np.sum(abs_e**2, axis=-1) / n)
+    linf = np.max(abs_e, axis=-1) if n else np.zeros(len(e))
+    return [ErrorTriple(*t) for t in zip(l1.tolist(), l2.tolist(), linf.tolist())]
 
 
 def membership_residual(p: np.ndarray, v: np.ndarray) -> ErrorTriple:
@@ -244,7 +249,7 @@ def membership_residual(p: np.ndarray, v: np.ndarray) -> ErrorTriple:
             f"dimension mismatch: p is {p.shape[0]}-dimensional, "
             f"v has {v.size} entries"
         )
-    return residual_norms(p @ v - v)
+    return residual_norms((p @ v - v)[None])[0]
 
 
 def _check_local_args(
@@ -274,22 +279,31 @@ def apply_layer(
     ``ops`` holds ``(matrix, axes)`` pairs, ``axes[i]`` carrying the
     ``i``-th (most significant first) qubit of the ``2**k``-dimensional
     matrix.  Acted axes have size 2; other axes ride along, whatever
-    their size.  The tensor is transposed at most once so that the
-    acted axes lead in the order the ops use them, and back at most
-    once.  Each op is one matrix product, ``t.reshape(2**k, -1).T @
-    u.T``, which cycles its axes to the back, so no copy is made between
-    ops.  It checks no arguments, so callers must.
+    their size.  A matrix may also be a stack of shape ``(B, 2**k,
+    2**k)``: the tensor's axis 0 is then a batch axis of size ``B``,
+    which no op acts on, and member ``b`` of the stack acts on member
+    ``b`` of the tensor, while a plain matrix acts on every member.
+    The tensor is transposed at most once so that the acted axes lead
+    (behind the batch axis) in the order the ops use them, and back at
+    most once.  Each op is one matrix product, ``t.reshape(2**k, -1).T
+    @ u.T``, broadcast over the batch axis, which cycles its axes to
+    the back, so no copy is made between ops.  It checks no arguments,
+    so callers must.
     """
+    lead = [0] if any(u.ndim == 3 for u, _ in ops) else []
     every = list(range(tensor.ndim))
     order = [a for _, axes in ops for a in axes]
-    idle = [a for a in every if a not in order]
-    t = tensor if order + idle == every else tensor.transpose(order + idle)
+    idle = [a for a in every[len(lead):] if a not in order]
+    t = tensor if lead + order + idle == every else tensor.transpose(lead + order + idle)
     shape = t.shape
+    batch = shape[:len(lead)]
     for u, axes in ops:
-        t = t.reshape(1 << len(axes), -1).T @ u.T
+        t = t.reshape(batch + (1 << len(axes), -1)).mT @ u.mT
     # The acted axes have cycled to the back, behind the idle ones.
-    t = t.reshape(shape[len(order):] + shape[:len(order)])
-    return t if idle + order == every else t.transpose(np.argsort(idle + order))
+    end = len(lead) + len(order)
+    t = t.reshape(batch + shape[end:] + shape[len(lead):end])
+    back = lead + idle + order
+    return t if back == every else t.transpose(np.argsort(back))
 
 
 def apply_local(

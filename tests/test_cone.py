@@ -4,7 +4,10 @@ The weak, strong and static checks compute residuals on a light cone's
 state vector.  These tests hold them to the dense projections they
 replace (within 1e-12) and their verdicts to the brute-force oracle, on
 circuits with 3-qubit gates, unsorted and non-adjacent gate qubits,
-empty layers, idle qubits and no layers at all.
+empty layers, idle qubits and no layers at all.  On translation-invariant
+layouts, where many cones share a shape and are simulated as one batch,
+they are also held to a loop that simulates one cone at a time, with the
+batch bound at its default and small enough to split batches into chunks.
 """
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shallowcheck.cone as cone
 import shallowcheck.equivalence as equivalence
 from shallowcheck import (
     CapacityError,
@@ -36,8 +40,9 @@ from shallowcheck import (
     verify_static,
     zero_state,
 )
-from shallowcheck.config import SUPPORT_CAP_ENV
-from shallowcheck.linalg import apply_local, dagger, embed
+from shallowcheck.cone import ZERO_PROJECTOR, walk_light_cones
+from shallowcheck.config import DEFAULT_SUPPORT_CAP, EQUIV_THRESHOLD, SUPPORT_CAP_ENV
+from shallowcheck.linalg import ErrorTriple, apply_layer, apply_local, dagger, embed
 
 TOL = 1e-12
 
@@ -182,6 +187,156 @@ def test_strong_verdicts_match_oracle(pair):
     u0 = full_unitary(c0).reshape(-1) / np.sqrt(dim)
     u1 = full_unitary(c1).reshape(-1) / np.sqrt(dim)
     assert check_strong(c0, c1).equivalent == equal_up_to_phase(u0, u1)
+
+
+@st.composite
+def layouts(draw, max_qubits=12, max_depth=2):
+    """Brickwork or paired ladders of Haar two-qubit gates.
+
+    Interior cones of these layouts share a shape, so most batches of
+    :func:`~shallowcheck.cone.cone_residuals` hold several cones.  Paired
+    ladders, whose cones stay two qubits wide, get one more layer.
+    """
+    n = draw(st.integers(2, max_qubits))
+    ladder = draw(st.booleans())
+    depth = draw(st.integers(1, max_depth + ladder))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def draw_circuit():
+        return Circuit(n, tuple(
+            Layer(tuple(
+                Gate((q, q + 1), haar_unitary(2, rng))
+                for q in range(0 if ladder else layer % 2, n - 1, 2)
+            ))
+            for layer in range(depth)
+        ))
+
+    c0 = draw_circuit()
+    kind = draw(st.sampled_from(("same", "phase", "other")))
+    if kind == "same":
+        return c0, c0
+    if kind == "phase":
+        return c0, _after_phase_layer(c0, draw(st.floats(0.5, 2 * np.pi - 0.5)))
+    return c0, draw_circuit()
+
+
+def one_cone_at_a_time(c, projections, backward=False):
+    """The residuals :func:`~shallowcheck.cone.cone_residuals` batches, cone by cone."""
+    cones = walk_light_cones(
+        c, [s for _, s in projections], "cone {}", DEFAULT_SUPPORT_CAP, backward
+    )
+    out = []
+    for (projector, start), steps in zip(projections, cones):
+        support = steps[-1][1] if steps else tuple(start)
+        axis = {q: i for i, q in enumerate(support)}
+        gates = [[(g.matrix, [axis[q] for q in g.qubits]) for g in t] for t, _ in steps]
+        undo = [[(dagger(u), axes) for u, axes in ops] for ops in gates]
+        a, a_dag = (undo, gates) if backward else (gates, undo)
+        state = zero_state(len(support)).reshape((2,) * len(support))
+        for ops in a_dag[::-1] + [[(projector, [axis[q] for q in start])]] + a:
+            state = apply_layer(state, ops)
+        e = np.abs(state.reshape(-1) - zero_state(len(support)))
+        out.append((support, ErrorTriple(
+            float(np.sum(e) / e.size), float(np.sqrt(np.sum(e**2) / e.size)), float(np.max(e))
+        )))
+    return out
+
+
+def _assert_same_cones(got, want):
+    """Same supports in the same order, same verdicts, residuals within TOL."""
+    assert [s for s, _ in got] == [s for s, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        assert max(abs(a - b) for a, b in zip(g, w)) <= TOL
+        assert (g.linf <= EQUIV_THRESHOLD) == (w.linf <= EQUIV_THRESHOLD)
+
+
+#: The default batch bound, and one small enough to split the batches of
+#: these layouts into chunks of a few cones.
+BOUNDS = pytest.mark.parametrize("bound", [cone._BATCH_AMPLITUDES, 32], ids=["default", "small"])
+
+
+def _weak_cones(report):
+    return [(r.support, ErrorTriple(r.l1, r.l2, r.linf)) for r in report.residuals]
+
+
+@BOUNDS
+@settings(max_examples=25, deadline=None)
+@given(layouts())
+def test_batched_weak_cones_match_one_at_a_time_and_dense(bound, pair):
+    c0, c1 = pair
+    composite = concat(c0, adjoint(c1))
+    zeros = [(ZERO_PROJECTOR, (t,)) for t in range(composite.n_qubits)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cone, "_BATCH_AMPLITUDES", bound)
+        report = check_weak(c0, c1)
+    _assert_same_cones(_weak_cones(report), one_cone_at_a_time(composite, zeros))
+    _assert_residuals_match(report, compute_description(composite))
+
+
+@BOUNDS
+@settings(max_examples=15, deadline=None)
+@given(layouts(max_qubits=8, max_depth=1))
+def test_batched_strong_cones_match_one_at_a_time_and_dense(bound, pair):
+    c0, c1 = pair
+    composite = concat(choi_extend(c0), adjoint(choi_extend(c1)))
+    zeros = [(ZERO_PROJECTOR, (t,)) for t in range(composite.n_qubits)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cone, "_BATCH_AMPLITUDES", bound)
+        report = check_strong(c0, c1)
+    _assert_same_cones(_weak_cones(report), one_cone_at_a_time(composite, zeros))
+    _assert_residuals_match(report, compute_description(composite))
+
+
+@BOUNDS
+@settings(max_examples=25, deadline=None)
+@given(layouts())
+def test_batched_static_cones_match_one_at_a_time_and_dense(bound, pair):
+    c, other = pair
+    claims = compute_description(other).projections
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cone, "_BATCH_AMPLITUDES", bound)
+        checks = verify_static(c, claims)
+    got = [(check.support, check.residual) for check in checks]
+    want = one_cone_at_a_time(c, [(e.matrix, e.support) for e in claims], backward=True)
+    _assert_same_cones(got, want)
+    assert [check.holds for check in checks] == [w.linf <= EQUIV_THRESHOLD for _, w in want]
+    for (support, residual), entry in zip(got, claims):
+        dense_support, dense_residual = dense_static(c, entry)
+        assert support == dense_support
+        assert max(abs(a - b) for a, b in zip(residual, dense_residual)) <= TOL
+
+
+@pytest.mark.parametrize("bound", [8, 16])
+def test_batches_stay_within_the_bound(monkeypatch, bound):
+    # Qubits 0-11 form a paired ladder, whose two-qubit cones batch six
+    # at a time unbounded; qubits 12-19 a brickwork, whose cones reach 4
+    # to 8 qubits.  The bound is small enough that the wide cones meet or
+    # pass it, so nothing large is allocated.
+    shapes = []
+
+    def recording(tensor, ops):
+        shapes.append(tensor.shape)
+        return apply_layer(tensor, ops)
+
+    rng = np.random.default_rng(1)
+    c = Circuit(20, tuple(
+        Layer(tuple(
+            Gate((q, q + 1), haar_unitary(2, rng))
+            for q in [*range(0, 12, 2), *range(12 + layer % 2, 19, 2)]
+        ))
+        for layer in range(3)
+    ))
+    monkeypatch.setattr(cone, "apply_layer", recording)
+    monkeypatch.setattr(cone, "_BATCH_AMPLITUDES", bound)
+    widths = {len(r.support) for r in check_weak(c, c).residuals}
+    assert min(widths) == 2 and 1 << max(widths) > bound
+    assert max(batch for batch, *_ in shapes) == bound // 4
+    for batch, *qubits in shapes:
+        assert qubits == [2] * len(qubits)
+        if 1 << len(qubits) >= bound:
+            assert batch == 1
+        else:
+            assert batch << len(qubits) <= bound
 
 
 def test_weak_capacity_error_names_qubit_and_layer(monkeypatch):

@@ -434,6 +434,21 @@ class TestCommutation:
         with pytest.raises(CapacityError, match="entries"):
             commutation_check(d, cap=5)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    @pytest.mark.parametrize("overlapping", [True, False])
+    def test_cap_below_one_rejected_as_by_the_walker(self, cap, overlapping):
+        # Entries of a brickwork overlap; those of a circuit with no
+        # layers do not, so no pair reaches the union-support check.
+        c = random_circuit(4, 2, seed=1) if overlapping else Circuit(3)
+        d = compute_description(c)
+        with pytest.raises(DomainError) as walker:
+            walk_light_cones(c, [(0,)], "support of qubit {}", cap)
+        with pytest.raises(DomainError) as exc:
+            commutation_check(d, cap=cap)
+        assert str(exc.value) == str(walker.value)
+        with pytest.raises(DomainError, match="at least 1"):
+            list(description.commutator_deviations(d.projections, cap))
+
 
 class TestJson:
     def test_round_trip(self):

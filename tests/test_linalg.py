@@ -157,29 +157,43 @@ class TestApplyLayer:
     """The one gate contraction against embed-and-multiply."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 7), st.booleans(), st.integers(0, 2**32 - 1))
-    def test_matches_embedded_product(self, n, trailing, seed):
+    @given(
+        st.integers(1, 7), st.booleans(), st.sampled_from([0, 1, 2, 3]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_embedded_product(self, n, trailing, batch, seed):
         # Ops on 1 to 3 axes drawn from a permutation: shuffled, reversed
         # and non-adjacent axes, idle axes, sometimes no op at all, and
         # optionally a trailing non-qubit axis of size 3 that rides along.
+        # With ``batch`` members the tensor gets a leading batch axis and
+        # most ops a stack of one Haar matrix per member; the rest are
+        # one matrix that every member shares.
         rng = np.random.default_rng(seed)
         free = [int(q) for q in rng.permutation(n)]
+        lead = 1 if batch else 0
         ops = []
         while free and rng.random() < 0.8:
             k = min(int(rng.integers(1, 4)), len(free))
             axes, free = free[:k], free[k:]
-            ops.append((haar_unitary(k, rng), axes))
-        shape = (2,) * n + ((3,) if trailing else ())
+            if batch and rng.random() < 0.7:
+                u = np.stack([haar_unitary(k, rng) for _ in range(batch)])
+            else:
+                u = haar_unitary(k, rng)
+            ops.append((u, [lead + a for a in axes]))
+        shape = (batch,) * lead + (2,) * n + ((3,) if trailing else ())
         tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         before = tensor.copy()
-        dense = identity(n)
-        for u, axes in ops:
-            dense = embed(*_sorted_op(u, axes), list(range(n))) @ dense
-        want = (dense @ tensor.reshape(1 << n, -1)).reshape(shape)
         got = apply_layer(tensor, ops)
         assert got.shape == shape
-        assert max_abs(got - want) <= 1e-12
         assert np.array_equal(tensor, before)
+        members = zip(tensor, got) if batch else [(tensor, got)]
+        for b, (rows, out) in enumerate(members):
+            dense = identity(n)
+            for u, axes in ops:
+                op = _sorted_op(u[b] if u.ndim == 3 else u, [a - lead for a in axes])
+                dense = embed(*op, list(range(n))) @ dense
+            want = (dense @ rows.reshape(1 << n, -1)).reshape(rows.shape)
+            assert max_abs(out - want) <= 1e-12
 
 
 class TestConjugate:
