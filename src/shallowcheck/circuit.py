@@ -8,7 +8,8 @@ controlled gate written on ``(control, target)`` has its control block
 in the upper-left quadrant.
 
 Circuits, layers, and gates are immutable after construction and safe
-to share.  Gate matrices are defensively copied and marked read-only.
+to share.  Gate matrices are stored read-only: a complex matrix that no
+writable array shares memory with is kept as given, any other is copied.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_K_MAX, STRUCTURAL_TOL, support_cap
 from .errors import CapacityError, DomainError, SchemaError
-from .linalg import dagger, max_abs
+from .linalg import _as_frozen, dagger
 
 __all__ = [
     "Circuit",
@@ -45,32 +46,26 @@ __all__ = [
 ]
 
 
-def _readonly(rows) -> np.ndarray:
-    m = np.array(rows, dtype=complex)
-    m.setflags(write=False)
-    return m
-
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 #: Built-in gate matrices, keyed by the names accepted in circuit JSON.
 NAMED_GATES: dict[str, np.ndarray] = {
-    "I": _readonly([[1, 0], [0, 1]]),
-    "X": _readonly([[0, 1], [1, 0]]),
-    "Y": _readonly([[0, -1j], [1j, 0]]),
-    "Z": _readonly([[1, 0], [0, -1]]),
-    "H": _readonly([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]]),
-    "S": _readonly([[1, 0], [0, 1j]]),
-    "T": _readonly([[1, 0], [0, cmath.exp(1j * math.pi / 4)]]),
-    "CNOT": _readonly([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
-    "CZ": _readonly([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]),
-    "SWAP": _readonly([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
-    "CS": _readonly([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1j]]),
+    "I": _as_frozen([[1, 0], [0, 1]]),
+    "X": _as_frozen([[0, 1], [1, 0]]),
+    "Y": _as_frozen([[0, -1j], [1j, 0]]),
+    "Z": _as_frozen([[1, 0], [0, -1]]),
+    "H": _as_frozen([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]]),
+    "S": _as_frozen([[1, 0], [0, 1j]]),
+    "T": _as_frozen([[1, 0], [0, cmath.exp(1j * math.pi / 4)]]),
+    "CNOT": _as_frozen([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    "CZ": _as_frozen([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]),
+    "SWAP": _as_frozen([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+    "CS": _as_frozen([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1j]]),
 }
 
 #: Entangling two-qubit gate used by :func:`choi_extend`.  Applied to
 #: ``|00>`` it prepares the Bell state ``(|00> + |11>)/sqrt(2)``.
-_PAIR_GATE = _readonly(NAMED_GATES["CNOT"] @ np.kron(NAMED_GATES["H"], np.eye(2)))
+_PAIR_GATE = _as_frozen(NAMED_GATES["CNOT"] @ np.kron(NAMED_GATES["H"], np.eye(2)))
 
 
 def choi_pair_gate() -> np.ndarray:
@@ -88,7 +83,10 @@ class Gate:
         Ordered qubit indices; the first is the most significant bit of
         the matrix index.
     matrix
-        Square matrix of dimension ``2**len(qubits)``.
+        Square matrix of dimension ``2**len(qubits)``, stored read-only
+        and copied unless it is a complex array that no writable array
+        shares memory with, as for
+        :class:`~shallowcheck.description.LocalProjection`.
     name
         Optional tag.  Purely cosmetic except in JSON serialization,
         where a gate whose matrix matches the named built-in is written
@@ -103,7 +101,7 @@ class Gate:
         qubits = tuple(int(q) for q in self.qubits)
         if not qubits:
             raise DomainError("a gate must act on at least one qubit")
-        matrix = np.array(self.matrix, dtype=complex)
+        matrix = _as_frozen(self.matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DomainError(f"gate matrix must be square, got shape {matrix.shape}")
         dim = 1 << len(qubits)
@@ -112,7 +110,6 @@ class Gate:
                 f"gate on {len(qubits)} qubit(s) needs a {dim}x{dim} matrix, "
                 f"got {matrix.shape[0]}x{matrix.shape[1]}"
             )
-        matrix.setflags(write=False)
         object.__setattr__(self, "qubits", qubits)
         object.__setattr__(self, "matrix", matrix)
 
@@ -193,6 +190,7 @@ def validate(c: Circuit) -> list[str]:
     violations: list[str] = []
     if c.n_qubits < 1:
         violations.append(f"circuit: n_qubits must be at least 1, got {c.n_qubits}")
+    unitarity = _unitarity_deviations(c)
     for i, layer in enumerate(c.layers):
         claimed: dict[int, int] = {}
         for j, g in enumerate(layer.gates):
@@ -211,17 +209,16 @@ def validate(c: Circuit) -> list[str]:
                     f"layer {i}, gate {j}: arity {g.arity} exceeds the "
                     f"gate-arity limit {DEFAULT_K_MAX}"
                 )
-            if not np.all(np.isfinite(g.matrix)):
+            dev = unitarity[id(g)]
+            if dev is None:
                 violations.append(
                     f"layer {i}, gate {j}: matrix contains non-finite entries"
                 )
-            else:
-                dev = max_abs(g.matrix @ dagger(g.matrix) - np.eye(g.matrix.shape[0]))
-                if dev > STRUCTURAL_TOL:
-                    violations.append(
-                        f"layer {i}, gate {j}: matrix is not unitary "
-                        f"(max deviation {dev:.3e})"
-                    )
+            elif dev > STRUCTURAL_TOL:
+                violations.append(
+                    f"layer {i}, gate {j}: matrix is not unitary "
+                    f"(max deviation {dev:.3e})"
+                )
             overlap = sorted(q for q in g.qubits if q in claimed)
             if overlap:
                 other = claimed[overlap[0]]
@@ -231,6 +228,27 @@ def validate(c: Circuit) -> list[str]:
             for q in g.qubits:
                 claimed.setdefault(q, j)
     return violations
+
+
+def _unitarity_deviations(c: Circuit) -> dict[int, float | None]:
+    """``max|U U† - I|`` of every gate of ``c``, keyed by ``id``.
+
+    ``None`` marks a matrix with non-finite entries.  The matrices of
+    each dimension are stacked and checked with one product.
+    """
+    by_dim: dict[int, list[Gate]] = {}
+    for layer in c.layers:
+        for g in layer.gates:
+            by_dim.setdefault(g.matrix.shape[0], []).append(g)
+    out: dict[int, float | None] = {}
+    for dim, gates in by_dim.items():
+        u = np.stack([g.matrix for g in gates])
+        finite = np.isfinite(u).all(axis=(1, 2))
+        with np.errstate(all="ignore"):  # NaN members are reported, not checked
+            devs = np.abs(u @ np.conj(u).mT - np.eye(dim)).max(axis=(1, 2))
+        for g, ok, dev in zip(gates, finite.tolist(), devs.tolist()):
+            out[id(g)] = dev if ok else None
+    return out
 
 
 def adjoint(c: Circuit) -> Circuit:
@@ -244,7 +262,7 @@ def adjoint(c: Circuit) -> Circuit:
         gates = []
         for g in layer.gates:
             m = dagger(g.matrix)
-            name = g.name if np.array_equal(m, g.matrix) else None
+            name = g.name if g.name is not None and np.array_equal(m, g.matrix) else None
             gates.append(Gate(g.qubits, m, name))
         new_layers.append(Layer(tuple(gates)))
     return Circuit(c.n_qubits, tuple(new_layers))

@@ -93,6 +93,9 @@ def walk_light_cones(
         For each start, one step per layer in which some gate overlapped
         the support, in walk order.  The last step's support is the
         cone's final support; a cone with no steps keeps its start.
+        Each distinct support is grown once per layer, so cones that
+        share a support there share the step object, which callers
+        must not modify.
 
     Raises
     ------
@@ -114,15 +117,16 @@ def walk_light_cones(
         # overlap a support costs O(|support|) rather than a scan of the
         # whole layer; this keeps the total work linear in qubit count.
         owner = {q: g for g in c.layers[layer_index].gates for q in g.qubits}
+        # Cones that share a support (Choi twins, neighbours on a ladder)
+        # share its step, so each distinct support is grown once a layer.
+        memo: dict[tuple[int, ...], ConeStep | None] = {}
         for i, current in enumerate(supports):
-            touched = {
-                id(g): g for q in current if (g := owner.get(q)) is not None
-            }
-            if not touched:
+            if current not in memo:
+                memo[current] = _step(current, owner)
+            step = memo[current]
+            if step is None:
                 continue
-            grown = set(current)
-            for g in touched.values():
-                grown.update(g.qubits)
+            grown = step[1]
             if len(grown) > cap:
                 raise CapacityError(
                     f"{what.format(i)} would reach {len(grown)} qubit(s) at "
@@ -130,10 +134,25 @@ def walk_light_cones(
                     size=len(grown),
                     cap=cap,
                 )
-            supports[i] = tuple(sorted(grown))
-            gates = sorted(touched.values(), key=lambda g: min(g.qubits))
-            steps[i].append((gates, supports[i]))
+            supports[i] = grown
+            steps[i].append(step)
     return steps
+
+
+def _step(current: tuple[int, ...], owner: dict[int, Gate]) -> ConeStep | None:
+    """The gates of one layer that overlap ``current`` and the grown support.
+
+    ``owner`` maps each qubit the layer acts on to its gate; ``None``
+    means no gate overlaps.
+    """
+    touched = {id(g): g for q in current if (g := owner.get(q)) is not None}
+    if not touched:
+        return None
+    grown = set(current)
+    for g in touched.values():
+        grown.update(g.qubits)
+    gates = sorted(touched.values(), key=lambda g: min(g.qubits))
+    return gates, tuple(sorted(grown))
 
 
 def cone_residuals(

@@ -22,12 +22,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, validate
+from .circuit import Circuit, Gate, validate
 from .cone import ZERO_PROJECTOR, walk_light_cones
 from .config import DEFAULT_ORACLE_CAP, support_cap
 from .errors import CapacityError, DomainError, SchemaError, ValidationError
 from .linalg import (
     ErrorTriple,
+    _as_frozen,
     apply_layer,
     apply_local,
     conjugate_layer,
@@ -52,13 +53,6 @@ __all__ = [
 ]
 
 
-def _frozen(a: np.ndarray) -> bool:
-    """True iff ``a`` and every array whose memory it views are read-only."""
-    while isinstance(a, np.ndarray) and not a.flags.writeable:
-        a = a.base
-    return a is None
-
-
 @dataclass(frozen=True, eq=False)
 class LocalProjection:
     """A projection matrix bound to a sorted, duplicate-free support.
@@ -79,20 +73,13 @@ class LocalProjection:
             raise DomainError(
                 f"support must be sorted and duplicate-free, got {support}"
             )
-        matrix = self.matrix
-        if (
-            not isinstance(matrix, np.ndarray)
-            or matrix.dtype != complex
-            or not _frozen(matrix)
-        ):
-            matrix = np.array(matrix, dtype=complex)
+        matrix = _as_frozen(self.matrix)
         dim = 1 << len(support)
         if matrix.shape != (dim, dim):
             raise DomainError(
                 f"projection on {len(support)} qubit(s) needs a {dim}x{dim} "
                 f"matrix, got shape {matrix.shape}"
             )
-        matrix.setflags(write=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "matrix", matrix)
 
@@ -153,17 +140,22 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     Notes
     -----
     Supports come from :func:`~shallowcheck.cone.walk_light_cones`, the
-    walker the checks share.  At each layer the matrix is embedded once
-    into the grown support and conjugated by all of the layer's
-    overlapping gates at once with
-    :func:`~shallowcheck.linalg.conjugate_layer`: one matrix product per
-    gate on the row axes and one on the column axes, with the tensor
-    permuted at most once before and once after the layer.  Their
-    supports are disjoint, so this equals conjugating by the embedded
-    tensor product of the layer's gates.  Gates are applied in order of
-    smallest qubit index and each finished matrix is re-symmetrized once
-    as ``(P + P†)/2`` to damp floating-point drift; both choices pin the
-    output bits exactly for a given input.  This is the dense
+    walker the checks share.  At each layer the overlapping gates split
+    in two: those inside the current support and those that reach a new
+    qubit.  The inside gates conjugate the matrix on its current
+    support; then the matrix is embedded once into the grown support and
+    the straddling gates conjugate it there, so only the gates at the
+    cone's edge act on the grown matrix.  Since
+    ``(G⊗I)(P⊗I)(G⊗I)† = (GPG†)⊗I`` and the layer's gates are disjoint,
+    this equals conjugating by the embedded tensor product of the
+    layer's gates.  Each half is one
+    :func:`~shallowcheck.linalg.conjugate_layer` call: one matrix product
+    per gate on the row axes and one on the column axes, with the tensor
+    permuted at most once before and once after.  Within a call, gates
+    are applied in order of smallest qubit index, and each finished
+    matrix is re-symmetrized once as ``(P + P†)/2`` to damp
+    floating-point drift; both choices pin the output bits exactly for a
+    given input.  This is the dense
     ``16·4^w``-byte path; the checks use the cone-state kernel instead
     and this function is their reference.
     """
@@ -178,18 +170,33 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     for t, steps in enumerate(cones):
         support: tuple[int, ...] = (t,)
         p = ZERO_PROJECTOR.copy()  # hermitian_part writes it in place
-        for touched, new_support in steps:
-            p = embed(p, support, new_support)
-            position = {q: i for i, q in enumerate(new_support)}
-            layer = [(g.matrix, [position[q] for q in g.qubits]) for g in touched]
-            p = conjugate_layer(p, layer, len(new_support))
-            support = new_support
+        for touched, grown in steps:
+            old = set(support)
+            inside = [g for g in touched if old.issuperset(g.qubits)]
+            if inside:
+                p = _conjugate(p, inside, support)
+            if grown != support:
+                straddling = [g for g in touched if not old.issuperset(g.qubits)]
+                # Two statements, so the old matrix is freed before the
+                # grown one is conjugated, keeping the peak as it was.
+                p = embed(p, support, grown)
+                p = _conjugate(p, straddling, grown)
+            support = grown
         p = hermitian_part(p)
         for a in (p, p.base):  # ``p`` may view the conjugation's output
             if a is not None:
                 a.setflags(write=False)
         entries.append(LocalProjection(support, p))
     return Description(n, tuple(entries))
+
+
+def _conjugate(
+    p: np.ndarray, gates: Sequence[Gate], support: tuple[int, ...]
+) -> np.ndarray:
+    """Conjugate ``p``, a matrix on ``support``, by disjoint ``gates`` within it."""
+    position = {q: i for i, q in enumerate(support)}
+    layer = [(g.matrix, [position[q] for q in g.qubits]) for g in gates]
+    return conjugate_layer(p, layer, len(support))
 
 
 def initial_state_residuals(d: Description) -> list[ErrorTriple]:

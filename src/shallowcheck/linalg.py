@@ -68,6 +68,24 @@ def _as_operator(a: np.ndarray | Sequence, what: str = "matrix") -> np.ndarray:
     return m
 
 
+def _as_frozen(a: np.ndarray | Sequence) -> np.ndarray:
+    """``a`` as a read-only complex array no writable array shares memory with.
+
+    ``a`` itself when it is a complex array that is read-only along
+    with every array whose memory it views, a read-only complex copy
+    otherwise, so a caller's writable array is never aliased.
+    """
+    if isinstance(a, np.ndarray) and a.dtype == complex:
+        base = a
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is None:
+            return a
+    out = np.array(a, dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
 def _qubit_count(dim: int, what: str = "matrix") -> int:
     """Number of qubits for a dimension that must be a power of two."""
     if dim < 1 or dim & (dim - 1):

@@ -45,6 +45,24 @@ class TestGate:
         with pytest.raises(ValueError):
             g.matrix[0, 0] = 7.0
 
+    def test_readonly_view_of_writable_array_is_copied(self):
+        m = np.eye(4, dtype=complex)
+        view = m[:2, :2]
+        view.setflags(write=False)
+        g = Gate((0,), view)
+        assert g.matrix is not view
+        m[0, 0] = 5.0
+        assert g.matrix[0, 0] == 1.0
+
+    def test_frozen_complex_matrix_is_kept(self):
+        m = np.eye(2, dtype=complex)
+        m.setflags(write=False)
+        assert Gate((0,), m).matrix is m
+        real = np.eye(2)
+        real.setflags(write=False)
+        g = Gate((0,), real)
+        assert g.matrix.dtype == complex and not g.matrix.flags.writeable
+
     def test_arity(self):
         assert named_gate("SWAP", (3, 1)).arity == 2
 
@@ -101,6 +119,24 @@ class TestValidate:
     def test_non_finite_matrix(self):
         c = Circuit(1, [Layer([Gate((0,), [[np.inf, 0], [0, 1]])])])
         assert any("non-finite" in v for v in validate(c))
+
+    def test_violations_listed_per_gate_in_order(self, recwarn):
+        # Gates of three dimensions, checked in one stack per dimension;
+        # a non-finite gate gets no unitarity line and raises no warning.
+        nan = [[np.nan, 0], [0, 1]]
+        c = Circuit(3, [
+            Layer([Gate((0, 1), 2 * np.eye(4)), Gate((2,), nan)]),
+            Layer([Gate((0,), [[1, 0], [0, 2]]), named_gate("CNOT", (1, 2))]),
+            Layer([Gate((0, 1, 2), np.eye(8)), Gate((0,), nan)]),
+        ])
+        assert validate(c) == [
+            "layer 0, gate 0: matrix is not unitary (max deviation 3.000e+00)",
+            "layer 0, gate 1: matrix contains non-finite entries",
+            "layer 1, gate 0: matrix is not unitary (max deviation 3.000e+00)",
+            "layer 2, gate 1: matrix contains non-finite entries",
+            "layer 2: gates 0 and 1 overlap on qubit(s) [0]",
+        ]
+        assert len(recwarn) == 0
 
     def test_overlapping_gates_in_layer(self):
         c = Circuit(3, [Layer([named_gate("CNOT", (0, 1)), named_gate("CNOT", (1, 2))])])
@@ -173,6 +209,14 @@ class TestChoiExtend:
             for og, eg in zip(orig_layer.gates, ext_layer.gates):
                 assert eg.qubits == tuple(q + 4 for q in og.qubits)
                 assert np.array_equal(eg.matrix, og.matrix)
+
+    def test_gate_matrices_are_shared_not_copied(self):
+        c = random_circuit(4, 2, seed=3)
+        e = choi_extend(c)
+        for orig_layer, ext_layer in zip(c.layers, e.layers[1:]):
+            for og, eg in zip(orig_layer.gates, ext_layer.gates):
+                assert eg.matrix is og.matrix
+        assert all(g.matrix is choi_pair_gate() for g in e.layers[0].gates)
 
     def test_empty_circuit_gives_maximally_entangled_state(self):
         # With no gates, the extension outputs a uniform superposition of

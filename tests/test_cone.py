@@ -350,6 +350,63 @@ def test_weak_capacity_error_names_qubit_and_layer(monkeypatch):
     assert exc.value.cap == 3
 
 
+def unmemoised_walk(c, starts, what, cap, backward=False):
+    """The walk of :func:`~shallowcheck.cone.walk_light_cones`, each cone grown on its own.
+
+    Every cone scans the whole layer for the gates it overlaps at every
+    step, with no step shared between cones.
+    """
+    supports = [tuple(s) for s in starts]
+    steps = [[] for _ in supports]
+    for layer_index in range(c.depth - 1, -1, -1) if backward else range(c.depth):
+        for i, current in enumerate(supports):
+            touched = [g for g in c.layers[layer_index].gates if set(g.qubits) & set(current)]
+            if not touched:
+                continue
+            grown = tuple(sorted(set(current).union(*(g.qubits for g in touched))))
+            if len(grown) > cap:
+                raise CapacityError(
+                    f"{what.format(i)} would reach {len(grown)} qubit(s) at "
+                    f"layer {layer_index}, exceeding the support cap of {cap}",
+                    size=len(grown),
+                    cap=cap,
+                )
+            supports[i] = grown
+            steps[i].append((sorted(touched, key=lambda g: min(g.qubits)), grown))
+    return steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits(max_qubits=5), st.booleans(), st.booleans(), st.integers(1, 10))
+def test_walker_matches_the_unmemoised_walk(c, doubled, backward, cap):
+    # A doubled composite has Choi twins, cones of ``p`` and ``n + p``
+    # that share a support after the pair layer.
+    if doubled:
+        c = concat(choi_extend(c), adjoint(choi_extend(c)))
+    starts = [(t,) for t in range(c.n_qubits)]
+    try:
+        want = unmemoised_walk(c, starts, "cone {}", cap, backward)
+    except CapacityError as error:
+        with pytest.raises(CapacityError) as exc:
+            walk_light_cones(c, starts, "cone {}", cap, backward)
+        assert (str(exc.value), exc.value.size, exc.value.cap) == (
+            str(error), error.size, error.cap
+        )
+    else:
+        # Gates compare by identity, so the same gates in the same order.
+        assert walk_light_cones(c, starts, "cone {}", cap, backward) == want
+
+
+def test_walker_shares_the_step_of_a_shared_support():
+    c = random_circuit(6, 2, seed=1)
+    doubled = concat(choi_extend(c), adjoint(choi_extend(c)))
+    cones = walk_light_cones(doubled, [(t,) for t in range(12)], "cone {}", 12)
+    for p in range(6):
+        assert cones[p][0] is not cones[6 + p][0]
+        for a, b in zip(cones[p][1:], cones[6 + p][1:]):
+            assert a is b
+
+
 @pytest.mark.parametrize("cap", [0, -3])
 def test_cap_below_one_rejected_by_the_walker(cap):
     # Even a circuit with no layers: every entry has width 1 > cap.

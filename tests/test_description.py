@@ -98,16 +98,17 @@ def per_gate_reference_description(c):
     return supports, mats
 
 
-def _layer_gates(n, rng):
+def _layer_gates(n, rng, smallest=0):
     """Haar gates on 1 to 3 of ``n`` shuffled qubits, in shuffled order.
 
     Gate qubits come from a permutation, so they are often reversed or
-    non-adjacent, and some qubits stay idle.
+    non-adjacent.  Each gate draws its size from ``smallest`` to 3, and a
+    draw of 0 leaves a qubit idle; only the last gate may be smaller.
     """
     free = [int(q) for q in rng.permutation(n)]
     gates = []
     while free:
-        k = int(rng.integers(0, 4))
+        k = int(rng.integers(smallest, 4))
         if k == 0:
             free.pop()
             continue
@@ -129,6 +130,21 @@ def layered_circuits(draw, max_qubits=6, max_depth=4):
         Layer(() if rng.random() < 0.2 else tuple(_layer_gates(n, rng)))
         for _ in range(depth)
     ]
+    return Circuit(n, tuple(layers))
+
+
+@st.composite
+def straddling_circuits(draw, max_qubits=7, max_depth=4):
+    """Circuits whose layers cover every qubit with 2- and 3-qubit gates.
+
+    After the first layer an entry's support holds several qubits, so a
+    later layer has gates inside it next to gates that reach past it,
+    among them 3-qubit gates on two old qubits and one new one.
+    """
+    n = draw(st.integers(3, max_qubits))
+    depth = draw(st.integers(2, max_depth))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers = [Layer(tuple(_layer_gates(n, rng, smallest=2))) for _ in range(depth)]
     return Circuit(n, tuple(layers))
 
 
@@ -154,6 +170,51 @@ class TestLayerKernel:
         _assert_description_matches(
             compute_description(c), *per_gate_reference_description(c)
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(straddling_circuits())
+    def test_inside_and_straddling_gates_match_references(self, c):
+        d = compute_description(c)
+        _assert_description_matches(d, *dense_reference_description(c))
+        _assert_description_matches(d, *per_gate_reference_description(c))
+
+    def test_inside_gates_are_conjugated_before_the_embed(self, monkeypatch):
+        # Each call records its width and the gate matrices it applies.
+        calls = []
+        original = description.conjugate_layer
+
+        def recording(mat, ops, n_qubits):
+            calls.append((n_qubits, [u for u, _ in ops]))
+            return original(mat, ops, n_qubits)
+
+        monkeypatch.setattr(description, "conjugate_layer", recording)
+        c = random_circuit(10, 4, seed=3)
+        compute_description(c)
+        calls = iter(calls)
+        inside_ops = 0
+        for t, steps in enumerate(
+            walk_light_cones(c, [(t,) for t in range(10)], "support of qubit {}", 10)
+        ):
+            support = (t,)
+            for touched, grown in steps:
+                inside = [g.matrix for g in touched if set(g.qubits) <= set(support)]
+                straddling = [g.matrix for g in touched if not set(g.qubits) <= set(support)]
+                if inside:
+                    width, ops = next(calls)
+                    assert width == len(support)
+                    assert len(ops) == len(inside)
+                    assert all(u is m for u, m in zip(ops, inside))
+                    inside_ops += len(ops)
+                if straddling:
+                    width, ops = next(calls)
+                    assert width == len(grown)
+                    assert len(ops) == len(straddling)
+                    assert all(u is m for u, m in zip(ops, straddling))
+                    # A brickwork cone grows by at most one gate a side.
+                    assert len(ops) <= 2
+                support = grown
+        assert next(calls, None) is None
+        assert inside_ops > 0
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -188,8 +249,24 @@ class TestLayerKernel:
                     Layer((Gate((4, 3), haar_unitary(2, 5)),)),
                 ),
             ),
+            # Qubit 1's support grows {1, 3} -> {1, 3, 5} -> {0, 1, 3, 4, 5},
+            # then takes a reversed, non-adjacent gate and a one-qubit gate
+            # inside it beside a 3-qubit gate on two old qubits and one new.
+            Circuit(
+                6,
+                (
+                    Layer((Gate((3, 1), haar_unitary(2, 6)),)),
+                    Layer((Gate((5, 3, 1), haar_unitary(3, 7)),)),
+                    Layer((Gate((5, 1), haar_unitary(2, 8)), Gate((0, 3, 4), haar_unitary(3, 9)))),
+                    Layer((
+                        Gate((4, 0), haar_unitary(2, 10)),
+                        Gate((2, 5, 1), haar_unitary(3, 11)),
+                        Gate((3,), haar_unitary(1, 12)),
+                    )),
+                ),
+            ),
         ],
-        ids=["no-layers", "empty-layers", "mixed-layouts"],
+        ids=["no-layers", "empty-layers", "mixed-layouts", "inside-and-straddling"],
     )
     def test_edge_cases_match_references(self, c):
         d = compute_description(c)
