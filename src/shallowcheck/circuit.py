@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_K_MAX, STRUCTURAL_TOL, support_cap
 from .errors import CapacityError, DomainError, SchemaError
-from .linalg import _as_frozen, dagger
+from .linalg import _as_frozen
 
 __all__ = [
     "Circuit",
@@ -261,7 +261,10 @@ def adjoint(c: Circuit) -> Circuit:
     for layer in reversed(c.layers):
         gates = []
         for g in layer.gates:
-            m = dagger(g.matrix)
+            # Frozen before the transpose, so ``Gate`` keeps the view uncopied.
+            m = np.conj(g.matrix)
+            m.setflags(write=False)
+            m = m.T
             name = g.name if g.name is not None and np.array_equal(m, g.matrix) else None
             gates.append(Gate(g.qubits, m, name))
         new_layers.append(Layer(tuple(gates)))

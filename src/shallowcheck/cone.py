@@ -206,16 +206,24 @@ def cone_residuals(
     # Cones by shape: width, axes of Q, then the axes of each layer's
     # gates (1 + cone axis, behind the batch axis).  Each member is its
     # index, its support, its Q and its gate matrices, layer by layer.
+    # Cones that share a step object share every later step and the
+    # final support, so each step's axes and matrices are built once.
     groups: dict[tuple, list] = {}
+    built: dict[tuple[int, tuple[int, ...]], tuple[tuple, list]] = {}
     for index, ((projector, start), steps) in enumerate(zip(projections, cones)):
         support = steps[-1][1] if steps else tuple(start)
         axis = {q: 1 + i for i, q in enumerate(support)}
-        shape = (
-            len(support),
-            tuple(axis[q] for q in start),
-            tuple(tuple(tuple(axis[q] for q in g.qubits) for g in t) for t, _ in steps),
-        )
-        member = (index, support, projector, [[g.matrix for g in t] for t, _ in steps])
+        layers = []
+        for step in steps:
+            key = (id(step), support)
+            if key not in built:
+                built[key] = (
+                    tuple(tuple(axis[q] for q in g.qubits) for g in step[0]),
+                    [g.matrix for g in step[0]],
+                )
+            layers.append(built[key])
+        shape = (len(support), tuple(axis[q] for q in start), tuple(a for a, _ in layers))
+        member = (index, support, projector, [m for _, m in layers])
         groups.setdefault(shape, []).append(member)
     results: list = [None] * len(projections)
     for (width, q_axes, layer_axes), members in groups.items():

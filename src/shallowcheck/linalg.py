@@ -28,10 +28,20 @@ call to it:
 They are algebraically identical to ``embed`` followed by a dense
 product and are cross-checked against that path in the test suite.
 Every public name here is used by another module of the package.
+
+A layer of plain matrices on contiguous, ascending axes of a
+C-contiguous tensor, at its leading or trailing edge or in the middle
+with at least 64 entries behind, runs as one matrix product per
+operator on a reshaped view, with no transpose: the straddling gates of
+the description engine, at the edges of its widest matrices.  Every
+other layer, batched stacks and middle operators with fewer entries
+behind them included, is transposed at most once before and once after,
+since there a narrow middle product costs more than the transpose.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -58,6 +68,12 @@ __all__ = [
 
 #: Side of the square blocks :func:`hermitian_part` works on.
 _STRIP = 64
+
+#: Smallest trailing block ``B`` for which an op with axes on both sides
+#: of its own takes the transpose-free form of :func:`apply_layer`.
+#: Below it the ``A`` products of ``2**k x B`` blocks are too narrow for
+#: BLAS to beat the transpose round trip they save.
+_MIN_TRAILING = 64
 
 
 def _as_operator(a: np.ndarray | Sequence, what: str = "matrix") -> np.ndarray:
@@ -289,6 +305,50 @@ def _check_local_args(
     return op, pos
 
 
+def _edge_blocks(
+    tensor: np.ndarray, ops: Sequence[tuple[np.ndarray, Sequence[int]]]
+) -> list[tuple[int, int, int]] | None:
+    """``(A, 2**k, B)`` for each op if :func:`apply_layer` takes its
+    transpose-free form, ``None`` if it transposes.
+
+    ``A`` and ``B`` are the sizes of the axes before and after the op's.
+    """
+    if not tensor.flags.c_contiguous:
+        return None
+    blocks = []
+    for u, axes in ops:
+        first, k = min(axes, default=0), len(axes)
+        if u.ndim != 2 or list(axes) != list(range(first, first + k)):
+            return None
+        before = math.prod(tensor.shape[:first])
+        after = math.prod(tensor.shape[first + k:])
+        if before > 1 and 1 < after < _MIN_TRAILING:
+            return None
+        blocks.append((before, 1 << k, after))
+    order = [a for _, axes in ops for a in axes]
+    return None if order in ([], list(range(tensor.ndim))) else blocks
+
+
+def _apply_edges(
+    tensor: np.ndarray,
+    ops: Sequence[tuple[np.ndarray, Sequence[int]]],
+    blocks: list[tuple[int, int, int]],
+) -> np.ndarray:
+    """The transpose-free form of :func:`apply_layer` on the blocks of
+    :func:`_edge_blocks`.  Every product is C-contiguous in the tensor's
+    own axis order, so no axis moves and nothing is copied between ops.
+    """
+    t = tensor
+    for (u, _), (before, dim, after) in zip(ops, blocks):
+        if before == 1:
+            t = u @ t.reshape(dim, -1)
+        elif after == 1:
+            t = t.reshape(-1, dim) @ u.T
+        else:
+            t = u @ t.reshape(before, dim, after)
+    return t.reshape(tensor.shape)
+
+
 def apply_layer(
     tensor: np.ndarray, ops: Sequence[tuple[np.ndarray, Sequence[int]]]
 ) -> np.ndarray:
@@ -301,13 +361,33 @@ def apply_layer(
     2**k)``: the tensor's axis 0 is then a batch axis of size ``B``,
     which no op acts on, and member ``b`` of the stack acts on member
     ``b`` of the tensor, while a plain matrix acts on every member.
-    The tensor is transposed at most once so that the acted axes lead
-    (behind the batch axis) in the order the ops use them, and back at
-    most once.  Each op is one matrix product, ``t.reshape(2**k, -1).T
-    @ u.T``, broadcast over the batch axis, which cycles its axes to
-    the back, so no copy is made between ops.  It checks no arguments,
-    so callers must.
+    It checks no arguments, so callers must.
+
+    A layer runs in one of two forms, with the same result up to
+    rounding.  The transpose-free form applies each op as one matrix
+    product on a reshaped view of the tensor: ``u @ t.reshape(2**k,
+    -1)`` when no axis comes before the op's, ``t.reshape(-1, 2**k) @
+    u.T`` when none comes after them, and ``u @ t.reshape(A, 2**k, B)``
+    otherwise, ``A`` and ``B`` being the sizes of the axes before and
+    after.  It runs when the tensor is C-contiguous and every op is a
+    plain matrix on contiguous, ascending axes, with ``B`` at least
+    ``_MIN_TRAILING`` (64) if the op has axes on both sides: on a
+    smaller trailing block the ``A`` narrow products cost more than the
+    transpose they save.  The gates at the two ends of a grown support
+    in the dense description engine, the widest matrices it conjugates,
+    are this case.
+
+    Every other layer takes the transpose form, batched stacks among
+    them, as do layers on every axis in order or on none, which need no
+    transpose there either.  It transposes the tensor at most once so
+    that the acted axes lead (behind the batch axis) in the order the
+    ops use them, and back at most once.  Each op is one matrix product,
+    ``t.reshape(2**k, -1).T @ u.T``, broadcast over the batch axis,
+    which cycles its axes to the back, so no copy is made between ops.
     """
+    blocks = _edge_blocks(tensor, ops)
+    if blocks is not None:
+        return _apply_edges(tensor, ops, blocks)
     lead = [0] if any(u.ndim == 3 for u, _ in ops) else []
     every = list(range(tensor.ndim))
     order = [a for _, axes in ops for a in axes]

@@ -178,6 +178,19 @@ class TestLayerKernel:
         _assert_description_matches(d, *dense_reference_description(c))
         _assert_description_matches(d, *per_gate_reference_description(c))
 
+    @pytest.mark.parametrize("n, depth", [(6, 3), (9, 4), (10, 5)])
+    def test_brickworks_up_to_width_10_match_references(self, n, depth):
+        # Widths 6, 8 and 10, where the gates at the two ends of a grown
+        # support take the transpose-free form of ``apply_layer``.
+        c = random_circuit(n, depth, seed=n)
+        d = compute_description(c)
+        assert max(len(p.support) for p in d.projections) == 2 * depth
+        _assert_description_matches(d, *dense_reference_description(c))
+        _assert_description_matches(d, *per_gate_reference_description(c))
+        for p in d.projections:
+            assert np.array_equal(p.matrix, dagger(p.matrix))
+            assert np.max(np.abs(p.matrix @ p.matrix - p.matrix)) <= TOL
+
     def test_inside_gates_are_conjugated_before_the_embed(self, monkeypatch):
         # Each call records its width and the gate matrices it applies.
         calls = []

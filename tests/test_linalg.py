@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import shallowcheck.description as description
+import shallowcheck.linalg as linalg
 from shallowcheck import (
     DomainError,
+    check_strong,
+    check_weak,
     compute_description,
     dagger,
     embed,
@@ -16,6 +20,7 @@ from shallowcheck import (
     max_abs,
     membership_residual,
     random_circuit,
+    verify_static,
     zero_state,
 )
 from shallowcheck.config import SUPPORT_CAP_ENV
@@ -194,6 +199,88 @@ class TestApplyLayer:
                 dense = embed(*op, list(range(n))) @ dense
             want = (dense @ rows.reshape(1 << n, -1)).reshape(rows.shape)
             assert max_abs(out - want) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 9), st.integers(0, 3), st.integers(0, 2), st.integers(0, 3),
+        st.integers(0, 3), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1),
+    )
+    @example(9, 1, 0, 2, 2, False, False, 0)  # leading, middle (B = 64), trailing
+    @example(7, 1, 1, 2, 2, False, False, 0)  # a middle block with B = 8
+    def test_contiguous_blocks_match_embedded_product(
+        self, n, lead, gap, mid, trail, riding, strided, seed
+    ):
+        # Plain matrices on contiguous, ascending blocks, in shuffled
+        # order: ``lead`` axes at the leading edge, ``gap`` idle axes,
+        # ``mid`` axes in the middle and ``trail`` axes at the trailing
+        # edge, each cut short where the axes run out.  The axes after
+        # the middle block make ``B`` fall on both sides of 64.  A riding
+        # axis of size 3 puts the trailing block in the middle, and a
+        # Fortran-ordered input is not C-contiguous.
+        rng = np.random.default_rng(seed)
+        blocks, first = [], 0
+        for k, acted in ((lead, True), (gap, False), (mid, True)):
+            k = min(k, n - first)
+            if acted and k:
+                blocks.append(range(first, first + k))
+            first += k
+        trail = min(trail, n - first)
+        if trail:
+            blocks.append(range(n - trail, n))
+        ops = [(haar_unitary(len(b), rng), list(b)) for b in blocks]
+        ops = [ops[i] for i in rng.permutation(len(ops))]
+        shape = (2,) * n + ((3,) if riding else ())
+        tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if strided:
+            tensor = np.asfortranarray(tensor)
+        before = tensor.copy()
+        got = apply_layer(tensor, ops)
+        assert got.shape == shape
+        assert np.array_equal(tensor, before)
+        dense = identity(n)
+        for u, axes in ops:
+            dense = embed(u, axes, list(range(n))) @ dense
+        want = (dense @ tensor.reshape(1 << n, -1)).reshape(shape)
+        assert max_abs(got - want) <= 1e-12
+
+    def test_edge_form_runs_for_straddling_gates_never_for_stacks(self, monkeypatch):
+        # Each describe call records its gates' positions, its width and
+        # whether the transpose-free form ran.
+        taken = []
+        edges = linalg._apply_edges
+
+        def spy(tensor, ops, blocks):
+            taken.append(ops)
+            return edges(tensor, ops, blocks)
+
+        calls = []
+        conjugate = description.conjugate_layer
+
+        def record(mat, ops, n):
+            count = len(taken)
+            out = conjugate(mat, ops, n)
+            calls.append(([list(p) for _, p in ops], n, len(taken) > count))
+            return out
+
+        monkeypatch.setattr(linalg, "_apply_edges", spy)
+        monkeypatch.setattr(description, "conjugate_layer", record)
+        compute_description(random_circuit(12, 5, seed=1))
+        # Gates at the ends of a support of 8 or more, short of covering
+        # it: every straddling call at the widths where ``B >= 64`` holds
+        # for the gates at the start of the column axes.
+        ends = [
+            took for positions, n, took in calls
+            if n >= 8 and sum(map(len, positions)) < n
+            and all(0 in p or n - 1 in p for p in positions)
+        ]
+        assert ends and all(ends)
+        c, other = random_circuit(8, 2, seed=1), random_circuit(8, 2, seed=2)
+        claims = compute_description(other)
+        taken.clear()
+        check_weak(c, other)
+        check_strong(c, other)
+        verify_static(c, claims)
+        assert taken == []
 
 
 class TestConjugate:
