@@ -69,10 +69,8 @@ __all__ = [
 #: Side of the square blocks :func:`hermitian_part` works on.
 _STRIP = 64
 
-#: Smallest trailing block ``B`` for which an op with axes on both sides
-#: of its own takes the transpose-free form of :func:`apply_layer`.
-#: Below it the ``A`` products of ``2**k x B`` blocks are too narrow for
-#: BLAS to beat the transpose round trip they save.
+#: Smallest trailing block ``B`` of a middle op in the transpose-free
+#: form of :func:`apply_layer`.
 _MIN_TRAILING = 64
 
 
