@@ -35,7 +35,7 @@ import numpy as np
 
 from .circuit import Circuit, validate
 from .cone import cone_residuals
-from .config import EQUIV_THRESHOLD, support_cap
+from .config import EQUIV_THRESHOLD, _checked_threshold, support_cap
 from .description import Description, LocalProjection, commutator_deviations
 from .errors import DomainError, ValidationError
 from .linalg import ErrorTriple, apply_local, is_projection
@@ -138,10 +138,13 @@ def verify_static(
 
     Raises
     ------
+    DomainError
+        If ``threshold`` is negative or not finite.
     CapacityError
         If an entry's support would exceed the cap; the message names
         the assertion index and the layer reached.
     """
+    threshold = _checked_threshold(threshold)
     violations = validate(c)
     if violations:
         raise ValidationError(violations)

@@ -257,18 +257,27 @@ def adjoint(c: Circuit) -> Circuit:
     A gate keeps its name tag only when the dagger leaves its matrix
     unchanged, so names never misdescribe a matrix.
     """
+    return Circuit(c.n_qubits, _inverse_layers(c.layers, 0))
+
+
+def _inverse_layers(layers: Sequence[Layer], shift: int) -> tuple[Layer, ...]:
+    """The layers of :func:`adjoint`, every qubit index raised by ``shift``."""
     new_layers = []
-    for layer in reversed(c.layers):
+    for layer in reversed(layers):
         gates = []
         for g in layer.gates:
-            # Frozen before the transpose, so ``Gate`` keeps the view uncopied.
-            m = np.conj(g.matrix)
-            m.setflags(write=False)
-            m = m.T
+            m = _frozen_dagger(g.matrix)
             name = g.name if g.name is not None and np.array_equal(m, g.matrix) else None
-            gates.append(Gate(g.qubits, m, name))
+            gates.append(Gate(tuple(q + shift for q in g.qubits), m, name))
         new_layers.append(Layer(tuple(gates)))
-    return Circuit(c.n_qubits, tuple(new_layers))
+    return tuple(new_layers)
+
+
+def _frozen_dagger(u: np.ndarray) -> np.ndarray:
+    """``dagger(u)`` as a read-only transposed view, which ``Gate`` keeps uncopied."""
+    m = np.conj(u)
+    m.setflags(write=False)  # frozen before the transpose
+    return m.T
 
 
 def concat(first: Circuit, second: Circuit) -> Circuit:
@@ -304,6 +313,14 @@ def choi_extend(c: Circuit) -> Circuit:
         for layer in c.layers
     )
     return Circuit(2 * n, (pair_layer,) + shifted)
+
+
+def _choi_inverse(c: Circuit) -> Circuit:
+    """``adjoint(choi_extend(c))``, with each of its gates built once."""
+    n = c.n_qubits
+    pair = _frozen_dagger(_PAIR_GATE)
+    pairs = Layer(tuple(Gate((p, n + p), pair) for p in range(n)))
+    return Circuit(2 * n, _inverse_layers(c.layers, n) + (pairs,))
 
 
 def haar_unitary(

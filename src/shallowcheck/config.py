@@ -10,6 +10,7 @@ work over all ``2**n`` amplitudes.
 
 from __future__ import annotations
 
+import math
 import os
 
 from .errors import DomainError
@@ -54,4 +55,12 @@ def support_cap() -> int:
         ) from None
     if value < 1:
         raise DomainError(f"{SUPPORT_CAP_ENV} must be at least 1, got {value}")
+    return value
+
+
+def _checked_threshold(threshold: float) -> float:
+    """``threshold`` as a float; :class:`DomainError` unless finite and at least 0."""
+    value = float(threshold)
+    if not (math.isfinite(value) and value >= 0):
+        raise DomainError(f"threshold must be finite and non-negative, got {threshold}")
     return value

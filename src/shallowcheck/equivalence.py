@@ -26,11 +26,11 @@ lands within a factor of ten of the threshold.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .circuit import Circuit, adjoint, choi_extend, concat, validate
+from .circuit import Circuit, _choi_inverse, adjoint, choi_extend, concat, validate
 from .cone import ZERO_PROJECTOR, cone_residuals
-from .config import EQUIV_THRESHOLD, support_cap
+from .config import EQUIV_THRESHOLD, _checked_threshold, support_cap
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -110,16 +110,14 @@ def _validated_pair(c0: Circuit, c1: Circuit) -> None:
 
 
 def _weak_report(
-    c0: Circuit, c1: Circuit, threshold: float, mode: str
+    composite: Circuit, threshold: float, mode: str, start: float
 ) -> EquivalenceReport:
-    """The weak check on circuits already known to be valid.
+    """The weak check of a valid composite ``V = c0 · c1†``, timed from ``start``.
 
-    Entry ``t`` of the composite ``V = c0 · c1†`` is the projection
-    ``V Π_t V†`` with ``Π_t = |0><0|`` on qubit ``t``, whose residual
-    the forward cone walk of ``V`` gives.
+    Entry ``t`` of ``V`` is the projection ``V Π_t V†`` with
+    ``Π_t = |0><0|`` on qubit ``t``, whose residual the forward cone
+    walk of ``V`` gives.
     """
-    start = time.perf_counter()
-    composite = concat(c0, adjoint(c1))
     cones = cone_residuals(
         composite,
         [(ZERO_PROJECTOR, (t,)) for t in range(composite.n_qubits)],
@@ -133,7 +131,7 @@ def _weak_report(
     return EquivalenceReport(
         mode=mode,
         verdict=verdict,
-        threshold=float(threshold),
+        threshold=threshold,
         max_linf=max_linf,
         residuals=tuple(residuals),
         max_support=max(len(r.support) for r in residuals),
@@ -168,13 +166,16 @@ def check_weak(
     ValidationError
         If either circuit is invalid.
     DomainError
-        On a qubit-count mismatch.
+        On a qubit-count mismatch, or a threshold that is negative or
+        not finite.
     CapacityError
         If a light cone of the composite would exceed the support cap;
         the message names the qubit and the composite's layer.
     """
+    threshold = _checked_threshold(threshold)
     _validated_pair(c0, c1)
-    return _weak_report(c0, c1, threshold, "weak")
+    start = time.perf_counter()
+    return _weak_report(concat(c0, adjoint(c1)), threshold, "weak", start)
 
 
 def check_strong(
@@ -190,9 +191,11 @@ def check_strong(
     agreement everywhere.  Support sizes roughly double relative to the
     weak check; the report's ``max_support`` records what was reached.
     The inputs are validated once; their doublings are valid by
-    construction and are not validated again.
+    construction and are not validated again, and each gate of the
+    composite is built once.
     """
+    threshold = _checked_threshold(threshold)
     _validated_pair(c0, c1)
     start = time.perf_counter()
-    report = _weak_report(choi_extend(c0), choi_extend(c1), threshold, "strong")
-    return replace(report, seconds=time.perf_counter() - start)
+    composite = concat(choi_extend(c0), _choi_inverse(c1))
+    return _weak_report(composite, threshold, "strong", start)

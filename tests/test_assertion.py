@@ -38,6 +38,15 @@ class TestVerifyStatic:
         for ch in checks:
             assert ch.residual == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), -1.0, float("inf")])
+    def test_malformed_threshold_is_a_domain_error(self, threshold):
+        with pytest.raises(DomainError, match="threshold"):
+            verify_static(Circuit(1), [zero_assertion(0)], threshold=threshold)
+
+    def test_zero_threshold_is_valid(self):
+        (ch,) = verify_static(Circuit(1), [zero_assertion(0)], threshold=0)
+        assert ch.holds
+
     def test_wrong_bit_fails_maximally(self):
         (ch,) = verify_static(Circuit(1), [LocalProjection((0,), P1)])
         assert not ch.holds

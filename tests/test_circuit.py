@@ -11,6 +11,7 @@ from shallowcheck import (
     Layer,
     SchemaError,
     adjoint,
+    check_strong,
     choi_extend,
     circuit_from_json,
     circuit_to_json,
@@ -21,7 +22,7 @@ from shallowcheck import (
     simulate,
     validate,
 )
-from shallowcheck.circuit import choi_pair_gate, gate_in_sorted_order
+from shallowcheck.circuit import _choi_inverse, choi_pair_gate, gate_in_sorted_order
 
 
 def bell_layer_circuit():
@@ -238,6 +239,36 @@ class TestChoiExtend:
         for b in range(4):
             expect[b * 4 + b] = 0.5
         assert np.allclose(state, expect)
+
+    def test_inverse_matches_adjoint_of_extension(self):
+        # Same qubits, names and matrices bit for bit, each a frozen
+        # transposed view as ``adjoint`` makes it.
+        c = Circuit(3, [Layer([named_gate("H", (0,)), Gate((2, 1), haar_unitary(2, seed=1))])])
+        c = concat(c, random_circuit(3, 2, seed=4))
+        want, got = adjoint(choi_extend(c)), _choi_inverse(c)
+        assert (got.n_qubits, got.depth) == (want.n_qubits, want.depth)
+        for lw, lg in zip(want.layers, got.layers):
+            assert len(lw.gates) == len(lg.gates)
+            for gw, gg in zip(lw.gates, lg.gates):
+                assert (gg.qubits, gg.name) == (gw.qubits, gw.name)
+                assert np.array_equal(gg.matrix, gw.matrix)
+                assert gg.matrix.strides == gw.matrix.strides
+                assert not gg.matrix.flags.writeable
+                assert not gg.matrix.base.flags.writeable
+
+    def test_strong_check_builds_each_gate_once(self, monkeypatch):
+        c0, c1 = random_circuit(6, 3, seed=1), random_circuit(6, 2, seed=2)
+        built = []
+        post_init = Gate.__post_init__
+
+        def count(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Gate, "__post_init__", count)
+        check_strong(c0, c1)
+        sizes = [sum(len(layer.gates) for layer in c.layers) for c in (c0, c1)]
+        assert len(built) == 2 * 6 + sum(sizes)
 
     def test_encodes_the_unitary(self):
         # The extension's output amplitudes are the unitary's entries up

@@ -126,6 +126,16 @@ class TestEquiv:
         assert main(["equiv", str(a), str(a), "--threshold", "1e-3"]) == 0
         assert json.loads(capsys.readouterr().out)["threshold"] == 1e-3
 
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("mode", ["weak", "strong"])
+    def test_malformed_threshold_is_malformed_input(self, circuit_file, capsys, threshold, mode):
+        # A self-pair is never reported inequivalent, nor any pair passed.
+        args = ["equiv", circuit_file, circuit_file, "--mode", mode, "--threshold", threshold]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threshold" in captured.err
+
     def test_width_mismatch_is_error(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -173,6 +183,18 @@ class TestAssert:
         assert payload["all_hold"] is False
         holds = [e["holds"] for e in payload["entries"]]
         assert holds == [False] + [True] * 5
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
+    def test_malformed_threshold_is_malformed_input(
+        self, circuit_file, tmp_path, capsys, threshold
+    ):
+        desc = tmp_path / "desc.json"
+        assert main(["describe", circuit_file, "--out", str(desc)]) == 0
+        capsys.readouterr()
+        assert main(["assert", circuit_file, str(desc), "--threshold", threshold]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threshold" in captured.err
 
     def test_qubit_count_mismatch(self, circuit_file, tmp_path, capsys):
         other = compute_description(random_circuit(4, 1, seed=1))

@@ -231,3 +231,19 @@ class TestReport:
         r = check_weak(rotation_circuit(1e-4), Circuit(1), threshold=1e-3)
         assert r.verdict == "equivalent"
         assert r.threshold == 1e-3
+
+    @pytest.mark.parametrize("check", [check_weak, check_strong])
+    @pytest.mark.parametrize("threshold", [float("nan"), -1.0, float("inf"), -1e-300])
+    def test_malformed_threshold_is_a_domain_error(self, check, threshold):
+        # Not a verdict: NaN and -1 would call a circuit inequivalent to
+        # itself, and infinity would pass every pair.
+        c = random_circuit(4, 2, seed=1)
+        with pytest.raises(DomainError, match="threshold"):
+            check(c, c, threshold=threshold)
+
+    @pytest.mark.parametrize("check", [check_weak, check_strong])
+    def test_zero_threshold_is_valid(self, check):
+        c = random_circuit(4, 2, seed=1)
+        r = check(c, c, threshold=0)
+        assert r.threshold == 0.0
+        assert r.equivalent == (r.max_linf == 0.0)

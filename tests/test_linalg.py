@@ -1,5 +1,7 @@
 """Tests for dense operator primitives and the bit-ordering convention."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -204,11 +206,15 @@ class TestApplyLayer:
     @given(
         st.integers(1, 9), st.integers(0, 3), st.integers(0, 2), st.integers(0, 3),
         st.integers(0, 3), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 4, 8, None]),
     )
-    @example(9, 1, 0, 2, 2, False, False, 0)  # leading, middle (B = 64), trailing
-    @example(7, 1, 1, 2, 2, False, False, 0)  # a middle block with B = 8
+    @example(9, 1, 0, 2, 2, False, False, 0, None)  # leading, middle (B = 64), trailing
+    @example(7, 1, 1, 2, 2, False, False, 0, None)  # a middle block with B = 8
+    @example(9, 1, 1, 1, 2, False, False, 2, 1)  # chunked: leading op first
+    @example(9, 1, 1, 1, 0, True, False, 1, 4)  # chunked, with a riding axis
+    @example(9, 1, 1, 1, 2, False, True, 2, 1)  # Fortran-ordered: not chunked
     def test_contiguous_blocks_match_embedded_product(
-        self, n, lead, gap, mid, trail, riding, strided, seed
+        self, n, lead, gap, mid, trail, riding, strided, seed, chunk
     ):
         # Plain matrices on contiguous, ascending blocks, in shuffled
         # order: ``lead`` axes at the leading edge, ``gap`` idle axes,
@@ -216,7 +222,42 @@ class TestApplyLayer:
         # edge, each cut short where the axes run out.  The axes after
         # the middle block make ``B`` fall on both sides of 64.  A riding
         # axis of size 3 puts the trailing block in the middle, and a
-        # Fortran-ordered input is not C-contiguous.
+        # Fortran-ordered input is not C-contiguous.  A small ``chunk``
+        # lets these tensors take the chunked pass whenever the leading
+        # op comes first, a row or a few of the idle axes per chunk.
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(linalg, "_CHUNK", chunk)
+            self._check_contiguous_blocks(n, lead, gap, mid, trail, riding, strided, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(7, 9), st.integers(1, 3), st.integers(0, 3), st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 4, 8, 64]),
+    )
+    def test_chunked_conjugation_matches_dense(self, w, lead, trail, seed, chunk):
+        # Straddling layers as the description engine makes them, at
+        # widths where a small ``chunk`` sends nearly all of them through
+        # the chunked pass: a gate at the leading edge, short enough
+        # that its column op has 64 entries behind it, and maybe one at
+        # the trailing edge, with at least one idle axis between.
+        rng = np.random.default_rng(seed)
+        lead = min(lead, w - 6)
+        trail = min(trail, w - lead - 1)
+        ops = [(haar_unitary(lead, rng), list(range(lead)))]
+        if trail:
+            ops.append((haar_unitary(trail, rng), list(range(w - trail, w))))
+        mat = rng.normal(size=(1 << w,) * 2) + 1j * rng.normal(size=(1 << w,) * 2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_CHUNK", chunk)
+            got = conjugate_layer(mat, ops, w)
+        u = identity(w)
+        for g, axes in ops:
+            u = embed(g, axes, list(range(w))) @ u
+        assert max_abs(got - u @ mat @ dagger(u)) <= 1e-12
+
+    @staticmethod
+    def _check_contiguous_blocks(n, lead, gap, mid, trail, riding, strided, seed):
         rng = np.random.default_rng(seed)
         blocks, first = [], 0
         for k, acted in ((lead, True), (gap, False), (mid, True)):
@@ -245,42 +286,82 @@ class TestApplyLayer:
 
     def test_edge_form_runs_for_straddling_gates_never_for_stacks(self, monkeypatch):
         # Each describe call records its gates' positions, its width and
-        # whether the transpose-free form ran.
-        taken = []
-        edges = linalg._apply_edges
+        # whether the transpose-free form and its chunked pass ran.
+        taken, chunked = [], []
+        edges, chunks = linalg._apply_edges, linalg._apply_chunked
 
         def spy(tensor, ops, blocks):
             taken.append(ops)
             return edges(tensor, ops, blocks)
 
+        def spy_chunks(tensor, ops, a, b):
+            chunked.append(ops)
+            return chunks(tensor, ops, a, b)
+
         calls = []
         conjugate = description.conjugate_layer
 
         def record(mat, ops, n):
-            count = len(taken)
+            count = len(taken), len(chunked)
             out = conjugate(mat, ops, n)
-            calls.append(([list(p) for _, p in ops], n, len(taken) > count))
+            ran = len(taken) > count[0], len(chunked) > count[1]
+            calls.append(([list(p) for _, p in ops], n) + ran)
             return out
 
         monkeypatch.setattr(linalg, "_apply_edges", spy)
+        monkeypatch.setattr(linalg, "_apply_chunked", spy_chunks)
         monkeypatch.setattr(description, "conjugate_layer", record)
         compute_description(random_circuit(12, 5, seed=1))
         # Gates at the ends of a support of 8 or more, short of covering
         # it: every straddling call at the widths where ``B >= 64`` holds
-        # for the gates at the start of the column axes.
+        # for the gates at the start of the column axes.  From width 9,
+        # where the matrix holds ``8 * _CHUNK`` amplitudes, those whose
+        # first gate starts the support run in chunks; none at width 8.
         ends = [
-            took for positions, n, took in calls
+            (positions, n, took, chunk) for positions, n, took, chunk in calls
             if n >= 8 and sum(map(len, positions)) < n
             and all(0 in p or n - 1 in p for p in positions)
         ]
-        assert ends and all(ends)
+        assert ends and all(took for _, _, took, _ in ends)
+        assert {8, 10} <= {n for _, n, _, _ in ends}
+        for positions, n, _, chunk in ends:
+            assert chunk == (n >= 9 and positions[0][0] == 0)
+        assert any(chunk for *_, chunk in ends)
         c, other = random_circuit(8, 2, seed=1), random_circuit(8, 2, seed=2)
         claims = compute_description(other)
         taken.clear()
+        chunked.clear()
         check_weak(c, other)
         check_strong(c, other)
         verify_static(c, claims)
-        assert taken == []
+        assert taken == chunked == []
+
+    @staticmethod
+    def _straddling_layer(w, seed):
+        """A ``w``-qubit matrix and the gates at both ends of its support."""
+        rng = np.random.default_rng(seed)
+        mat = rng.normal(size=(1 << w,) * 2) + 1j * rng.normal(size=(1 << w,) * 2)
+        return mat, [(haar_unitary(2, rng), [0, 1]), (haar_unitary(2, rng), [w - 2, w - 1])]
+
+    def test_chunked_pass_is_bit_identical_to_the_ops_one_by_one(self, monkeypatch):
+        mat, ops = self._straddling_layer(10, 7)
+        before = mat.copy()
+        chunked = conjugate_layer(mat, ops, 10)
+        assert np.array_equal(mat, before)
+        monkeypatch.setattr(linalg, "_chunk_run", lambda tensor, ops: None)
+        assert np.array_equal(chunked, conjugate_layer(mat, ops, 10))
+
+    def test_chunked_pass_allocates_little_beyond_its_output(self):
+        # The ops one by one keep two full-size products live (2.00x).
+        mat, ops = self._straddling_layer(10, 8)
+        tracemalloc.start()
+        try:
+            out = conjugate_layer(mat, ops, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == mat.nbytes
+        assert peak < 1.5 * mat.nbytes
 
 
 class TestConjugate:
