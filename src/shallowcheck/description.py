@@ -29,11 +29,11 @@ from .errors import CapacityError, DomainError, SchemaError, ValidationError
 from .linalg import (
     ErrorTriple,
     _as_frozen,
+    _conjugate_hermitian,
     apply_layer,
     apply_local,
     conjugate_layer,
     embed,
-    hermitian_part,
     identity,
     membership_residual,
     zero_state,
@@ -73,6 +73,8 @@ class LocalProjection:
             raise DomainError(
                 f"support must be sorted and duplicate-free, got {support}"
             )
+        if support[0] < 0:
+            raise DomainError(f"support must hold no negative qubit, got {support}")
         matrix = _as_frozen(self.matrix)
         dim = 1 << len(support)
         if matrix.shape != (dim, dim):
@@ -151,13 +153,17 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     layer's gates.  Each half is one
     :func:`~shallowcheck.linalg.conjugate_layer` call: one matrix product
     per gate on the row axes and one on the column axes, with the tensor
-    permuted at most once before and once after.  Within a call, gates
-    are applied in order of smallest qubit index, and each finished
-    matrix is re-symmetrized once as ``(P + P†)/2`` to damp
-    floating-point drift; both choices pin the output bits exactly for a
-    given input.  This is the dense
-    ``16·4^w``-byte path; the checks use the cone-state kernel instead
-    and this function is their reference.
+    permuted at most once before and once after.  The last step, which
+    reaches the final support, embeds and conjugates only the tiles on
+    or above the diagonal, split on idle qubits of that layer, and
+    mirrors them, so the full embedded matrix is never built and each
+    entry is exactly Hermitian; diagonal tiles are re-symmetrized as
+    ``(T + T†)/2``.  An entry of at most ``2^16`` amplitudes (width 8)
+    is one tile, conjugated whole and re-symmetrized as ``(P + P†)/2``.
+    Within a call, gates are applied in order of smallest qubit index;
+    this and the tiling pin the output bits exactly for a given input.
+    This is the dense ``16·4^w``-byte path; the checks use the
+    cone-state kernel instead and this function is their reference.
     """
     violations = validate(c)
     if violations:
@@ -169,23 +175,28 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     entries = []
     for t, steps in enumerate(cones):
         support: tuple[int, ...] = (t,)
-        p = ZERO_PROJECTOR.copy()  # hermitian_part writes it in place
-        for touched, grown in steps:
+        p = ZERO_PROJECTOR
+        for k, (touched, grown) in enumerate(steps, 1):
             old = set(support)
             inside = [g for g in touched if old.issuperset(g.qubits)]
-            if inside:
+            straddling = [g for g in touched if not old.issuperset(g.qubits)]
+            # A last step that does not grow hands its inside gates to
+            # the final conjugation instead.
+            if inside and (straddling or k < len(steps)):
                 p = _conjugate(p, inside, support)
-            if grown != support:
-                straddling = [g for g in touched if not old.issuperset(g.qubits)]
+            if k == len(steps):
+                # The last step reaches the final support: only the tiles
+                # on or above the diagonal are conjugated there.
+                p = _conjugate_hermitian(
+                    p, support, grown, _layer(straddling or inside, grown)
+                )
+                p.setflags(write=False)
+            elif grown != support:
                 # Two statements, so the old matrix is freed before the
                 # grown one is conjugated, keeping the peak as it was.
                 p = embed(p, support, grown)
                 p = _conjugate(p, straddling, grown)
             support = grown
-        p = hermitian_part(p)
-        for a in (p, p.base):  # ``p`` may view the conjugation's output
-            if a is not None:
-                a.setflags(write=False)
         entries.append(LocalProjection(support, p))
     return Description(n, tuple(entries))
 
@@ -194,9 +205,15 @@ def _conjugate(
     p: np.ndarray, gates: Sequence[Gate], support: tuple[int, ...]
 ) -> np.ndarray:
     """Conjugate ``p``, a matrix on ``support``, by disjoint ``gates`` within it."""
+    return conjugate_layer(p, _layer(gates, support), len(support))
+
+
+def _layer(
+    gates: Sequence[Gate], support: tuple[int, ...]
+) -> list[tuple[np.ndarray, list[int]]]:
+    """``(matrix, positions)`` of each gate, by its qubits' places in ``support``."""
     position = {q: i for i, q in enumerate(support)}
-    layer = [(g.matrix, [position[q] for q in g.qubits]) for g in gates]
-    return conjugate_layer(p, layer, len(support))
+    return [(g.matrix, [position[q] for q in g.qubits]) for g in gates]
 
 
 def initial_state_residuals(d: Description) -> list[ErrorTriple]:

@@ -10,23 +10,27 @@ index.  Every embedding sorts supports ascending first, so the
 convention holds package-wide and no per-call permutation flags exist.
 
 Besides the core operations (:func:`dagger`, :func:`embed`,
-:func:`hermitian_part`, :func:`is_projection`,
-:func:`membership_residual`), this module provides locality-aware
-primitives that act on a few tensor axes of a larger operator or state
-without materializing the embedded matrix.  One kernel,
-:func:`apply_layer`, applies a layer of operators on disjoint axes of a
-tensor, one matrix product per operator, optionally for a whole stack of
-tensors with one matrix per member; the cone-state kernel calls it once
-per layer for a group of same-shape cones, and each of these is one
-call to it:
+:func:`is_projection`, :func:`membership_residual`), this module
+provides locality-aware primitives that act on a few tensor axes of a
+larger operator or state without materializing the embedded matrix.
+One kernel, :func:`apply_layer`, applies a layer of operators on
+disjoint axes of a tensor, one matrix product per operator, optionally
+for a whole stack of tensors with one matrix per member; the cone-state
+kernel calls it once per layer for a group of same-shape cones, and
+the first two of these are one call to it:
 
 * :func:`apply_local` applies an operator to some qubit axes of a
   state, or of the rows of a matrix;
 * :func:`conjugate_layer` conjugates a matrix by a layer of disjoint
-  operators, the kernel of the dense description engine.
+  operators, the kernel of the dense description engine;
+* ``_conjugate_hermitian``, the last step of each described entry,
+  embeds and conjugates only the tiles on or above the diagonal of the
+  grown matrix, one call per tile, and mirrors them into an exactly
+  Hermitian result, never building the full embedded matrix.
 
 They are algebraically identical to ``embed`` followed by a dense
-product and are cross-checked against that path in the test suite.
+product (and, for the last, ``(P + P†)/2``) and are cross-checked
+against that path in the test suite.
 Every public name here is used by another module of the package.
 
 A layer of plain matrices on contiguous, ascending axes of a
@@ -43,7 +47,7 @@ follow it and the tensor holds at least ``8 * _CHUNK`` amplitudes
 axes behind that operator, so a straddling layer reads and writes its
 matrix once instead of once per operator.  Below that size (width 8 of
 the description engine) the chunks measured no faster, so the operators
-run one by one.
+run one by one, as they do on the tiles of ``_conjugate_hermitian``.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ __all__ = [
     "conjugate_layer",
     "dagger",
     "embed",
-    "hermitian_part",
     "identity",
     "is_projection",
     "max_abs",
@@ -73,8 +76,9 @@ __all__ = [
 ]
 
 
-#: Side of the square blocks :func:`hermitian_part` works on.
-_STRIP = 64
+#: Most amplitudes (1 MiB, width 8) in a tile of :func:`_conjugate_hermitian`
+#: while it has idle axes left to split on.
+_TILE = 1 << 16
 
 #: Smallest trailing block ``B`` of a middle op in the transpose-free
 #: form of :func:`apply_layer`.
@@ -192,12 +196,22 @@ def embed(
             f"op of dimension {op.shape[0]} does not match a support of "
             f"{k} qubit(s)"
         )
-    m = len(tgt)
     if ops == tgt:
         return op.copy()
+    out = np.zeros((1 << len(tgt), 1 << len(tgt)), dtype=complex)
+    _place(out, op.reshape((2,) * (2 * k)), ops, tgt)
+    return out
 
+
+def _place(out: np.ndarray, op: np.ndarray, ops: list[int], tgt: list[int]) -> None:
+    """Write the tensor ``op`` on ``ops`` into every identity block of ``out``.
+
+    ``out`` is a zeroed operator on ``tgt`` and ``op`` a tensor with
+    two axes per qubit of ``ops``, rows first, which may be a strided
+    view: it is read in the one assignment that fills the blocks.
+    """
+    m, k = len(tgt), len(ops)
     rest = [q for q in tgt if q not in set(ops)]
-    out = np.zeros((1 << m, 1 << m), dtype=complex)
     # A view of ``out`` whose axes are op's qubits, then the rest, for
     # the rows and then the columns.
     axis = {q: i for i, q in enumerate(tgt)}
@@ -208,30 +222,7 @@ def embed(
     blocks = np.arange(1 << (m - k))
     bits = tuple((blocks >> (m - k - 1 - j)) & 1 for j in range(m - k))
     full = (slice(None),) * k
-    view[full + bits + full + bits] = op.reshape((2,) * (2 * k))
-    return out
-
-
-def hermitian_part(p: np.ndarray) -> np.ndarray:
-    """Replace ``p`` by ``(p + dagger(p)) / 2`` in place, bit for bit.
-
-    ``p`` must be writable; it is returned (a complex copy when it is
-    not a complex array).  Block pairs ``(I, J)`` and ``(J, I)`` are
-    formed together, so one block at a time is allocated.
-    """
-    p = _as_operator(p, "p")
-    dim = p.shape[0]
-    for i in range(0, dim, _STRIP):
-        rows = slice(i, i + _STRIP)
-        for j in range(i, dim, _STRIP):
-            cols = slice(j, j + _STRIP)
-            # Formed before ``p[rows, cols]``, which it reads, is updated.
-            lower = p[cols, rows] + dagger(p[rows, cols])
-            if j > i:
-                p[rows, cols] += dagger(p[cols, rows])
-            p[cols, rows] = lower
-    p *= 0.5
-    return p
+    view[full + bits + full + bits] = op
 
 
 def is_projection(p: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
@@ -520,3 +511,83 @@ def conjugate_layer(
     columns = [(np.conj(u), [n_qubits + p for p in pos]) for u, pos in checked]
     t = apply_layer(mat.reshape((2,) * (2 * n_qubits)), checked + columns)
     return t.reshape(dim, dim)
+
+
+def _conjugate_hermitian(
+    p: np.ndarray,
+    support: Sequence[int],
+    grown: Sequence[int],
+    ops: Sequence[tuple[np.ndarray, Sequence[int]]],
+) -> np.ndarray:
+    """``U (p ⊗ I) U†`` on ``grown``, exactly Hermitian, for one layer ``U``.
+
+    ``p`` is a Hermitian matrix (up to rounding) on the sorted
+    ``support``, a subset of the sorted ``grown``; ``ops`` holds
+    ``(matrix, positions)`` pairs on disjoint positions of ``grown``,
+    listed as for :func:`conjugate_layer`, and must touch every qubit of
+    ``grown`` not in ``support``.  ``p`` is not modified.
+
+    The row and column indices are split on the first few axes no op
+    acts on, as many as bring a tile down to ``_TILE`` amplitudes when
+    there are so many, and each tile of the result is the conjugate of
+    the matching tile of ``p ⊗ I`` by the ops on the other axes.  Only
+    the tiles on or above the diagonal are computed, each embedded from
+    a strided view of ``p`` and conjugated by one :func:`apply_layer`
+    call, so the full embedded matrix is never built.  A tile ``T``
+    above the diagonal is written with ``T†`` in the mirrored tile, and
+    a diagonal tile as ``(T + T†)/2``, so the result is Hermitian bit
+    for bit.  A result of at most ``_TILE`` amplitudes, or with no idle
+    axis, is one diagonal tile: the conjugate of the embedded ``p``,
+    made Hermitian as ``(P + P†)/2``.  Besides ``p`` and the result,
+    which is allocated once the first tile's input has been freed, one
+    tile and its conjugate are live at a time.
+    """
+    support, grown = [int(q) for q in support], [int(q) for q in grown]
+    w = len(grown)
+    checked = [_check_local_args(u, pos, w) for u, pos in ops]
+    acted = {a for _, pos in checked for a in pos}
+    idle = [a for a in range(w) if a not in acted]
+    split = idle[: max(0, w - (_TILE.bit_length() - 1) // 2)]
+    s, k = len(split), w - len(split)
+    layer = [(u, [a - sum(x < a for x in split) for a in pos]) for u, pos in checked]
+    layer += [(np.conj(u), [k + a for a in pos]) for u, pos in layer]
+    fixed = [grown[a] for a in split]
+    kept = [q for q in support if q not in fixed]
+    rest = [q for q in grown if q not in fixed]
+    source = p.reshape((2,) * (2 * len(support)))
+    in_p = [support.index(q) for q in fixed]
+
+    def at(axes: list[int], width: int, r: int, c: int) -> tuple:
+        """Index of the view of tile ``(r, c)`` in a tensor split on ``axes``."""
+        index: list = [slice(None)] * (2 * width) + [...]
+        for j, a in enumerate(axes):
+            index[a] = (r >> (s - 1 - j)) & 1
+            index[width + a] = (c >> (s - 1 - j)) & 1
+        return tuple(index)
+
+    def tile(r: int, c: int) -> np.ndarray:
+        """Tile ``(r, c)`` of ``p ⊗ I``, as a tensor."""
+        view = source[at(in_p, len(support), r, c)]
+        if kept == rest:
+            return view
+        x = np.zeros((1 << k, 1 << k), dtype=complex)
+        _place(x, view, kept, rest)
+        return x.reshape((2,) * (2 * k))
+
+    swap = list(range(k, 2 * k)) + list(range(k))
+    out = None
+    for r in range(1 << s):
+        for c in range(r, 1 << s):
+            t = apply_layer(tile(r, c), layer)
+            if out is None:
+                out = np.empty((1 << w, 1 << w), dtype=complex)
+                full = out.reshape((2,) * (2 * w))
+            if r == c:
+                d = full[at(split, w, r, r)]
+                np.conjugate(t.transpose(swap), out=d)
+                d += t
+                d *= 0.5
+            else:
+                full[at(split, w, r, c)] = t
+                np.conjugate(t.transpose(swap), out=full[at(split, w, c, r)])
+    return out

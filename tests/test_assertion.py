@@ -131,6 +131,11 @@ class TestVerifyStatic:
         with pytest.raises(DomainError, match="out of range"):
             verify_static(Circuit(2), [zero_assertion(5)])
 
+    def test_rejects_negative_qubit_assertion(self):
+        # Once reported as holding, with support ``(-1,)``.
+        with pytest.raises(DomainError, match="negative"):
+            verify_static(random_circuit(4, 2, seed=1), [LocalProjection((-1,), P0)])
+
     def test_rejects_non_projection(self):
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         with pytest.raises(DomainError, match="not a projection"):

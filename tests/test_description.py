@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shallowcheck.description as description
+import shallowcheck.linalg as linalg
 from shallowcheck import (
     CapacityError,
     Circuit,
@@ -95,6 +96,38 @@ def per_gate_reference_description(c):
             support = grown
         supports.append(support)
         mats.append(p)
+    return supports, mats
+
+
+def untiled_description(c):
+    """The engine's walk with its last step untiled, as it stood before.
+
+    Inside gates conjugate the matrix at the width they start from, the
+    straddling ones the embedded matrix at the grown width, and the last
+    matrix is made Hermitian once as ``(P + P†)/2``: the same kernel calls
+    as the engine, so an entry that its last step keeps as one tile
+    matches it bit for bit.
+    """
+    cones = walk_light_cones(
+        c, [(t,) for t in range(c.n_qubits)], "support of qubit {}", c.n_qubits
+    )
+    supports, mats = [], []
+    for t, steps in enumerate(cones):
+        support, p = (t,), np.array([[1, 0], [0, 0]], dtype=complex)
+        for touched, grown in steps:
+            axis = {q: i for i, q in enumerate(support)}
+            inside = [g for g in touched if set(g.qubits) <= set(support)]
+            straddling = [g for g in touched if not set(g.qubits) <= set(support)]
+            if inside:
+                layer = [(g.matrix, [axis[q] for q in g.qubits]) for g in inside]
+                p = conjugate_layer(p, layer, len(support))
+            if straddling:
+                axis = {q: i for i, q in enumerate(grown)}
+                layer = [(g.matrix, [axis[q] for q in g.qubits]) for g in straddling]
+                p = conjugate_layer(embed(p, support, grown), layer, len(grown))
+            support = grown
+        supports.append(support)
+        mats.append((p + dagger(p)) / 2)
     return supports, mats
 
 
@@ -192,15 +225,22 @@ class TestLayerKernel:
             assert np.max(np.abs(p.matrix @ p.matrix - p.matrix)) <= TOL
 
     def test_inside_gates_are_conjugated_before_the_embed(self, monkeypatch):
-        # Each call records its width and the gate matrices it applies.
+        # Each call records the width of the matrix it reads, the width
+        # it conjugates at and the gate matrices it applies.
         calls = []
-        original = description.conjugate_layer
+        conjugate, final = description.conjugate_layer, description._conjugate_hermitian
 
         def recording(mat, ops, n_qubits):
-            calls.append((n_qubits, [u for u, _ in ops]))
-            return original(mat, ops, n_qubits)
+            calls.append((n_qubits, n_qubits, [u for u, _ in ops]))
+            return conjugate(mat, ops, n_qubits)
+
+        def recording_final(p, support, grown, ops):
+            assert p.shape[0] == 1 << len(support)
+            calls.append((len(support), len(grown), [u for u, _ in ops]))
+            return final(p, support, grown, ops)
 
         monkeypatch.setattr(description, "conjugate_layer", recording)
+        monkeypatch.setattr(description, "_conjugate_hermitian", recording_final)
         c = random_circuit(10, 4, seed=3)
         compute_description(c)
         calls = iter(calls)
@@ -209,25 +249,46 @@ class TestLayerKernel:
             walk_light_cones(c, [(t,) for t in range(10)], "support of qubit {}", 10)
         ):
             support = (t,)
-            for touched, grown in steps:
+            for k, (touched, grown) in enumerate(steps, 1):
                 inside = [g.matrix for g in touched if set(g.qubits) <= set(support)]
                 straddling = [g.matrix for g in touched if not set(g.qubits) <= set(support)]
-                if inside:
-                    width, ops = next(calls)
-                    assert width == len(support)
-                    assert len(ops) == len(inside)
-                    assert all(u is m for u, m in zip(ops, inside))
-                    inside_ops += len(ops)
-                if straddling:
-                    width, ops = next(calls)
-                    assert width == len(grown)
-                    assert len(ops) == len(straddling)
-                    assert all(u is m for u, m in zip(ops, straddling))
-                    # A brickwork cone grows by at most one gate a side.
-                    assert len(ops) <= 2
+                # Every gate once: the inside ones at the width they start
+                # from, the straddling ones at the grown width, which the
+                # last step reaches from the previous width's matrix.
+                last = len(support) if k == len(steps) else len(grown)
+                for gates, widths in (
+                    (inside, (len(support), len(support))),
+                    (straddling, (last, len(grown))),
+                ):
+                    if gates:
+                        read, at, ops = next(calls)
+                        assert (read, at) == widths
+                        assert len(ops) == len(gates)
+                        assert all(u is m for u, m in zip(ops, gates))
+                inside_ops += len(inside)
+                # A brickwork cone grows by at most one gate a side.
+                assert len(straddling) <= 2
                 support = grown
         assert next(calls, None) is None
         assert inside_ops > 0
+
+    @pytest.mark.parametrize(
+        "n, depth, seed", [(10, 4, 5), (5, 4, 1), (7, 6, 2), (12, 5, 2)]
+    )
+    def test_untiled_entries_are_bit_identical(self, n, depth, seed):
+        # Entries of at most ``_TILE`` amplitudes (width 8), those whose
+        # support stops growing before the last step among them, are the
+        # untiled path's bits; wider ones (width 10) agree to 1e-12 and
+        # are exactly Hermitian.
+        c = random_circuit(n, depth, seed=seed)
+        d = compute_description(c)
+        supports, mats = untiled_description(c)
+        _assert_description_matches(d, supports, mats)
+        for p, m in zip(d.projections, mats):
+            assert np.array_equal(p.matrix, dagger(p.matrix))
+            if p.matrix.size <= linalg._TILE:
+                assert np.array_equal(p.matrix.view(np.uint64), m.view(np.uint64))
+        assert any(p.matrix.size > linalg._TILE for p in d.projections) == (n == 12)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -300,6 +361,11 @@ class TestLocalProjection:
         with pytest.raises(DomainError):
             LocalProjection((0, 1), np.eye(2))
 
+    def test_negative_qubit_rejected(self):
+        for support in [(-1,), (-2, 0)]:
+            with pytest.raises(DomainError, match="negative"):
+                LocalProjection(support, np.eye(1 << len(support)))
+
     def test_matrix_readonly(self):
         p = LocalProjection((0,), np.eye(2))
         with pytest.raises(ValueError):
@@ -331,13 +397,13 @@ class TestLocalProjection:
 
     def test_described_matrices_are_not_copied(self, monkeypatch):
         built = []
-        original = description.hermitian_part
+        original = description._conjugate_hermitian
 
-        def recording(p):
-            built.append(original(p))
+        def recording(*args):
+            built.append(original(*args))
             return built[-1]
 
-        monkeypatch.setattr(description, "hermitian_part", recording)
+        monkeypatch.setattr(description, "_conjugate_hermitian", recording)
         d = compute_description(random_circuit(6, 3, seed=2))
         assert len(built) == len(d.projections)
         for p, m in zip(d.projections, built):

@@ -26,7 +26,12 @@ from shallowcheck import (
     zero_state,
 )
 from shallowcheck.config import SUPPORT_CAP_ENV
-from shallowcheck.linalg import apply_layer, apply_local, conjugate_layer, hermitian_part
+from shallowcheck.linalg import (
+    _conjugate_hermitian,
+    apply_layer,
+    apply_local,
+    conjugate_layer,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -285,10 +290,11 @@ class TestApplyLayer:
         assert max_abs(got - want) <= 1e-12
 
     def test_edge_form_runs_for_straddling_gates_never_for_stacks(self, monkeypatch):
-        # Each describe call records its gates' positions, its width and
-        # whether the transpose-free form and its chunked pass ran.
-        taken, chunked = [], []
-        edges, chunks = linalg._apply_edges, linalg._apply_chunked
+        # Each apply_layer call records whether the transpose-free form
+        # and its chunked pass ran, and its size; each describe call
+        # records its gates' positions, its width and those records.
+        taken, chunked, layers = [], [], []
+        edges, chunks, apply = linalg._apply_edges, linalg._apply_chunked, linalg.apply_layer
 
         def spy(tensor, ops, blocks):
             taken.append(ops)
@@ -298,35 +304,54 @@ class TestApplyLayer:
             chunked.append(ops)
             return chunks(tensor, ops, a, b)
 
+        def spy_layer(tensor, ops):
+            count = len(taken), len(chunked)
+            out = apply(tensor, ops)
+            layers.append((len(taken) > count[0], len(chunked) > count[1], tensor.size))
+            return out
+
         calls = []
-        conjugate = description.conjugate_layer
+        conjugate, final = description.conjugate_layer, description._conjugate_hermitian
 
         def record(mat, ops, n):
-            count = len(taken), len(chunked)
+            start = len(layers)
             out = conjugate(mat, ops, n)
-            ran = len(taken) > count[0], len(chunked) > count[1]
-            calls.append(([list(p) for _, p in ops], n) + ran)
+            calls.append(([list(p) for _, p in ops], n, layers[start:]))
+            return out
+
+        def record_final(p, support, grown, ops):
+            start = len(layers)
+            out = final(p, support, grown, ops)
+            calls.append(([list(q) for _, q in ops], len(grown), layers[start:]))
             return out
 
         monkeypatch.setattr(linalg, "_apply_edges", spy)
         monkeypatch.setattr(linalg, "_apply_chunked", spy_chunks)
+        monkeypatch.setattr(linalg, "apply_layer", spy_layer)
         monkeypatch.setattr(description, "conjugate_layer", record)
-        compute_description(random_circuit(12, 5, seed=1))
+        monkeypatch.setattr(description, "_conjugate_hermitian", record_final)
         # Gates at the ends of a support of 8 or more, short of covering
         # it: every straddling call at the widths where ``B >= 64`` holds
-        # for the gates at the start of the column axes.  From width 9,
-        # where the matrix holds ``8 * _CHUNK`` amplitudes, those whose
-        # first gate starts the support run in chunks; none at width 8.
-        ends = [
-            (positions, n, took, chunk) for positions, n, took, chunk in calls
-            if n >= 8 and sum(map(len, positions)) < n
-            and all(0 in p or n - 1 in p for p in positions)
-        ]
-        assert ends and all(took for _, _, took, _ in ends)
-        assert {8, 10} <= {n for _, n, _, _ in ends}
-        for positions, n, _, chunk in ends:
-            assert chunk == (n >= 9 and positions[0][0] == 0)
-        assert any(chunk for *_, chunk in ends)
+        # for the gates at the start of the column axes, whole at width
+        # 8 and in tiles of width 8 at width 10.  Where the tensor holds
+        # ``8 * _CHUNK`` amplitudes, those whose first gate starts the
+        # support run in chunks: none at the default ``_CHUNK``, some at
+        # a smaller one.
+        for chunk, some in ((linalg._CHUNK, False), (linalg._CHUNK >> 2, True)):
+            monkeypatch.setattr(linalg, "_CHUNK", chunk)
+            calls.clear()
+            compute_description(random_circuit(12, 5, seed=1))
+            ends = [
+                (positions, n, runs) for positions, n, runs in calls
+                if n >= 8 and sum(map(len, positions)) < n
+                and all(0 in p or n - 1 in p for p in positions)
+            ]
+            assert ends and all(took for *_, runs in ends for took, _, _ in runs)
+            assert {8, 10} <= {n for _, n, _ in ends}
+            for positions, n, runs in ends:
+                for _, ran, size in runs:
+                    assert ran == (size >= 8 * chunk and positions[0][0] == 0)
+            assert any(ran for *_, runs in ends for _, ran, _ in runs) == some
         c, other = random_circuit(8, 2, seed=1), random_circuit(8, 2, seed=2)
         claims = compute_description(other)
         taken.clear()
@@ -362,6 +387,112 @@ class TestApplyLayer:
             tracemalloc.stop()
         assert out.nbytes == mat.nbytes
         assert peak < 1.5 * mat.nbytes
+
+
+class TestConjugateHermitian:
+    """The last step of a described entry, :func:`linalg._conjugate_hermitian`,
+    against ``embed``, ``conjugate_layer`` and ``(P + P†)/2``."""
+
+    @staticmethod
+    def _reference(p, support, grown, ops):
+        q = embed(p, support, grown) if list(support) != list(grown) else p
+        q = conjugate_layer(q, ops, len(grown))
+        return (q + dagger(q)) / 2
+
+    @classmethod
+    def _check(cls, p, support, grown, ops, tile=None):
+        before = p.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            if tile is not None:
+                patch.setattr(linalg, "_TILE", tile)
+            got = _conjugate_hermitian(p, support, grown, ops)
+        assert np.array_equal(p.view(np.uint64), before.view(np.uint64))
+        assert np.array_equal(got, got.conj().T)
+        assert max_abs(got - cls._reference(p, support, grown, ops)) <= 1e-12
+        return got
+
+    @staticmethod
+    def _hermitian(w, rng):
+        a = rng.normal(size=(1 << w,) * 2) + 1j * rng.normal(size=(1 << w,) * 2)
+        return (a + dagger(a)) / 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 7), st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 4, 16, 64, 256, 1 << 10]),
+    )
+    def test_tiles_match_embedded_conjugate(self, w, seed, tile):
+        # A random support inside ``grown``, new qubits anywhere in it, and
+        # one layer of 1- to 3-qubit gates in shuffled qubit order that
+        # touches every new qubit and a random share of the old ones: no
+        # idle axis, or fewer than a tile of ``_TILE`` needs, included.
+        rng = np.random.default_rng(seed)
+        grown = sorted(rng.choice(12, size=w, replace=False).tolist())
+        old = rng.random(w) < 0.6
+        old[rng.integers(w)] = True
+        support = [q for q, o in zip(grown, old) if o]
+        acted = [
+            a for a in rng.permutation(w).tolist() if not old[a] or rng.random() < 0.5
+        ]
+        ops = []
+        while acted:
+            k = int(rng.integers(1, 4))
+            ops.append((haar_unitary(len(acted[:k]), rng), acted[:k]))
+            acted = acted[k:]
+        self._check(self._hermitian(len(support), rng), support, grown, ops, tile)
+
+    @pytest.mark.parametrize(
+        "support, grown, gates",
+        [
+            # Brickwork ends: a new qubit at each end, idle axes between.
+            (range(1, 6), range(7), [[0, 1], [5, 6]]),
+            (range(0, 5), range(6), [[4, 5]]),
+            # A 3-qubit gate on two old qubits and a new one in the middle.
+            ([0, 1, 3, 4, 6], range(7), [[3, 2, 1], [6, 5]]),
+            # No idle axis.
+            ([0, 2], [0, 1, 2, 3], [[1, 0], [2, 3]]),
+            # One idle axis, fewer than the split of a tiny ``_TILE``.
+            ([1, 2, 3], [0, 1, 2, 3, 4], [[0, 1], [3, 4]]),
+            # Inside gates only, on a support that does not grow.
+            (range(6), range(6), [[2, 1], [4]]),
+        ],
+        ids=["brickwork", "one-end", "middle-new", "no-idle", "one-idle", "inside"],
+    )
+    @pytest.mark.parametrize("tile", [1, 16, 4**7])
+    def test_layouts_match_embedded_conjugate(self, support, grown, gates, tile):
+        rng = np.random.default_rng(len(gates) + tile)
+        ops = [(haar_unitary(len(g), rng), g) for g in gates]
+        p = self._hermitian(len(support), rng)
+        self._check(p, list(support), list(grown), ops, tile)
+
+    @pytest.mark.parametrize("w", [2, 5, 8])
+    def test_one_tile_is_bit_identical_to_conjugate_then_hermitian_part(self, w):
+        # At most ``_TILE`` amplitudes (width 8): today's embed, conjugate
+        # and ``(P + P†)/2``, bit for bit, whether or not idle axes exist.
+        rng = np.random.default_rng(w)
+        ops = [(haar_unitary(2, rng), [0, 1])]
+        if w > 4:
+            ops.append((haar_unitary(2, rng), [w - 1, w - 2]))
+        p = self._hermitian(w - 1, rng)
+        support, grown = list(range(1, w)), list(range(w))
+        got = self._check(p, support, grown, ops)
+        want = self._reference(p, support, grown, ops)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_width_10_allocates_no_full_size_embedded_copy(self):
+        # Besides its output, the last step of a brickwork entry holds a
+        # few width-8 tiles: embedding first would add a full 16 MiB.
+        rng = np.random.default_rng(10)
+        p = self._hermitian(8, rng)
+        ops = [(haar_unitary(2, rng), [0, 1]), (haar_unitary(2, rng), [8, 9])]
+        tracemalloc.start()
+        try:
+            out = _conjugate_hermitian(p, range(1, 9), range(10), ops)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 16 << 20
+        assert peak < 1.5 * out.nbytes
 
 
 class TestConjugate:
@@ -495,16 +626,19 @@ class TestLocalPrimitives:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 8), st.integers(0, 2**32 - 1))
     def test_hermitian_part_bit_identical(self, n, seed):
+        # With no ops, a result of at most ``_TILE`` amplitudes is one
+        # diagonal tile: the Hermitian part of ``p`` itself.
         rng = np.random.default_rng(seed)
         dim = 1 << n
         p = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         # Zero imaginary parts: where ``x == y``, ``x - y`` is +0 but
-        # ``-(y - x)`` is -0, so the lower blocks must be the same sums as
-        # in ``p + dagger(p)``, not conjugates of the upper ones.
+        # ``-(y - x)`` is -0, so the lower triangle must be the same sums
+        # as in ``p + dagger(p)``, not conjugates of the upper one.
         p.imag[rng.random((dim, dim)) < 0.5] = 0.0
+        before = p.copy()
         want = (p + dagger(p)) / 2
-        got = hermitian_part(p)
-        assert got is p
+        got = _conjugate_hermitian(p, range(n), range(n), [])
+        assert np.array_equal(p.view(np.uint64), before.view(np.uint64))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_conjugate_layer_rejects_overlapping_ops(self):
