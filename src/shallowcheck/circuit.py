@@ -80,8 +80,8 @@ class Gate:
     Parameters
     ----------
     qubits
-        Ordered qubit indices; the first is the most significant bit of
-        the matrix index.
+        Ordered qubit indices, each an ``int`` or a numpy integer; the
+        first is the most significant bit of the matrix index.
     matrix
         Square matrix of dimension ``2**len(qubits)``, stored read-only
         and copied unless it is a complex array that no writable array
@@ -98,7 +98,7 @@ class Gate:
     name: str | None = None
 
     def __post_init__(self):
-        qubits = tuple(int(q) for q in self.qubits)
+        qubits = tuple(_integral(q, "a qubit index") for q in self.qubits)
         if not qubits:
             raise DomainError("a gate must act on at least one qubit")
         matrix = _as_frozen(self.matrix)
@@ -120,6 +120,26 @@ class Gate:
     def __repr__(self) -> str:
         tag = self.name or f"U{self.arity}"
         return f"Gate({tag} on {self.qubits})"
+
+
+def _derived_gate(qubits: tuple[int, ...], matrix: np.ndarray, name: str | None) -> Gate:
+    """A gate made from the parts of gates already built, without checks.
+
+    ``qubits`` must be a tuple of ``int`` and ``matrix`` a read-only
+    complex matrix of the matching dimension that no writable array
+    shares memory with, as ``Gate`` leaves them: a shifted copy of a
+    gate, or its dagger by :func:`_frozen_dagger`.
+    """
+    g = object.__new__(Gate)
+    vars(g).update(qubits=qubits, matrix=matrix, name=name)
+    return g
+
+
+def _integral(value, what: str) -> int:
+    """``value`` as an ``int``; only ``int`` and numpy integers are accepted."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +170,7 @@ class Circuit:
     layers: tuple[Layer, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "n_qubits", int(self.n_qubits))
+        object.__setattr__(self, "n_qubits", _integral(self.n_qubits, "n_qubits"))
         object.__setattr__(self, "layers", tuple(self.layers))
 
     @property
@@ -190,8 +210,23 @@ def validate(c: Circuit) -> list[str]:
     violations: list[str] = []
     if c.n_qubits < 1:
         violations.append(f"circuit: n_qubits must be at least 1, got {c.n_qubits}")
-    unitarity = _unitarity_deviations(c)
+    faulty = _faulty_matrices(c)
     for i, layer in enumerate(c.layers):
+        qubits = [q for g in layer.gates for q in g.qubits]
+        if (
+            len(set(qubits)) == len(qubits)
+            and (not qubits or (min(qubits) >= 0 and max(qubits) < c.n_qubits))
+            and all(len(g.qubits) <= DEFAULT_K_MAX for g in layer.gates)
+        ):
+            # Distinct, in-range qubits and small gates: only a matrix
+            # can be at fault, and the loop below would say the same.
+            if faulty:
+                violations += [
+                    _matrix_violation(i, j, faulty[id(g)])
+                    for j, g in enumerate(layer.gates)
+                    if id(g) in faulty
+                ]
+            continue
         claimed: dict[int, int] = {}
         for j, g in enumerate(layer.gates):
             if len(set(g.qubits)) != len(g.qubits):
@@ -209,16 +244,8 @@ def validate(c: Circuit) -> list[str]:
                     f"layer {i}, gate {j}: arity {g.arity} exceeds the "
                     f"gate-arity limit {DEFAULT_K_MAX}"
                 )
-            dev = unitarity[id(g)]
-            if dev is None:
-                violations.append(
-                    f"layer {i}, gate {j}: matrix contains non-finite entries"
-                )
-            elif dev > STRUCTURAL_TOL:
-                violations.append(
-                    f"layer {i}, gate {j}: matrix is not unitary "
-                    f"(max deviation {dev:.3e})"
-                )
+            if id(g) in faulty:
+                violations.append(_matrix_violation(i, j, faulty[id(g)]))
             overlap = sorted(q for q in g.qubits if q in claimed)
             if overlap:
                 other = claimed[overlap[0]]
@@ -230,8 +257,15 @@ def validate(c: Circuit) -> list[str]:
     return violations
 
 
-def _unitarity_deviations(c: Circuit) -> dict[int, float | None]:
-    """``max|U U† - I|`` of every gate of ``c``, keyed by ``id``.
+def _matrix_violation(i: int, j: int, dev: float | None) -> str:
+    """The violation of gate ``j`` of layer ``i`` with deviation ``dev``."""
+    if dev is None:
+        return f"layer {i}, gate {j}: matrix contains non-finite entries"
+    return f"layer {i}, gate {j}: matrix is not unitary (max deviation {dev:.3e})"
+
+
+def _faulty_matrices(c: Circuit) -> dict[int, float | None]:
+    """``max|U U† - I|`` of each gate of ``c`` beyond ``STRUCTURAL_TOL``, by ``id``.
 
     ``None`` marks a matrix with non-finite entries.  The matrices of
     each dimension are stacked and checked with one product.
@@ -246,8 +280,8 @@ def _unitarity_deviations(c: Circuit) -> dict[int, float | None]:
         finite = np.isfinite(u).all(axis=(1, 2))
         with np.errstate(all="ignore"):  # NaN members are reported, not checked
             devs = np.abs(u @ np.conj(u).mT - np.eye(dim)).max(axis=(1, 2))
-        for g, ok, dev in zip(gates, finite.tolist(), devs.tolist()):
-            out[id(g)] = dev if ok else None
+        for b in np.flatnonzero(~finite | (devs > STRUCTURAL_TOL)).tolist():
+            out[id(gates[b])] = float(devs[b]) if finite[b] else None
     return out
 
 
@@ -268,7 +302,7 @@ def _inverse_layers(layers: Sequence[Layer], shift: int) -> tuple[Layer, ...]:
         for g in layer.gates:
             m = _frozen_dagger(g.matrix)
             name = g.name if g.name is not None and np.array_equal(m, g.matrix) else None
-            gates.append(Gate(tuple(q + shift for q in g.qubits), m, name))
+            gates.append(_derived_gate(tuple([q + shift for q in g.qubits]), m, name))
         new_layers.append(Layer(tuple(gates)))
     return tuple(new_layers)
 
@@ -302,13 +336,13 @@ def choi_extend(c: Circuit) -> Circuit:
     Depth grows by one.
     """
     n = c.n_qubits
-    pair_layer = Layer(tuple(Gate((p, n + p), _PAIR_GATE) for p in range(n)))
+    pair_layer = Layer(tuple([_derived_gate((p, n + p), _PAIR_GATE, None) for p in range(n)]))
     shifted = tuple(
         Layer(
-            tuple(
-                Gate(tuple(q + n for q in g.qubits), g.matrix, g.name)
+            tuple([
+                _derived_gate(tuple([q + n for q in g.qubits]), g.matrix, g.name)
                 for g in layer.gates
-            )
+            ])
         )
         for layer in c.layers
     )
@@ -319,7 +353,7 @@ def _choi_inverse(c: Circuit) -> Circuit:
     """``adjoint(choi_extend(c))``, with each of its gates built once."""
     n = c.n_qubits
     pair = _frozen_dagger(_PAIR_GATE)
-    pairs = Layer(tuple(Gate((p, n + p), pair) for p in range(n)))
+    pairs = Layer(tuple([_derived_gate((p, n + p), pair, None) for p in range(n)]))
     return Circuit(2 * n, _inverse_layers(c.layers, n) + (pairs,))
 
 

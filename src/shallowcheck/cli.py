@@ -214,7 +214,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise DomainError(f"--seed must be non-negative, got {args.seed}")
     if args.trials < 1:
         raise DomainError(f"--trials must be positive, got {args.trials}")
+    if args.depth < 0:
+        raise DomainError(f"--depth must be non-negative, got {args.depth}")
     sizes = _parse_n_range(args.n_range)
+    if sizes[0] < 2:
+        raise DomainError(f"bad --n-range {args.n_range!r}: sizes must be at least 2")
     rows = []
     for n in sizes:
         for trial in range(args.trials):

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate, validate
+from .circuit import Circuit, Gate, _integral, validate
 from .cone import ZERO_PROJECTOR, walk_light_cones
 from .config import DEFAULT_ORACLE_CAP, support_cap
 from .errors import CapacityError, DomainError, SchemaError, ValidationError
@@ -66,7 +66,7 @@ class LocalProjection:
     matrix: np.ndarray
 
     def __post_init__(self):
-        support = tuple(int(q) for q in self.support)
+        support = tuple(_integral(q, "a support qubit") for q in self.support)
         if not support:
             raise DomainError("a local projection needs a non-empty support")
         if list(support) != sorted(set(support)):
@@ -103,7 +103,7 @@ class Description:
     projections: tuple[LocalProjection, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n_qubits", int(self.n_qubits))
+        object.__setattr__(self, "n_qubits", _integral(self.n_qubits, "n_qubits"))
         object.__setattr__(self, "projections", tuple(self.projections))
 
     def __repr__(self) -> str:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shallowcheck import (
     NAMED_GATES,
@@ -22,7 +24,9 @@ from shallowcheck import (
     simulate,
     validate,
 )
+from shallowcheck import circuit
 from shallowcheck.circuit import _choi_inverse, choi_pair_gate, gate_in_sorted_order
+from shallowcheck.config import DEFAULT_K_MAX, STRUCTURAL_TOL
 
 
 def bell_layer_circuit():
@@ -67,6 +71,16 @@ class TestGate:
     def test_arity(self):
         assert named_gate("SWAP", (3, 1)).arity == 2
 
+    @pytest.mark.parametrize("bad", [1.7, 1.0, np.float64(1.0), True, "1", None])
+    def test_qubit_index_must_be_an_integer(self, bad):
+        with pytest.raises(DomainError, match="qubit index must be an integer"):
+            Gate((0, bad), np.eye(4))
+
+    def test_numpy_integer_qubits_become_ints(self):
+        g = Gate((np.int64(0), np.uint8(2)), np.eye(4))
+        assert g.qubits == (0, 2)
+        assert all(type(q) is int for q in g.qubits)
+
 
 class TestNamedGates:
     def test_all_named_gates_are_unitary(self):
@@ -91,6 +105,17 @@ class TestNamedGates:
     def test_pair_gate_prepares_bell_state(self):
         v = choi_pair_gate() @ np.array([1, 0, 0, 0], dtype=complex)
         assert np.allclose(v, np.array([1, 0, 0, 1]) / np.sqrt(2))
+
+
+class TestCircuit:
+    @pytest.mark.parametrize("bad", [3.9, 3.0, np.float32(3.0), False, "3"])
+    def test_qubit_count_must_be_an_integer(self, bad):
+        with pytest.raises(DomainError, match="n_qubits must be an integer"):
+            Circuit(bad)
+
+    def test_numpy_integer_qubit_count_becomes_an_int(self):
+        c = Circuit(np.int32(3))
+        assert c.n_qubits == 3 and type(c.n_qubits) is int
 
 
 class TestValidate:
@@ -205,6 +230,79 @@ class TestComposition:
             concat(Circuit(1), Circuit(2))
 
 
+def _validate_gate_by_gate(c):
+    """The rules of ``validate``, checked one gate at a time."""
+    out = []
+    if c.n_qubits < 1:
+        out.append(f"circuit: n_qubits must be at least 1, got {c.n_qubits}")
+    for i, layer in enumerate(c.layers):
+        claimed = {}
+        for j, g in enumerate(layer.gates):
+            if len(set(g.qubits)) != len(g.qubits):
+                out.append(f"layer {i}, gate {j}: duplicate qubit indices {g.qubits}")
+            for q in g.qubits:
+                if not 0 <= q < c.n_qubits:
+                    out.append(
+                        f"layer {i}, gate {j}: qubit {q} out of range for "
+                        f"{c.n_qubits} qubit(s)"
+                    )
+            if g.arity > DEFAULT_K_MAX:
+                out.append(
+                    f"layer {i}, gate {j}: arity {g.arity} exceeds the "
+                    f"gate-arity limit {DEFAULT_K_MAX}"
+                )
+            u = g.matrix
+            if not np.isfinite(u).all():
+                out.append(f"layer {i}, gate {j}: matrix contains non-finite entries")
+            else:
+                dev = np.abs(u @ u.conj().T - np.eye(len(u))).max()
+                if dev > STRUCTURAL_TOL:
+                    out.append(
+                        f"layer {i}, gate {j}: matrix is not unitary "
+                        f"(max deviation {dev:.3e})"
+                    )
+            overlap = sorted(q for q in g.qubits if q in claimed)
+            if overlap:
+                out.append(
+                    f"layer {i}: gates {claimed[overlap[0]]} and {j} overlap "
+                    f"on qubit(s) {overlap}"
+                )
+            for q in g.qubits:
+                claimed.setdefault(q, j)
+    return out
+
+
+def _matrix(kind, arity):
+    dim = 1 << arity
+    if kind == "unitary":
+        return haar_unitary(arity, seed=arity)
+    if kind == "scaled":
+        return 2 * np.eye(dim)
+    m = np.eye(dim, dtype=complex)
+    m[0, -1] = np.nan
+    return m
+
+
+_malformed_gates = st.builds(
+    lambda qubits, kind: Gate(tuple(qubits), _matrix(kind, len(qubits))),
+    st.lists(st.integers(-2, 6), min_size=1, max_size=4),
+    st.sampled_from(["unitary", "unitary", "scaled", "nan"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-1, 6),
+    st.lists(st.lists(_malformed_gates, max_size=4), max_size=4),
+)
+def test_validate_agrees_with_the_gate_by_gate_rules(n, layers):
+    # Duplicate, out-of-range and negative qubits, overlapping gates,
+    # arity 4, NaN and non-unitary matrices and n_qubits < 1, as well
+    # as valid layers, which validate checks at once.
+    c = Circuit(n, [Layer(gates) for gates in layers])
+    assert validate(c) == _validate_gate_by_gate(c)
+
+
 class TestChoiExtend:
     def test_shape(self):
         c = random_circuit(4, 3, seed=1)
@@ -257,15 +355,23 @@ class TestChoiExtend:
                 assert not gg.matrix.base.flags.writeable
 
     def test_strong_check_builds_each_gate_once(self, monkeypatch):
+        # Checked or derived from a checked gate, each composite gate is
+        # built once.
         c0, c1 = random_circuit(6, 3, seed=1), random_circuit(6, 2, seed=2)
         built = []
         post_init = Gate.__post_init__
+        derived = circuit._derived_gate
 
         def count(self):
             built.append(self)
             post_init(self)
 
+        def count_derived(*args):
+            built.append(args)
+            return derived(*args)
+
         monkeypatch.setattr(Gate, "__post_init__", count)
+        monkeypatch.setattr(circuit, "_derived_gate", count_derived)
         check_strong(c0, c1)
         sizes = [sum(len(layer.gates) for layer in c.layers) for c in (c0, c1)]
         assert len(built) == 2 * 6 + sum(sizes)
@@ -460,6 +566,13 @@ class TestJson:
     def test_boolean_is_not_an_integer(self):
         with pytest.raises(SchemaError, match="expected an integer"):
             circuit_from_json({"n_qubits": True, "layers": []})
+
+    def test_floats_are_not_integers(self):
+        with pytest.raises(SchemaError, match="n_qubits: expected an integer"):
+            circuit_from_json({"n_qubits": 2.0, "layers": []})
+        obj = {"n_qubits": 2, "layers": [[{"qubits": [0, 1.0], "name": "CZ"}]]}
+        with pytest.raises(SchemaError, match=r"qubits\[1\]: expected an integer"):
+            circuit_from_json(obj)
 
     def test_empty_qubits_rejected(self):
         obj = {"n_qubits": 1, "layers": [[{"qubits": [], "name": "X"}]]}

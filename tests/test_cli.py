@@ -343,6 +343,22 @@ class TestBench:
                          "--depth", "1", "--csv", str(csv)]) == 2
             capsys.readouterr()
 
+    @pytest.mark.parametrize("mode", ["describe", "weak", "strong", "inequiv"])
+    def test_negative_depth_rejected_before_any_row(self, tmp_path, capsys, mode):
+        csv = tmp_path / "bench.csv"
+        assert main(["bench", "--mode", mode, "--n-range", "2", "--depth", "-2",
+                     "--csv", str(csv)]) == 2
+        assert "--depth must be non-negative, got -2" in capsys.readouterr().err
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("sizes", ["-3", "1", "0:4:2"])
+    def test_sizes_below_two_rejected_before_any_row(self, tmp_path, capsys, sizes):
+        csv = tmp_path / "bench.csv"
+        assert main(["bench", "--mode", "weak", "--n-range", sizes, "--depth", "1",
+                     "--csv", str(csv)]) == 2
+        assert "sizes must be at least 2" in capsys.readouterr().err
+        assert not csv.exists()
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         csv = tmp_path / "bench.csv"
         assert main(["bench", "--mode", "describe", "--n-range", "4",

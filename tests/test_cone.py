@@ -377,13 +377,17 @@ def unmemoised_walk(c, starts, what, cap, backward=False):
 
 
 @settings(max_examples=60, deadline=None)
-@given(circuits(max_qubits=5), st.booleans(), st.booleans(), st.integers(1, 10))
-def test_walker_matches_the_unmemoised_walk(c, doubled, backward, cap):
+@given(circuits(max_qubits=5), st.booleans(), st.booleans(), st.integers(1, 10), st.data())
+def test_walker_matches_the_unmemoised_walk(c, doubled, backward, cap, data):
     # A doubled composite has Choi twins, cones of ``p`` and ``n + p``
-    # that share a support after the pair layer.
+    # that share a support after the pair layer.  Starts are single
+    # qubits, or supports of a static check's claims, repeats among them.
     if doubled:
         c = concat(choi_extend(c), adjoint(choi_extend(c)))
     starts = [(t,) for t in range(c.n_qubits)]
+    if data.draw(st.booleans()):
+        qubits = st.sets(st.integers(0, c.n_qubits - 1), min_size=1, max_size=3)
+        starts = [tuple(sorted(s)) for s in data.draw(st.lists(qubits, min_size=1, max_size=8))]
     try:
         want = unmemoised_walk(c, starts, "cone {}", cap, backward)
     except CapacityError as error:
@@ -398,13 +402,71 @@ def test_walker_matches_the_unmemoised_walk(c, doubled, backward, cap):
 
 
 def test_walker_shares_the_step_of_a_shared_support():
+    # Twins grow to one support at the pair layer, so they share every
+    # step, the first one included, and their whole list of steps.
     c = random_circuit(6, 2, seed=1)
     doubled = concat(choi_extend(c), adjoint(choi_extend(c)))
     cones = walk_light_cones(doubled, [(t,) for t in range(12)], "cone {}", 12)
     for p in range(6):
-        assert cones[p][0] is not cones[6 + p][0]
-        for a, b in zip(cones[p][1:], cones[6 + p][1:]):
-            assert a is b
+        assert cones[p][0] is cones[6 + p][0]
+        assert cones[p] is cones[6 + p]
+
+
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_overflowing_twins_name_the_lower_index_and_first_layer(backward, reverse):
+    # Layers of the composite: 0 pairs (p, 4 + p), 1 gate (5, 6), 2 gate
+    # (4, 7), 3 its dagger, 4 the dagger of (5, 6), 5 the pair daggers.
+    # At cap 2 the cones of qubits 1, 2, 5 and 6, two pairs of twins,
+    # overflow first: at layer 1 forward, at layer 4 backward.
+    u, v = haar_unitary(2, seed=1), haar_unitary(2, seed=2)
+    c = Circuit(4, [Layer([Gate((1, 2), u)]), Layer([Gate((0, 3), v)])])
+    doubled = concat(choi_extend(c), adjoint(choi_extend(c)))
+    qubits = list(range(8))[::-1] if reverse else list(range(8))
+    starts = [(q,) for q in qubits]
+    first = min(i for i, q in enumerate(qubits) if q in (1, 2, 5, 6))
+    with pytest.raises(CapacityError) as exc:
+        walk_light_cones(doubled, starts, "cone {}", 2, backward)
+    layer = 4 if backward else 1
+    assert str(exc.value) == (
+        f"cone {first} would reach 3 qubit(s) at layer {layer}, "
+        "exceeding the support cap of 2"
+    )
+    assert (exc.value.size, exc.value.cap) == (3, 2)
+    with pytest.raises(CapacityError) as want:
+        unmemoised_walk(doubled, starts, "cone {}", 2, backward)
+    assert str(exc.value) == str(want.value)
+
+
+def test_strong_check_of_a_paired_ladder_batches_by_gate_layout(monkeypatch):
+    # On the composite of two paired ladders, the cones of qubits 2k and
+    # 6 + 2k (twins) have 4 qubits and the same gate axes, and so do the
+    # cones of 2k + 1 and 6 + 2k + 1: two groups.  Each chain has
+    # 2 * depth + 2 steps, each one call for A† and one for A, and Q is
+    # one call per run of equal axes, one run per twin.
+    n, depth = 6, 2
+    rng = np.random.default_rng(3)
+
+    def ladder():
+        return Circuit(n, [
+            Layer([Gate((q, q + 1), haar_unitary(2, rng)) for q in range(0, n, 2)])
+            for _ in range(depth)
+        ])
+
+    batches = []
+
+    def recording(tensor, ops):
+        batches.append(tensor.shape[0])
+        return apply_layer(tensor, ops)
+
+    monkeypatch.setattr(cone, "apply_layer", recording)
+    report = check_strong(ladder(), ladder())
+    assert {len(r.support) for r in report.residuals} == {4}
+    steps = 2 * depth + 2
+    assert len(batches) == 2 * (2 * steps + 2)
+    # The layers of A† and A run on a whole group, Q on one twin's run.
+    assert batches.count(n) == 2 * 2 * steps
+    assert batches.count(n // 2) == 2 * 2
 
 
 @pytest.mark.parametrize("cap", [0, -3])

@@ -366,6 +366,20 @@ class TestLocalProjection:
             with pytest.raises(DomainError, match="negative"):
                 LocalProjection(support, np.eye(1 << len(support)))
 
+    @pytest.mark.parametrize("support", [(1.9, 2.2), (1.0, 2), (np.float64(1), 2), (True, 2)])
+    def test_support_qubits_must_be_integers(self, support):
+        with pytest.raises(DomainError, match="support qubit must be an integer"):
+            LocalProjection(support, np.eye(4))
+
+    def test_numpy_integer_support_becomes_ints(self):
+        p = LocalProjection((np.int64(1), np.uint16(2)), np.eye(4))
+        assert p.support == (1, 2) and all(type(q) is int for q in p.support)
+
+    def test_description_qubit_count_must_be_an_integer(self):
+        with pytest.raises(DomainError, match="n_qubits must be an integer"):
+            Description(1.5, ())
+        assert Description(np.int8(0), ()).n_qubits == 0
+
     def test_matrix_readonly(self):
         p = LocalProjection((0,), np.eye(2))
         with pytest.raises(ValueError):
