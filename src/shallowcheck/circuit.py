@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_K_MAX, STRUCTURAL_TOL, support_cap
 from .errors import CapacityError, DomainError, SchemaError
-from .linalg import _as_frozen
+from .linalg import _as_frozen, _integral
 
 __all__ = [
     "Circuit",
@@ -135,13 +135,6 @@ def _derived_gate(qubits: tuple[int, ...], matrix: np.ndarray, name: str | None)
     return g
 
 
-def _integral(value, what: str) -> int:
-    """``value`` as an ``int``; only ``int`` and numpy integers are accepted."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise DomainError(f"{what} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class Layer:
     """Gates applied simultaneously; supports must be pairwise disjoint."""
@@ -149,7 +142,11 @@ class Layer:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
+        gates = tuple(self.gates)
+        for g in gates:
+            if not isinstance(g, Gate):
+                raise DomainError(f"a layer holds gates only, got {g!r}")
+        object.__setattr__(self, "gates", gates)
 
     def support(self) -> set[int]:
         """Union of the supports of all gates in the layer."""
@@ -171,7 +168,11 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", _integral(self.n_qubits, "n_qubits"))
-        object.__setattr__(self, "layers", tuple(self.layers))
+        layers = tuple(self.layers)
+        for layer in layers:
+            if not isinstance(layer, Layer):
+                raise DomainError(f"a circuit holds layers only, got {layer!r}")
+        object.__setattr__(self, "layers", layers)
 
     @property
     def depth(self) -> int:

@@ -17,19 +17,23 @@ and the tuple doubles as a machine-checkable assertion about the state.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _integral, validate
-from .cone import ZERO_PROJECTOR, walk_light_cones
+from .circuit import Circuit, Gate, validate
+from .cone import ZERO_PROJECTOR, ConeStep, walk_light_cones
 from .config import DEFAULT_ORACLE_CAP, support_cap
 from .errors import CapacityError, DomainError, SchemaError, ValidationError
 from .linalg import (
     ErrorTriple,
+    _TILE,
     _as_frozen,
     _conjugate_hermitian,
+    _integral,
     apply_layer,
     apply_local,
     conjugate_layer,
@@ -164,6 +168,23 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     this and the tiling pin the output bits exactly for a given input.
     This is the dense ``16·4^w``-byte path; the checks use the
     cone-state kernel instead and this function is their reference.
+
+    Validation and the light-cone walk run on the calling thread, so a
+    capacity error comes before any entry is built.  When some entry's
+    final matrix holds at least ``2^16`` amplitudes (one tile), the
+    calling thread and one pool thread per further CPU take entries,
+    widest first, from one shared queue; their matrix products release
+    the interpreter lock and overlap.  The CPUs are those of
+    ``os.sched_getaffinity``, divided by the threads each BLAS call runs
+    on: the count ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` or
+    ``OMP_NUM_THREADS`` sets, or every CPU when none is set.  Each
+    entry's final matrix is allocated untouched on the calling thread
+    before the pool starts, so pool threads allocate only temporaries,
+    and glibc's per-thread arenas keep no freed output resident.
+    Narrower descriptions, whose entries spend their time in Python
+    under the lock, and hosts with no CPU to spare are built serially
+    with no thread started.  The output is bit-identical whichever
+    thread builds an entry.
     """
     violations = validate(c)
     if violations:
@@ -172,33 +193,115 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
         cap = support_cap()
     n = c.n_qubits
     cones = walk_light_cones(c, [(t,) for t in range(n)], "support of qubit {}", cap)
-    entries = []
-    for t, steps in enumerate(cones):
-        support: tuple[int, ...] = (t,)
-        p = ZERO_PROJECTOR
-        for k, (touched, grown) in enumerate(steps, 1):
-            old = set(support)
-            inside = [g for g in touched if old.issuperset(g.qubits)]
-            straddling = [g for g in touched if not old.issuperset(g.qubits)]
-            # A last step that does not grow hands its inside gates to
-            # the final conjugation instead.
-            if inside and (straddling or k < len(steps)):
-                p = _conjugate(p, inside, support)
-            if k == len(steps):
-                # The last step reaches the final support: only the tiles
-                # on or above the diagonal are conjugated there.
-                p = _conjugate_hermitian(
-                    p, support, grown, _layer(straddling or inside, grown)
-                )
-                p.setflags(write=False)
-            elif grown != support:
-                # Two statements, so the old matrix is freed before the
-                # grown one is conjugated, keeping the peak as it was.
-                p = embed(p, support, grown)
-                p = _conjugate(p, straddling, grown)
-            support = grown
-        entries.append(LocalProjection(support, p))
-    return Description(n, tuple(entries))
+    # Amplitudes of each entry's final matrix, 0 for an entry no gate touches.
+    sizes = [1 << 2 * len(steps[-1][1]) if steps else 0 for steps in cones]
+    workers = _pool_threads() if max(sizes, default=0) >= _TILE else 0
+    if not workers:
+        return Description(n, tuple(_entry(t, s, None) for t, s in enumerate(cones)))
+    return Description(n, _pooled(cones, sizes, workers))
+
+
+#: Variables that set the BLAS's thread count: OpenBLAS's and MKL's own
+#: before OpenMP's, which both read last.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _pool_threads() -> int:
+    """Pool threads to start besides the caller: one per CPU left once
+    each thread's BLAS calls have the threads they run on.
+
+    The BLAS runs on the count its environment sets, or on every CPU
+    when none is set, so then no pool thread is started: threads that
+    contend with the BLAS's own measured slower than one thread.
+    """
+    for name in _BLAS_THREADS:
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            # ``sched_getaffinity`` is missing on macOS and Windows.
+            if hasattr(os, "sched_getaffinity"):
+                cpus = len(os.sched_getaffinity(0))
+            else:
+                cpus = os.cpu_count() or 1
+            return max(0, cpus // int(value) - 1)
+    return 0
+
+
+def _pooled(
+    cones: Sequence[Sequence[ConeStep]], sizes: Sequence[int], workers: int
+) -> tuple[LocalProjection, ...]:
+    """The entries of :func:`compute_description`, built by the calling
+    thread and ``workers`` pool threads, widest first.
+
+    Each final matrix is allocated here, untouched, so a pool thread
+    allocates only temporaries and no output stays in its arena.  After
+    the first exception no thread takes another entry, and it is
+    raised once every thread has stopped.
+    """
+    # Imported here: a process that never builds a wide description
+    # does not load the executor and the logging module it imports.
+    from concurrent.futures import ThreadPoolExecutor
+
+    outs = [
+        np.empty((1 << len(steps[-1][1]),) * 2, dtype=complex) if steps else None
+        for steps in cones
+    ]
+    entries: list[LocalProjection | None] = [None] * len(cones)
+    todo = iter(sorted(range(len(cones)), key=lambda t: -sizes[t]))
+    lock = threading.Lock()
+    failure: list[BaseException] = []
+
+    def build() -> None:
+        while True:
+            with lock:
+                t = None if failure else next(todo, None)
+            if t is None:
+                return
+            try:
+                entries[t] = _entry(t, cones[t], outs[t])
+            except BaseException as e:
+                with lock:
+                    failure.append(e)
+                return
+
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(build) for _ in range(workers)]
+        build()
+        for f in futures:
+            f.result()
+    if failure:
+        raise failure[0]
+    return tuple(entries)
+
+
+def _entry(
+    t: int, steps: Sequence[ConeStep], out: np.ndarray | None
+) -> LocalProjection:
+    """Entry ``t`` from its light-cone ``steps``, the last step writing
+    into ``out`` when one is given."""
+    support: tuple[int, ...] = (t,)
+    p = ZERO_PROJECTOR
+    for k, (touched, grown) in enumerate(steps, 1):
+        old = set(support)
+        inside = [g for g in touched if old.issuperset(g.qubits)]
+        straddling = [g for g in touched if not old.issuperset(g.qubits)]
+        # A last step that does not grow hands its inside gates to the
+        # final conjugation instead.
+        if inside and (straddling or k < len(steps)):
+            p = _conjugate(p, inside, support)
+        if k == len(steps):
+            # The last step reaches the final support: only the tiles on
+            # or above the diagonal are conjugated there.
+            p = _conjugate_hermitian(
+                p, support, grown, _layer(straddling or inside, grown), out
+            )
+            p.setflags(write=False)
+        elif grown != support:
+            # Two statements, so the old matrix is freed before the grown
+            # one is conjugated, keeping the peak as it was.
+            p = embed(p, support, grown)
+            p = _conjugate(p, straddling, grown)
+        support = grown
+    return LocalProjection(support, p)
 
 
 def _conjugate(

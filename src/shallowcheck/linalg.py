@@ -89,6 +89,17 @@ _MIN_TRAILING = 64
 _CHUNK = 1 << 15
 
 
+def _integral(value, what: str) -> int:
+    """``value`` as an ``int``; only ``int`` and numpy integers are accepted."""
+    # Plain ints first: positions are checked on every kernel call, and
+    # this case costs no more than ``int()``.
+    if type(value) is int:
+        return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
 def _as_operator(a: np.ndarray | Sequence, what: str = "matrix") -> np.ndarray:
     """Coerce to a square complex matrix, raising DomainError otherwise."""
     m = np.asarray(a, dtype=complex)
@@ -180,8 +191,8 @@ def embed(
         Operator of dimension ``2**len(target_support)``.
     """
     op = _as_operator(op, "op")
-    ops = [int(q) for q in op_support]
-    tgt = [int(q) for q in target_support]
+    ops = [_integral(q, "a qubit of op_support") for q in op_support]
+    tgt = [_integral(q, "a qubit of target_support") for q in target_support]
     if ops != sorted(set(ops)):
         raise DomainError(f"op_support must be sorted and duplicate-free, got {ops}")
     if tgt != sorted(set(tgt)):
@@ -290,7 +301,7 @@ def _check_local_args(
     op: np.ndarray, positions: Sequence[int], n_qubits: int
 ) -> tuple[np.ndarray, list[int]]:
     op = _as_operator(op, "op")
-    pos = [int(p) for p in positions]
+    pos = [_integral(p, "a position") for p in positions]
     k = _qubit_count(op.shape[0], "op")
     if k != len(pos):
         raise DomainError(
@@ -518,6 +529,7 @@ def _conjugate_hermitian(
     support: Sequence[int],
     grown: Sequence[int],
     ops: Sequence[tuple[np.ndarray, Sequence[int]]],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``U (p ⊗ I) U†`` on ``grown``, exactly Hermitian, for one layer ``U``.
 
@@ -539,8 +551,10 @@ def _conjugate_hermitian(
     for bit.  A result of at most ``_TILE`` amplitudes, or with no idle
     axis, is one diagonal tile: the conjugate of the embedded ``p``,
     made Hermitian as ``(P + P†)/2``.  Besides ``p`` and the result,
-    which is allocated once the first tile's input has been freed, one
-    tile and its conjugate are live at a time.
+    one tile and its conjugate are live at a time.  The result is
+    written into ``out``, a C-contiguous complex matrix on ``grown``,
+    when one is given, and otherwise allocated once the first tile's
+    input has been freed.
     """
     support, grown = [int(q) for q in support], [int(q) for q in grown]
     w = len(grown)
@@ -575,13 +589,12 @@ def _conjugate_hermitian(
         return x.reshape((2,) * (2 * k))
 
     swap = list(range(k, 2 * k)) + list(range(k))
-    out = None
     for r in range(1 << s):
         for c in range(r, 1 << s):
             t = apply_layer(tile(r, c), layer)
             if out is None:
                 out = np.empty((1 << w, 1 << w), dtype=complex)
-                full = out.reshape((2,) * (2 * w))
+            full = out.reshape((2,) * (2 * w))
             if r == c:
                 d = full[at(split, w, r, r)]
                 np.conjugate(t.transpose(swap), out=d)

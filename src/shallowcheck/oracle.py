@@ -20,7 +20,7 @@ import numpy as np
 from .circuit import Circuit, gate_in_sorted_order, validate
 from .config import DEFAULT_ORACLE_CAP
 from .errors import CapacityError, DomainError, ValidationError
-from .linalg import apply_local, embed, identity, max_abs, zero_state
+from .linalg import _integral, apply_local, embed, identity, max_abs, zero_state
 
 __all__ = [
     "equal_up_to_phase",
@@ -154,7 +154,7 @@ def partial_trace(
         raise DomainError(
             f"density matrix shape {rho.shape} does not match {total} qubit(s)"
         )
-    keep_list = [int(q) for q in keep]
+    keep_list = [_integral(q, "a kept qubit") for q in keep]
     kept = sorted(set(keep_list))
     if len(kept) != len(keep_list):
         raise DomainError(f"keep indices must be distinct, got {keep_list}")

@@ -117,6 +117,19 @@ class TestCircuit:
         c = Circuit(np.int32(3))
         assert c.n_qubits == 3 and type(c.n_qubits) is int
 
+    def test_layer_holds_gates_only(self):
+        # Before, validate and check_weak raised AttributeError on these.
+        with pytest.raises(DomainError, match="a layer holds gates only"):
+            Layer([(0, 1)])
+        with pytest.raises(DomainError, match="a layer holds gates only"):
+            Layer([named_gate("X", (0,)), "CNOT"])
+
+    def test_circuit_holds_layers_only(self):
+        with pytest.raises(DomainError, match="a circuit holds layers only"):
+            Circuit(2, [[named_gate("X", (0,))]])
+        with pytest.raises(DomainError, match="a circuit holds layers only"):
+            Circuit(2, [named_gate("X", (0,))])
+
 
 class TestValidate:
     def test_valid_circuit(self):

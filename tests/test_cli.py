@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from shallowcheck import circuit_to_json, description_to_json, random_circuit
+from shallowcheck import (
+    Circuit,
+    Layer,
+    circuit_to_json,
+    description_to_json,
+    named_gate,
+    random_circuit,
+)
 from shallowcheck.cli import CSV_HEADER, main
 from shallowcheck.config import SUPPORT_CAP_ENV
 from shallowcheck.description import compute_description
@@ -56,6 +63,22 @@ class TestDescribe:
         )
         assert main(["describe", str(doc)]) == 2
         assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("build", ["layer", "circuit"])
+    def test_non_gate_items_are_malformed_input(
+        self, circuit_file, capsys, monkeypatch, build
+    ):
+        # A decoder that hands a layer something other than a gate, or a
+        # circuit something other than a layer, fails with exit 2.
+        def decode(obj):
+            if build == "layer":
+                return Circuit(2, [Layer([(0, 1)])])
+            return Circuit(2, [[named_gate("X", (0,))]])
+
+        monkeypatch.setattr("shallowcheck.cli.circuit_from_json", decode)
+        assert main(["describe", circuit_file]) == 2
+        assert main(["equiv", circuit_file, circuit_file]) == 2
+        assert "holds" in capsys.readouterr().err
 
     def test_capacity_exit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(SUPPORT_CAP_ENV, "3")

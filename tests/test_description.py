@@ -1,8 +1,14 @@
 """Tests for the per-qubit local-projection description engine."""
 
+import contextlib
+import os
+import sys
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shallowcheck.description as description
@@ -187,6 +193,40 @@ def _assert_description_matches(d, supports, mats):
         assert np.max(np.abs(p.matrix - m)) <= TOL
 
 
+@contextlib.contextmanager
+def _host(cpus, blas="1"):
+    """A host of ``cpus`` CPUs whose BLAS runs on ``blas`` threads, or on
+    every CPU when ``blas`` is ``None``."""
+    env = {k: v for k, v in os.environ.items() if k not in description._BLAS_THREADS}
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    affinity = mock.patch.object(
+        os, "sched_getaffinity", return_value=set(range(cpus)), create=True
+    )
+    with affinity:
+        with mock.patch.dict(os.environ, env, clear=True):
+            yield
+
+
+class _Starts:
+    """Counts the threads started while it is entered."""
+
+    def __enter__(self):
+        self.count = 0
+        start = threading.Thread.start
+
+        def counting(thread):
+            self.count += 1
+            start(thread)
+
+        self._patch = mock.patch.object(threading.Thread, "start", counting)
+        self._patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._patch.stop()
+
+
 class TestLayerKernel:
     """Differential tests of the layer kernel behind ``compute_description``."""
 
@@ -224,30 +264,36 @@ class TestLayerKernel:
             assert np.array_equal(p.matrix, dagger(p.matrix))
             assert np.max(np.abs(p.matrix @ p.matrix - p.matrix)) <= TOL
 
-    def test_inside_gates_are_conjugated_before_the_embed(self, monkeypatch):
-        # Each call records the width of the matrix it reads, the width
-        # it conjugates at and the gate matrices it applies.
-        calls = []
+    def test_inside_gates_are_conjugated_before_the_embed(self, monkeypatch, streams):
+        # Each call records, in its thread's stream, the width of the
+        # matrix it reads, the width it conjugates at, the gate matrices
+        # it applies and, for an entry's last step, the matrix it returns.
         conjugate, final = description.conjugate_layer, description._conjugate_hermitian
 
         def recording(mat, ops, n_qubits):
-            calls.append((n_qubits, n_qubits, [u for u, _ in ops]))
+            streams.mine().append((n_qubits, n_qubits, [u for u, _ in ops], None))
             return conjugate(mat, ops, n_qubits)
 
-        def recording_final(p, support, grown, ops):
+        def recording_final(p, support, grown, ops, out=None):
             assert p.shape[0] == 1 << len(support)
-            calls.append((len(support), len(grown), [u for u, _ in ops]))
-            return final(p, support, grown, ops)
+            result = final(p, support, grown, ops, out)
+            streams.mine().append((len(support), len(grown), [u for u, _ in ops], result))
+            return result
 
         monkeypatch.setattr(description, "conjugate_layer", recording)
         monkeypatch.setattr(description, "_conjugate_hermitian", recording_final)
         c = random_circuit(10, 4, seed=3)
-        compute_description(c)
-        calls = iter(calls)
+        with _host(4):
+            d = compute_description(c)
+        # Entries of one tile (width 8), so built on the pool.
+        assert max(p.matrix.size for p in d.projections) == linalg._TILE
+        found = streams.by_entry(d)
+        assert sorted(found) == list(range(10))
         inside_ops = 0
         for t, steps in enumerate(
             walk_light_cones(c, [(t,) for t in range(10)], "support of qubit {}", 10)
         ):
+            calls = iter(found[t])
             support = (t,)
             for k, (touched, grown) in enumerate(steps, 1):
                 inside = [g.matrix for g in touched if set(g.qubits) <= set(support)]
@@ -261,7 +307,7 @@ class TestLayerKernel:
                     (straddling, (last, len(grown))),
                 ):
                     if gates:
-                        read, at, ops = next(calls)
+                        read, at, ops, _ = next(calls)
                         assert (read, at) == widths
                         assert len(ops) == len(gates)
                         assert all(u is m for u, m in zip(ops, gates))
@@ -269,7 +315,7 @@ class TestLayerKernel:
                 # A brickwork cone grows by at most one gate a side.
                 assert len(straddling) <= 2
                 support = grown
-        assert next(calls, None) is None
+            assert next(calls, None) is None
         assert inside_ops > 0
 
     @pytest.mark.parametrize(
@@ -410,6 +456,8 @@ class TestLocalProjection:
         assert LocalProjection((0,), view).matrix is view
 
     def test_described_matrices_are_not_copied(self, monkeypatch):
+        # Serial at width 6, on the pool at width 10; the matrices are
+        # matched to the entries by identity.
         built = []
         original = description._conjugate_hermitian
 
@@ -418,11 +466,14 @@ class TestLocalProjection:
             return built[-1]
 
         monkeypatch.setattr(description, "_conjugate_hermitian", recording)
-        d = compute_description(random_circuit(6, 3, seed=2))
-        assert len(built) == len(d.projections)
-        for p, m in zip(d.projections, built):
-            assert p.matrix is m
-            assert not p.matrix.flags.writeable
+        for n, depth in ((6, 3), (10, 5)):
+            built.clear()
+            with _host(4):
+                d = compute_description(random_circuit(n, depth, seed=2))
+            assert len(built) == len(d.projections)
+            assert {id(m) for m in built} == {id(p.matrix) for p in d.projections}
+            for p in d.projections:
+                assert not p.matrix.flags.writeable
 
 
 class TestComputeDescription:
@@ -510,6 +561,135 @@ class TestComputeDescription:
         for p, s, m in zip(d.projections, ref_supports, ref_mats):
             assert p.support == s
             assert np.allclose(p.matrix, m, atol=1e-12)
+
+
+@st.composite
+def brickworks(draw, max_qubits=12, max_depth=5):
+    """``random_circuit`` brickworks, up to width 10 at depth 5."""
+    n = draw(st.integers(2, max_qubits))
+    depth = draw(st.integers(0, max_depth))
+    return random_circuit(n, depth, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestPool:
+    """Descriptions with an entry of one tile or more are built on a pool
+    of ``len(os.sched_getaffinity(0)) - 1`` threads besides the caller."""
+
+    @staticmethod
+    def _bits(d):
+        return [
+            (p.support, p.matrix.tobytes(), p.matrix.flags.writeable)
+            for p in d.projections
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(brickworks(), layered_circuits(max_qubits=9, max_depth=5)))
+    @example(random_circuit(12, 5, seed=1))
+    @example(random_circuit(10, 4, seed=3))
+    def test_pool_on_and_off_are_bit_identical(self, c):
+        # The pool is forced on for every description by a tile of 0
+        # amplitudes, and off by a single CPU.
+        with _host(1), _Starts() as starts:
+            serial = compute_description(c)
+        assert starts.count == 0
+        with _host(4), mock.patch.object(description, "_TILE", 0), _Starts() as starts:
+            pooled = compute_description(c)
+        assert starts.count > 0
+        assert self._bits(pooled) == self._bits(serial)
+
+    def test_error_in_one_entry_propagates_and_stops_the_pool(self):
+        # Width 10, 12 entries: the first last step fails, and no thread
+        # takes an entry after it, so most entries are never built.
+        injected = RuntimeError("injected")
+        threads, calls = set(), []
+        final = description._conjugate_hermitian
+
+        def failing(*args):
+            threads.add(threading.current_thread())
+            calls.append(None)
+            if len(calls) == 1:
+                raise injected
+            return final(*args)
+
+        with _host(4), mock.patch.object(description, "_conjugate_hermitian", failing):
+            with pytest.raises(RuntimeError) as exc:
+                compute_description(random_circuit(12, 5, seed=1))
+        assert exc.value is injected
+        assert len(calls) < 12
+        assert not any(t.is_alive() for t in threads if t is not threading.current_thread())
+
+    @pytest.mark.parametrize(
+        "cpus, blas, n, depth, started",
+        [
+            (1, "1", 12, 5, 0),  # one CPU, width 10
+            (1, "1", 10, 4, 0),  # one CPU, width 8
+            (4, "1", 20, 3, 0),  # width 6, below a tile
+            (4, None, 12, 5, 0),  # the BLAS on every CPU
+            (4, "4", 12, 5, 0),
+            (4, "2", 12, 5, 1),  # two BLAS threads each, for two threads
+            (2, "1", 10, 4, 1),  # one tile
+        ],
+    )
+    def test_threads_started(self, cpus, blas, n, depth, started):
+        with _host(cpus, blas), _Starts() as starts:
+            compute_description(random_circuit(n, depth, seed=1))
+        assert starts.count == started
+
+    @pytest.mark.parametrize(
+        "cpus, blas, threads",
+        [(4, "1", 3), (4, "2", 1), (8, "3", 1), (4, "4", 0), (1, "1", 0),
+         (4, None, 0), (4, "0", 0), (4, "two", 0)],
+    )
+    def test_pool_threads_leave_each_blas_thread_a_cpu(self, cpus, blas, threads):
+        with _host(cpus, blas):
+            assert description._pool_threads() == threads
+
+    def test_cpu_count_without_sched_getaffinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert description._pool_threads() == 3
+
+    def test_stress_each_entry_built_once(self):
+        # Seven pool threads on this host's CPUs, switching threads every
+        # microsecond: a lost update of the shared queue would build an
+        # entry twice or leave one out.
+        c = random_circuit(24, 4, seed=5)
+        with _host(1):
+            serial = compute_description(c)
+        built = []
+        entry = description._entry
+
+        def recording(*args):
+            built.append(args[0])
+            return entry(*args)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _host(8), mock.patch.object(description, "_entry", recording):
+                pooled = compute_description(c)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(built) == list(range(24))
+        assert self._bits(pooled) == self._bits(serial)
+
+    def test_capacity_error_comes_before_any_entry(self):
+        built = []
+        entry = description._entry
+
+        def recording(*args):
+            built.append(args[0])
+            return entry(*args)
+
+        spy = mock.patch.object(description, "_entry", recording)
+        with _host(4), _Starts() as starts, spy:
+            message = "qubit 4 would reach 10 qubit\\(s\\) at layer 4"
+            with pytest.raises(CapacityError, match=message):
+                compute_description(random_circuit(12, 5, seed=1), cap=9)
+            assert built == [] and starts.count == 0
+            compute_description(random_circuit(12, 5, seed=1), cap=10)
+            assert sorted(built) == list(range(12)) and starts.count > 0
 
 
 class TestDescriptionSemantics:

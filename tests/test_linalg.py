@@ -1,5 +1,7 @@
 """Tests for dense operator primitives and the bit-ordering convention."""
 
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -289,47 +291,57 @@ class TestApplyLayer:
         want = (dense @ tensor.reshape(1 << n, -1)).reshape(shape)
         assert max_abs(got - want) <= 1e-12
 
-    def test_edge_form_runs_for_straddling_gates_never_for_stacks(self, monkeypatch):
-        # Each apply_layer call records whether the transpose-free form
-        # and its chunked pass ran, and its size; each describe call
-        # records its gates' positions, its width and those records.
-        taken, chunked, layers = [], [], []
+    def test_edge_form_runs_for_straddling_gates_never_for_stacks(self, monkeypatch, streams):
+        # Each apply_layer call records, in its thread's list, whether the
+        # transpose-free form and its chunked pass ran, and its size; each
+        # describe call records, in its thread's stream, its gates'
+        # positions, its width, those records and, for an entry's last
+        # step, the matrix it returns.
+        taken, chunked, layers = {}, {}, {}
         edges, chunks, apply = linalg._apply_edges, linalg._apply_chunked, linalg.apply_layer
 
+        def mine(records):
+            return records.setdefault(threading.get_ident(), [])
+
         def spy(tensor, ops, blocks):
-            taken.append(ops)
+            mine(taken).append(ops)
             return edges(tensor, ops, blocks)
 
         def spy_chunks(tensor, ops, a, b):
-            chunked.append(ops)
+            mine(chunked).append(ops)
             return chunks(tensor, ops, a, b)
 
         def spy_layer(tensor, ops):
-            count = len(taken), len(chunked)
+            count = len(mine(taken)), len(mine(chunked))
             out = apply(tensor, ops)
-            layers.append((len(taken) > count[0], len(chunked) > count[1], tensor.size))
+            ran = len(mine(taken)) > count[0], len(mine(chunked)) > count[1]
+            mine(layers).append((*ran, tensor.size))
             return out
 
-        calls = []
         conjugate, final = description.conjugate_layer, description._conjugate_hermitian
 
         def record(mat, ops, n):
-            start = len(layers)
+            start = len(mine(layers))
             out = conjugate(mat, ops, n)
-            calls.append(([list(p) for _, p in ops], n, layers[start:]))
+            streams.mine().append(([list(p) for _, p in ops], n, mine(layers)[start:], None))
             return out
 
-        def record_final(p, support, grown, ops):
-            start = len(layers)
-            out = final(p, support, grown, ops)
-            calls.append(([list(q) for _, q in ops], len(grown), layers[start:]))
-            return out
+        def record_final(p, support, grown, ops, out=None):
+            start = len(mine(layers))
+            result = final(p, support, grown, ops, out)
+            positions = [list(q) for _, q in ops]
+            streams.mine().append((positions, len(grown), mine(layers)[start:], result))
+            return result
 
         monkeypatch.setattr(linalg, "_apply_edges", spy)
         monkeypatch.setattr(linalg, "_apply_chunked", spy_chunks)
         monkeypatch.setattr(linalg, "apply_layer", spy_layer)
         monkeypatch.setattr(description, "conjugate_layer", record)
         monkeypatch.setattr(description, "_conjugate_hermitian", record_final)
+        # Four CPUs and the BLAS on one thread: wide descriptions are
+        # built on the pool.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         # Gates at the ends of a support of 8 or more, short of covering
         # it: every straddling call at the widths where ``B >= 64`` holds
         # for the gates at the start of the column axes, whole at width
@@ -339,10 +351,20 @@ class TestApplyLayer:
         # a smaller one.
         for chunk, some in ((linalg._CHUNK, False), (linalg._CHUNK >> 2, True)):
             monkeypatch.setattr(linalg, "_CHUNK", chunk)
-            calls.clear()
-            compute_description(random_circuit(12, 5, seed=1))
+            streams.calls.clear()
+            d = compute_description(random_circuit(12, 5, seed=1))
+            # Widths up to 10, built on the pool: each entry's calls grow
+            # to its width in one thread's stream.
+            found = streams.by_entry(d)
+            assert sorted(found) == list(range(12))
+            for t, entry in found.items():
+                widths = [n for _, n, _, _ in entry]
+                assert widths == sorted(widths)
+                assert widths[-1] == len(d.projections[t].support)
             ends = [
-                (positions, n, runs) for positions, n, runs in calls
+                (positions, n, runs)
+                for entry in found.values()
+                for positions, n, runs, _ in entry
                 if n >= 8 and sum(map(len, positions)) < n
                 and all(0 in p or n - 1 in p for p in positions)
             ]
@@ -359,7 +381,7 @@ class TestApplyLayer:
         check_weak(c, other)
         check_strong(c, other)
         verify_static(c, claims)
-        assert taken == chunked == []
+        assert not any(taken.values()) and not any(chunked.values())
 
     @staticmethod
     def _straddling_layer(w, seed):
@@ -552,6 +574,30 @@ class TestMembershipResidual:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             membership_residual(np.eye(4), [1, 0])
+
+
+class TestIntegerPositions:
+    """Qubit positions that are not integers raise, never truncate."""
+
+    def test_embed(self):
+        for op_support, target in (([1.7], [0, 1]), ([1], [0, 1.0]), ([True], [0, 1])):
+            with pytest.raises(DomainError, match="must be an integer"):
+                embed(X, op_support, target)
+        numpy_ints = embed(X, [np.int64(1)], [0, np.int32(1)])
+        assert np.array_equal(numpy_ints, embed(X, [1], [0, 1]))
+
+    def test_apply_local(self):
+        with pytest.raises(DomainError, match="must be an integer"):
+            apply_local(X, zero_state(2), [0.9], 2)
+
+    def test_conjugate_layer(self):
+        with pytest.raises(DomainError, match="must be an integer"):
+            conjugate_layer(identity(2), [(X, [0.5])], 2)
+
+    def test_conjugate_hermitian(self):
+        cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+        with pytest.raises(DomainError, match="must be an integer"):
+            _conjugate_hermitian(P0, [0], [0, 1], [(cnot, [0, 1.0])])
 
 
 class TestLocalPrimitives:

@@ -151,6 +151,10 @@ class TestPartialTrace:
         with pytest.raises(DomainError):
             partial_trace(np.eye(4) / 4, [0, 0], 2)
 
+    def test_keep_must_be_integers(self):
+        with pytest.raises(DomainError, match="must be an integer"):
+            partial_trace(np.eye(4) / 4, [0.5], 2)
+
 
 class TestSubspaceDim:
     def test_two_commuting_projections(self):
