@@ -82,6 +82,7 @@ def _check_commuting(
     entries: Sequence[LocalProjection], tol: float
 ) -> None:
     """Reject tuples with a non-commuting overlapping pair."""
+    tol = _checked_threshold(tol, "commute_tol")
     for i, j, dev in commutator_deviations(entries):
         if dev > tol:
             raise DomainError(
@@ -223,7 +224,8 @@ def runtime_assert(
     seed
         Seed for the outcome sampling (and the optional noise).
     commute_tol
-        Entrywise bound for the commutation pre-check.
+        Entrywise bound for the commutation pre-check; a bound that is
+        negative or not finite is a :class:`DomainError`.
     noise
         Optional per-qubit error probability.  Before the measurement
         chain, each qubit independently suffers a uniformly random

@@ -32,7 +32,6 @@ __all__ = [
     "NAMED_GATES",
     "adjoint",
     "choi_extend",
-    "choi_pair_gate",
     "circuit_from_json",
     "circuit_to_json",
     "concat",
@@ -66,11 +65,6 @@ NAMED_GATES: dict[str, np.ndarray] = {
 #: Entangling two-qubit gate used by :func:`choi_extend`.  Applied to
 #: ``|00>`` it prepares the Bell state ``(|00> + |11>)/sqrt(2)``.
 _PAIR_GATE = _as_frozen(NAMED_GATES["CNOT"] @ np.kron(NAMED_GATES["H"], np.eye(2)))
-
-
-def choi_pair_gate() -> np.ndarray:
-    """The two-qubit Bell-pair preparation gate used for doubling circuits."""
-    return _PAIR_GATE
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,20 +286,15 @@ def adjoint(c: Circuit) -> Circuit:
     A gate keeps its name tag only when the dagger leaves its matrix
     unchanged, so names never misdescribe a matrix.
     """
-    return Circuit(c.n_qubits, _inverse_layers(c.layers, 0))
-
-
-def _inverse_layers(layers: Sequence[Layer], shift: int) -> tuple[Layer, ...]:
-    """The layers of :func:`adjoint`, every qubit index raised by ``shift``."""
     new_layers = []
-    for layer in reversed(layers):
+    for layer in reversed(c.layers):
         gates = []
         for g in layer.gates:
             m = _frozen_dagger(g.matrix)
             name = g.name if g.name is not None and np.array_equal(m, g.matrix) else None
-            gates.append(_derived_gate(tuple([q + shift for q in g.qubits]), m, name))
+            gates.append(_derived_gate(g.qubits, m, name))
         new_layers.append(Layer(tuple(gates)))
-    return tuple(new_layers)
+    return Circuit(c.n_qubits, tuple(new_layers))
 
 
 def _frozen_dagger(u: np.ndarray) -> np.ndarray:
@@ -348,14 +337,6 @@ def choi_extend(c: Circuit) -> Circuit:
         for layer in c.layers
     )
     return Circuit(2 * n, (pair_layer,) + shifted)
-
-
-def _choi_inverse(c: Circuit) -> Circuit:
-    """``adjoint(choi_extend(c))``, with each of its gates built once."""
-    n = c.n_qubits
-    pair = _frozen_dagger(_PAIR_GATE)
-    pairs = Layer(tuple([_derived_gate((p, n + p), pair, None) for p in range(n)]))
-    return Circuit(2 * n, _inverse_layers(c.layers, n) + (pairs,))
 
 
 def haar_unitary(

@@ -58,9 +58,9 @@ def support_cap() -> int:
     return value
 
 
-def _checked_threshold(threshold: float) -> float:
+def _checked_threshold(threshold: float, what: str = "threshold") -> float:
     """``threshold`` as a float; :class:`DomainError` unless finite and at least 0."""
     value = float(threshold)
     if not (math.isfinite(value) and value >= 0):
-        raise DomainError(f"threshold must be finite and non-negative, got {threshold}")
+        raise DomainError(f"{what} must be finite and non-negative, got {threshold}")
     return value

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate, validate
+from .circuit import Circuit, Gate, _require_int, matrix_from_json, validate
 from .cone import ZERO_PROJECTOR, ConeStep, walk_light_cones
 from .config import DEFAULT_ORACLE_CAP, support_cap
 from .errors import CapacityError, DomainError, SchemaError, ValidationError
@@ -459,8 +459,6 @@ def projection_entries_from_json(obj) -> tuple[int, tuple[LocalProjection, ...]]
     constraining how many entries there are; assertion tuples share this
     schema with descriptions but may have any length.
     """
-    from .circuit import matrix_from_json
-
     if not isinstance(obj, dict):
         raise SchemaError("description: expected a JSON object at top level")
     unknown = set(obj) - {"n_qubits", "projections"}
@@ -469,9 +467,7 @@ def projection_entries_from_json(obj) -> tuple[int, tuple[LocalProjection, ...]]
     for field in ("n_qubits", "projections"):
         if field not in obj:
             raise SchemaError(f"description: missing required field {field!r}")
-    n_qubits = obj["n_qubits"]
-    if isinstance(n_qubits, bool) or not isinstance(n_qubits, int):
-        raise SchemaError(f"n_qubits: expected an integer, got {n_qubits!r}")
+    n_qubits = _require_int(obj["n_qubits"], "n_qubits")
     if n_qubits < 1:
         raise SchemaError(f"n_qubits: must be at least 1, got {n_qubits}")
     raw_entries = obj["projections"]
@@ -491,13 +487,9 @@ def projection_entries_from_json(obj) -> tuple[int, tuple[LocalProjection, ...]]
         raw_support = node["support"]
         if not isinstance(raw_support, list) or not raw_support:
             raise SchemaError(f"{where}.support: expected a non-empty list")
-        support = []
-        for j, q in enumerate(raw_support):
-            if isinstance(q, bool) or not isinstance(q, int):
-                raise SchemaError(
-                    f"{where}.support[{j}]: expected an integer, got {q!r}"
-                )
-            support.append(q)
+        support = [
+            _require_int(q, f"{where}.support[{j}]") for j, q in enumerate(raw_support)
+        ]
         if support != sorted(set(support)):
             raise SchemaError(
                 f"{where}.support: must be sorted and duplicate-free, "

@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .circuit import Circuit, _choi_inverse, adjoint, choi_extend, concat, validate
+from .circuit import Circuit, adjoint, choi_extend, concat, validate
 from .cone import ZERO_PROJECTOR, cone_residuals
 from .config import EQUIV_THRESHOLD, _checked_threshold, support_cap
 from .errors import DomainError, ValidationError
@@ -191,11 +191,10 @@ def check_strong(
     agreement everywhere.  Support sizes roughly double relative to the
     weak check; the report's ``max_support`` records what was reached.
     The inputs are validated once; their doublings are valid by
-    construction and are not validated again, and each gate of the
-    composite is built once.
+    construction and are not validated again.
     """
     threshold = _checked_threshold(threshold)
     _validated_pair(c0, c1)
     start = time.perf_counter()
-    composite = concat(choi_extend(c0), _choi_inverse(c1))
+    composite = concat(choi_extend(c0), adjoint(choi_extend(c1)))
     return _weak_report(composite, threshold, "strong", start)

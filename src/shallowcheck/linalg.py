@@ -41,13 +41,6 @@ the description engine, at the edges of its widest matrices.  Every
 other layer, batched stacks and middle operators with fewer entries
 behind them included, is transposed at most once before and once after,
 since there a narrow middle product costs more than the transpose.
-When such a layer's first operator acts on the leading axes, more
-follow it and the tensor holds at least ``8 * _CHUNK`` amplitudes
-(``_CHUNK`` is 512 KiB), it runs in one pass over chunks of the idle
-axes behind that operator, so a straddling layer reads and writes its
-matrix once instead of once per operator.  Below that size (width 8 of
-the description engine) the chunks measured no faster, so the operators
-run one by one, as they do on the tiles of ``_conjugate_hermitian``.
 """
 
 from __future__ import annotations
@@ -83,10 +76,6 @@ _TILE = 1 << 16
 #: Smallest trailing block ``B`` of a middle op in the transpose-free
 #: form of :func:`apply_layer`.
 _MIN_TRAILING = 64
-
-#: Amplitudes per chunk (512 KiB) of the chunked pass of
-#: :func:`apply_layer`, which runs on tensors of at least ``8 * _CHUNK``.
-_CHUNK = 1 << 15
 
 
 def _integral(value, what: str) -> int:
@@ -349,9 +338,6 @@ def _apply_edges(
     :func:`_edge_blocks`.  Every product is C-contiguous in the tensor's
     own axis order, so no axis moves and nothing is copied between ops.
     """
-    run = _chunk_run(tensor, ops)
-    if run is not None:
-        return _apply_chunked(tensor, ops, *run)
     t = tensor
     for (u, _), (before, dim, after) in zip(ops, blocks):
         if before == 1:
@@ -361,52 +347,6 @@ def _apply_edges(
         else:
             t = u @ t.reshape(before, dim, after)
     return t.reshape(tensor.shape)
-
-
-def _chunk_run(
-    tensor: np.ndarray, ops: Sequence[tuple[np.ndarray, Sequence[int]]]
-) -> tuple[int, int] | None:
-    """``(a, b)`` if :func:`_apply_edges` runs its layer in chunks of the
-    untouched axes ``a..b-1``, ``None`` if it runs the ops one by one.
-
-    The first op must act on exactly the axes ``0..a-1``, with at least
-    one more op behind the run and ``8 * _CHUNK`` amplitudes in all.
-    """
-    first = list(ops[0][1])
-    if len(ops) < 2 or tensor.size < 8 * _CHUNK or first != list(range(len(first))):
-        return None
-    a, b = len(first), min(p for _, axes in ops[1:] for p in axes)
-    return (a, b) if b > a else None
-
-
-def _apply_chunked(
-    tensor: np.ndarray,
-    ops: Sequence[tuple[np.ndarray, Sequence[int]]],
-    a: int,
-    b: int,
-) -> np.ndarray:
-    """:func:`_apply_edges` in one pass over chunks of the axes ``a..b-1``.
-
-    The first op reads each chunk straight from a strided view of the
-    tensor, the others act on that product while it is in cache, and
-    each finished chunk is written once into the output, so the tensor
-    is read once and written once whatever the number of ops.
-    """
-    lead, rest = 1 << a, math.prod(tensor.shape[b:])
-    src = tensor.reshape(lead, -1, rest)
-    out = np.empty(tensor.shape, np.result_type(tensor, *(u for u, _ in ops)))
-    dst = out.reshape(src.shape)
-    u = ops[0][0]
-    # The chunk's axes a..b-1 are one axis of the product.
-    inner = [(v, [p - (b - a - 1) for p in axes]) for v, axes in ops[1:]]
-    step = max(1, _CHUNK // (lead * rest))
-    for s in range(0, src.shape[1], step):
-        e = min(s + step, src.shape[1])
-        t = u @ src[:, s:e].reshape(lead, -1)
-        t = t.reshape(tensor.shape[:a] + (e - s,) + tensor.shape[b:])
-        t = _apply_edges(t, inner, _edge_blocks(t, inner))
-        dst[:, s:e] = t.reshape(lead, e - s, rest)
-    return out
 
 
 def apply_layer(
@@ -435,13 +375,7 @@ def apply_layer(
     smaller trailing block the ``A`` narrow products cost more than the
     transpose they save.  The gates at the two ends of a grown support
     in the dense description engine, the widest matrices it conjugates,
-    are this case.  If the first op acts on the axes ``0..a-1``, other
-    ops follow behind idle axes ``a..b-1`` and the tensor holds at least
-    ``8 * _CHUNK`` amplitudes, the layer runs in one pass over chunks of
-    those idle axes: the first op reads each chunk from a strided view,
-    the rest act on its product while it is in cache, and the chunk is
-    written once into the output.  On smaller tensors the chunks measured
-    no faster than the ops one by one, which already run from cache.
+    are this case.
 
     Every other layer takes the transpose form, batched stacks among
     them, as do layers on every axis in order or on none, which need no

@@ -199,6 +199,14 @@ class TestRuntimeAssert:
                 seed=0,
             )
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-8, float("inf")])
+    def test_malformed_commute_tol_is_a_domain_error(self, tol):
+        # No deviation exceeds a NaN bound, so the guard would let the
+        # non-commuting pair through and sample it anyway.
+        entries = [LocalProjection((0,), PLUS), zero_assertion(0)]
+        with pytest.raises(DomainError, match="commute_tol"):
+            runtime_assert(np.array([1.0, 0.0]), entries, seed=0, commute_tol=tol)
+
     def test_rejects_unnormalized_state(self):
         with pytest.raises(DomainError, match="normalized"):
             runtime_assert(np.array([1.0, 1.0]), [zero_assertion(0)])
@@ -266,6 +274,16 @@ class TestOrderIndependence:
                 plus,
                 [zero_assertion(0), LocalProjection((0,), PLUS)],
                 trials=5,
+            )
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-8, float("inf")])
+    def test_malformed_commute_tol_is_a_domain_error(self, tol):
+        # No deviation exceeds a NaN bound, so the guard would let the
+        # non-commuting pair through and report its order dependence.
+        entries = [LocalProjection((0,), PLUS), zero_assertion(0)]
+        with pytest.raises(DomainError, match="commute_tol"):
+            order_independence_check(
+                np.array([1.0, 0.0]), entries, trials=5, seed=0, commute_tol=tol
             )
 
     def test_non_commuting_probabilities_depend_on_order(self):

@@ -25,7 +25,7 @@ from shallowcheck import (
     validate,
 )
 from shallowcheck import circuit
-from shallowcheck.circuit import _choi_inverse, choi_pair_gate, gate_in_sorted_order
+from shallowcheck.circuit import gate_in_sorted_order
 from shallowcheck.config import DEFAULT_K_MAX, STRUCTURAL_TOL
 
 
@@ -103,7 +103,8 @@ class TestNamedGates:
             named_gate("CNOT", (0,))
 
     def test_pair_gate_prepares_bell_state(self):
-        v = choi_pair_gate() @ np.array([1, 0, 0, 0], dtype=complex)
+        (pair,) = choi_extend(Circuit(1)).layers[0].gates
+        v = pair.matrix @ np.array([1, 0, 0, 0], dtype=complex)
         assert np.allclose(v, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
 
@@ -339,7 +340,9 @@ class TestChoiExtend:
         for orig_layer, ext_layer in zip(c.layers, e.layers[1:]):
             for og, eg in zip(orig_layer.gates, ext_layer.gates):
                 assert eg.matrix is og.matrix
-        assert all(g.matrix is choi_pair_gate() for g in e.layers[0].gates)
+        # One pair gate matrix, shared by every pair and every extension.
+        pair = choi_extend(Circuit(1)).layers[0].gates[0].matrix
+        assert all(g.matrix is pair for g in e.layers[0].gates)
 
     def test_empty_circuit_gives_maximally_entangled_state(self):
         # With no gates, the extension outputs a uniform superposition of
@@ -351,25 +354,9 @@ class TestChoiExtend:
             expect[b * 4 + b] = 0.5
         assert np.allclose(state, expect)
 
-    def test_inverse_matches_adjoint_of_extension(self):
-        # Same qubits, names and matrices bit for bit, each a frozen
-        # transposed view as ``adjoint`` makes it.
-        c = Circuit(3, [Layer([named_gate("H", (0,)), Gate((2, 1), haar_unitary(2, seed=1))])])
-        c = concat(c, random_circuit(3, 2, seed=4))
-        want, got = adjoint(choi_extend(c)), _choi_inverse(c)
-        assert (got.n_qubits, got.depth) == (want.n_qubits, want.depth)
-        for lw, lg in zip(want.layers, got.layers):
-            assert len(lw.gates) == len(lg.gates)
-            for gw, gg in zip(lw.gates, lg.gates):
-                assert (gg.qubits, gg.name) == (gw.qubits, gw.name)
-                assert np.array_equal(gg.matrix, gw.matrix)
-                assert gg.matrix.strides == gw.matrix.strides
-                assert not gg.matrix.flags.writeable
-                assert not gg.matrix.base.flags.writeable
-
     def test_strong_check_builds_each_gate_once(self, monkeypatch):
-        # Checked or derived from a checked gate, each composite gate is
-        # built once.
+        # Each gate of the two extensions and of the inverse of the
+        # second is derived from a checked gate once, never checked again.
         c0, c1 = random_circuit(6, 3, seed=1), random_circuit(6, 2, seed=2)
         built = []
         post_init = Gate.__post_init__
@@ -386,8 +373,9 @@ class TestChoiExtend:
         monkeypatch.setattr(Gate, "__post_init__", count)
         monkeypatch.setattr(circuit, "_derived_gate", count_derived)
         check_strong(c0, c1)
-        sizes = [sum(len(layer.gates) for layer in c.layers) for c in (c0, c1)]
-        assert len(built) == 2 * 6 + sum(sizes)
+        sizes = [6 + sum(len(layer.gates) for layer in c.layers) for c in (c0, c1)]
+        assert len(built) == sizes[0] + 2 * sizes[1]
+        assert all(type(b) is tuple for b in built)
 
     def test_encodes_the_unitary(self):
         # The extension's output amplitudes are the unitary's entries up

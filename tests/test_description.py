@@ -562,6 +562,28 @@ class TestComputeDescription:
             assert p.support == s
             assert np.allclose(p.matrix, m, atol=1e-12)
 
+    def test_wide_middle_steps_give_exact_entries(self):
+        # Middle steps up to width 10 and entries up to width 11, the
+        # widest description the suite builds.
+        c = random_circuit(11, 6, seed=1)
+        d = compute_description(c)
+        psi = simulate(c)
+        widths = []
+        for t, p in enumerate(d.projections):
+            cone = {t}
+            for layer in c.layers:
+                for g in layer.gates:
+                    if cone & set(g.qubits):
+                        cone |= set(g.qubits)
+            assert p.support == tuple(sorted(cone))
+            w = len(p.support)
+            widths.append(w)
+            assert np.array_equal(p.matrix, dagger(p.matrix))
+            assert abs(np.trace(p.matrix) - 2 ** (w - 1)) <= 1e-9
+            fixed = apply_local(p.matrix, psi, list(p.support), c.n_qubits)
+            assert np.max(np.abs(fixed - psi)) <= 1e-10
+        assert max(widths) == 11
+
 
 @st.composite
 def brickworks(draw, max_qubits=12, max_depth=5):

@@ -213,15 +213,14 @@ class TestApplyLayer:
     @given(
         st.integers(1, 9), st.integers(0, 3), st.integers(0, 2), st.integers(0, 3),
         st.integers(0, 3), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1),
-        st.sampled_from([1, 2, 4, 8, None]),
     )
-    @example(9, 1, 0, 2, 2, False, False, 0, None)  # leading, middle (B = 64), trailing
-    @example(7, 1, 1, 2, 2, False, False, 0, None)  # a middle block with B = 8
-    @example(9, 1, 1, 1, 2, False, False, 2, 1)  # chunked: leading op first
-    @example(9, 1, 1, 1, 0, True, False, 1, 4)  # chunked, with a riding axis
-    @example(9, 1, 1, 1, 2, False, True, 2, 1)  # Fortran-ordered: not chunked
+    @example(9, 1, 0, 2, 2, False, False, 0)  # leading, middle (B = 64), trailing
+    @example(7, 1, 1, 2, 2, False, False, 0)  # a middle block with B = 8
+    @example(9, 1, 1, 1, 2, False, False, 2)  # leading op first, idle axes behind
+    @example(9, 1, 1, 1, 0, True, False, 1)  # with a riding axis
+    @example(9, 1, 1, 1, 2, False, True, 2)  # Fortran-ordered: transposed
     def test_contiguous_blocks_match_embedded_product(
-        self, n, lead, gap, mid, trail, riding, strided, seed, chunk
+        self, n, lead, gap, mid, trail, riding, strided, seed
     ):
         # Plain matrices on contiguous, ascending blocks, in shuffled
         # order: ``lead`` axes at the leading edge, ``gap`` idle axes,
@@ -229,25 +228,18 @@ class TestApplyLayer:
         # edge, each cut short where the axes run out.  The axes after
         # the middle block make ``B`` fall on both sides of 64.  A riding
         # axis of size 3 puts the trailing block in the middle, and a
-        # Fortran-ordered input is not C-contiguous.  A small ``chunk``
-        # lets these tensors take the chunked pass whenever the leading
-        # op comes first, a row or a few of the idle axes per chunk.
-        with pytest.MonkeyPatch.context() as patch:
-            if chunk is not None:
-                patch.setattr(linalg, "_CHUNK", chunk)
-            self._check_contiguous_blocks(n, lead, gap, mid, trail, riding, strided, seed)
+        # Fortran-ordered input is not C-contiguous.
+        self._check_contiguous_blocks(n, lead, gap, mid, trail, riding, strided, seed)
 
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(7, 9), st.integers(1, 3), st.integers(0, 3), st.integers(0, 2**32 - 1),
-        st.sampled_from([1, 2, 4, 8, 64]),
     )
-    def test_chunked_conjugation_matches_dense(self, w, lead, trail, seed, chunk):
-        # Straddling layers as the description engine makes them, at
-        # widths where a small ``chunk`` sends nearly all of them through
-        # the chunked pass: a gate at the leading edge, short enough
-        # that its column op has 64 entries behind it, and maybe one at
-        # the trailing edge, with at least one idle axis between.
+    def test_straddling_conjugation_matches_dense(self, w, lead, trail, seed):
+        # Straddling layers as the description engine makes them: a gate
+        # at the leading edge, short enough that its column op has 64
+        # entries behind it, and maybe one at the trailing edge, with at
+        # least one idle axis between.
         rng = np.random.default_rng(seed)
         lead = min(lead, w - 6)
         trail = min(trail, w - lead - 1)
@@ -255,9 +247,7 @@ class TestApplyLayer:
         if trail:
             ops.append((haar_unitary(trail, rng), list(range(w - trail, w))))
         mat = rng.normal(size=(1 << w,) * 2) + 1j * rng.normal(size=(1 << w,) * 2)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(linalg, "_CHUNK", chunk)
-            got = conjugate_layer(mat, ops, w)
+        got = conjugate_layer(mat, ops, w)
         u = identity(w)
         for g, axes in ops:
             u = embed(g, axes, list(range(w))) @ u
@@ -293,12 +283,11 @@ class TestApplyLayer:
 
     def test_edge_form_runs_for_straddling_gates_never_for_stacks(self, monkeypatch, streams):
         # Each apply_layer call records, in its thread's list, whether the
-        # transpose-free form and its chunked pass ran, and its size; each
-        # describe call records, in its thread's stream, its gates'
-        # positions, its width, those records and, for an entry's last
-        # step, the matrix it returns.
-        taken, chunked, layers = {}, {}, {}
-        edges, chunks, apply = linalg._apply_edges, linalg._apply_chunked, linalg.apply_layer
+        # transpose-free form ran; each describe call records, in its
+        # thread's stream, its gates' positions, its width, those records
+        # and, for an entry's last step, the matrix it returns.
+        taken, layers = {}, {}
+        edges, apply = linalg._apply_edges, linalg.apply_layer
 
         def mine(records):
             return records.setdefault(threading.get_ident(), [])
@@ -307,15 +296,10 @@ class TestApplyLayer:
             mine(taken).append(ops)
             return edges(tensor, ops, blocks)
 
-        def spy_chunks(tensor, ops, a, b):
-            mine(chunked).append(ops)
-            return chunks(tensor, ops, a, b)
-
         def spy_layer(tensor, ops):
-            count = len(mine(taken)), len(mine(chunked))
+            count = len(mine(taken))
             out = apply(tensor, ops)
-            ran = len(mine(taken)) > count[0], len(mine(chunked)) > count[1]
-            mine(layers).append((*ran, tensor.size))
+            mine(layers).append(len(mine(taken)) > count)
             return out
 
         conjugate, final = description.conjugate_layer, description._conjugate_hermitian
@@ -334,7 +318,6 @@ class TestApplyLayer:
             return result
 
         monkeypatch.setattr(linalg, "_apply_edges", spy)
-        monkeypatch.setattr(linalg, "_apply_chunked", spy_chunks)
         monkeypatch.setattr(linalg, "apply_layer", spy_layer)
         monkeypatch.setattr(description, "conjugate_layer", record)
         monkeypatch.setattr(description, "_conjugate_hermitian", record_final)
@@ -345,70 +328,32 @@ class TestApplyLayer:
         # Gates at the ends of a support of 8 or more, short of covering
         # it: every straddling call at the widths where ``B >= 64`` holds
         # for the gates at the start of the column axes, whole at width
-        # 8 and in tiles of width 8 at width 10.  Where the tensor holds
-        # ``8 * _CHUNK`` amplitudes, those whose first gate starts the
-        # support run in chunks: none at the default ``_CHUNK``, some at
-        # a smaller one.
-        for chunk, some in ((linalg._CHUNK, False), (linalg._CHUNK >> 2, True)):
-            monkeypatch.setattr(linalg, "_CHUNK", chunk)
-            streams.calls.clear()
-            d = compute_description(random_circuit(12, 5, seed=1))
-            # Widths up to 10, built on the pool: each entry's calls grow
-            # to its width in one thread's stream.
-            found = streams.by_entry(d)
-            assert sorted(found) == list(range(12))
-            for t, entry in found.items():
-                widths = [n for _, n, _, _ in entry]
-                assert widths == sorted(widths)
-                assert widths[-1] == len(d.projections[t].support)
-            ends = [
-                (positions, n, runs)
-                for entry in found.values()
-                for positions, n, runs, _ in entry
-                if n >= 8 and sum(map(len, positions)) < n
-                and all(0 in p or n - 1 in p for p in positions)
-            ]
-            assert ends and all(took for *_, runs in ends for took, _, _ in runs)
-            assert {8, 10} <= {n for _, n, _ in ends}
-            for positions, n, runs in ends:
-                for _, ran, size in runs:
-                    assert ran == (size >= 8 * chunk and positions[0][0] == 0)
-            assert any(ran for *_, runs in ends for _, ran, _ in runs) == some
+        # 8 and in tiles of width 8 at width 10.
+        d = compute_description(random_circuit(12, 5, seed=1))
+        # Widths up to 10, built on the pool: each entry's calls grow to
+        # its width in one thread's stream.
+        found = streams.by_entry(d)
+        assert sorted(found) == list(range(12))
+        for t, entry in found.items():
+            widths = [n for _, n, _, _ in entry]
+            assert widths == sorted(widths)
+            assert widths[-1] == len(d.projections[t].support)
+        ends = [
+            (positions, n, runs)
+            for entry in found.values()
+            for positions, n, runs, _ in entry
+            if n >= 8 and sum(map(len, positions)) < n
+            and all(0 in p or n - 1 in p for p in positions)
+        ]
+        assert ends and all(all(runs) for *_, runs in ends)
+        assert {8, 10} <= {n for _, n, _ in ends}
         c, other = random_circuit(8, 2, seed=1), random_circuit(8, 2, seed=2)
         claims = compute_description(other)
         taken.clear()
-        chunked.clear()
         check_weak(c, other)
         check_strong(c, other)
         verify_static(c, claims)
-        assert not any(taken.values()) and not any(chunked.values())
-
-    @staticmethod
-    def _straddling_layer(w, seed):
-        """A ``w``-qubit matrix and the gates at both ends of its support."""
-        rng = np.random.default_rng(seed)
-        mat = rng.normal(size=(1 << w,) * 2) + 1j * rng.normal(size=(1 << w,) * 2)
-        return mat, [(haar_unitary(2, rng), [0, 1]), (haar_unitary(2, rng), [w - 2, w - 1])]
-
-    def test_chunked_pass_is_bit_identical_to_the_ops_one_by_one(self, monkeypatch):
-        mat, ops = self._straddling_layer(10, 7)
-        before = mat.copy()
-        chunked = conjugate_layer(mat, ops, 10)
-        assert np.array_equal(mat, before)
-        monkeypatch.setattr(linalg, "_chunk_run", lambda tensor, ops: None)
-        assert np.array_equal(chunked, conjugate_layer(mat, ops, 10))
-
-    def test_chunked_pass_allocates_little_beyond_its_output(self):
-        # The ops one by one keep two full-size products live (2.00x).
-        mat, ops = self._straddling_layer(10, 8)
-        tracemalloc.start()
-        try:
-            out = conjugate_layer(mat, ops, 10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert out.nbytes == mat.nbytes
-        assert peak < 1.5 * mat.nbytes
+        assert not any(taken.values())
 
 
 class TestConjugateHermitian:
