@@ -11,7 +11,6 @@ library and a small benchmark harness.
 from .assertion import (
     RuntimeAssertReport,
     StaticCheck,
-    order_independence_check,
     runtime_assert,
     verify_static,
 )
@@ -47,7 +46,6 @@ from .description import (
     description_from_json,
     description_to_json,
     initial_state_residuals,
-    intersection_rank_small,
     projection_entries_from_json,
 )
 from .equivalence import (
@@ -63,24 +61,14 @@ from .errors import (
     ShallowcheckError,
     ValidationError,
 )
-from .fixtures import micro_fixtures
 from .linalg import (
     ErrorTriple,
-    dagger,
     embed,
-    identity,
     is_projection,
-    max_abs,
     membership_residual,
     zero_state,
 )
-from .oracle import (
-    equal_up_to_phase,
-    full_unitary,
-    partial_trace,
-    simulate,
-    subspace_dim,
-)
+from .oracle import simulate
 
 __version__ = "0.1.0"
 
@@ -116,28 +104,18 @@ __all__ = [
     "commutation_check",
     "compute_description",
     "concat",
-    "dagger",
     "description_from_json",
     "description_to_json",
     "embed",
-    "equal_up_to_phase",
-    "full_unitary",
     "haar_unitary",
-    "identity",
     "initial_state_residuals",
-    "intersection_rank_small",
     "is_projection",
-    "max_abs",
     "membership_residual",
-    "micro_fixtures",
     "named_gate",
-    "order_independence_check",
-    "partial_trace",
     "projection_entries_from_json",
     "random_circuit",
     "runtime_assert",
     "simulate",
-    "subspace_dim",
     "support_cap",
     "validate",
     "verify_static",

@@ -19,8 +19,7 @@ of a circuit is claimed to satisfy.  Two checking modes exist:
   subspace (outcome 0) or aborts the run (outcome 1).  The tuple must
   pairwise commute; otherwise the outcome statistics would depend on
   measurement order and the semantics would be ambiguous, so such
-  tuples are rejected up front.  :func:`order_independence_check`
-  demonstrates the property the guard protects.
+  tuples are rejected up front.
 
 Assertion tuples are unconstrained in length, may repeat supports, and
 serialize with the same JSON schema as descriptions.
@@ -43,7 +42,6 @@ from .linalg import ErrorTriple, apply_local, is_projection
 __all__ = [
     "RuntimeAssertReport",
     "StaticCheck",
-    "order_independence_check",
     "runtime_assert",
     "verify_static",
 ]
@@ -140,7 +138,8 @@ def verify_static(
     Raises
     ------
     DomainError
-        If ``threshold`` is negative or not finite.
+        If ``threshold`` is not a real number, is negative or is not
+        finite.
     CapacityError
         If an entry's support would exceed the cap; the message names
         the assertion index and the layer reached.
@@ -225,13 +224,15 @@ def runtime_assert(
         Seed for the outcome sampling (and the optional noise).
     commute_tol
         Entrywise bound for the commutation pre-check; a bound that is
-        negative or not finite is a :class:`DomainError`.
+        not a real number, negative or not finite is a
+        :class:`DomainError`.
     noise
         Optional per-qubit error probability.  Before the measurement
         chain, each qubit independently suffers a uniformly random
         Pauli flip with this probability, a stochastic stand-in for
         depolarizing noise that demonstrates abort-based error
-        detection.  Zero (the default) disables it.
+        detection.  Zero (the default) disables it; anything but a real
+        number in ``[0, 1]`` is a :class:`DomainError`.
     """
     entries = _entries(assertions)
     psi = np.array(state, dtype=complex).reshape(-1)
@@ -242,7 +243,8 @@ def runtime_assert(
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-6:
         raise DomainError(f"state is not normalized (norm {norm!r})")
-    if not 0.0 <= noise <= 1.0:
+    noise = _checked_threshold(noise, "noise")
+    if noise > 1.0:
         raise DomainError(f"noise must be a probability, got {noise!r}")
     _check_entry_shapes(entries, n)
     _check_commuting(entries, commute_tol)
@@ -279,59 +281,3 @@ def runtime_assert(
         seed=seed,
         state=psi,
     )
-
-
-def _joint_pass_probability(
-    state: np.ndarray,
-    entries: Sequence[LocalProjection],
-    order: Sequence[int],
-    n_qubits: int,
-) -> float:
-    """Probability that every measurement passes, in the given order.
-
-    Equals the squared norm of the ordered projection product applied
-    to the state.  No commutation guard: this is the raw quantity whose
-    order dependence the public check measures.
-    """
-    psi = np.asarray(state, dtype=complex).reshape(-1)
-    for i in order:
-        entry = entries[i]
-        psi = apply_local(entry.matrix, psi, list(entry.support), n_qubits)
-    return float(np.vdot(psi, psi).real)
-
-
-def order_independence_check(
-    state: np.ndarray,
-    assertions,
-    trials: int,
-    seed: int | None = None,
-    commute_tol: float = 1e-8,
-) -> float:
-    """Largest deviation of the all-pass probability across orderings.
-
-    Computes the probability that the whole measurement chain passes in
-    the listed order, then in ``trials`` random permutations, and
-    returns the maximum absolute deviation.  For a commuting tuple the
-    deviation is bounded by numerical drift; the commutation guard on
-    :func:`runtime_assert` exists precisely because non-commuting
-    tuples can deviate by order one.
-    """
-    entries = _entries(assertions)
-    psi = np.asarray(state, dtype=complex).reshape(-1)
-    dim = psi.size
-    n = dim.bit_length() - 1
-    if dim < 2 or dim != 1 << n:
-        raise DomainError(f"state dimension {dim} is not a power of two")
-    if trials < 0:
-        raise DomainError(f"trials must be non-negative, got {trials}")
-    _check_entry_shapes(entries, n)
-    _check_commuting(entries, commute_tol)
-    m = len(entries)
-    baseline = _joint_pass_probability(psi, entries, range(m), n)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        order = rng.permutation(m)
-        p = _joint_pass_probability(psi, entries, order, n)
-        worst = max(worst, abs(p - baseline))
-    return worst

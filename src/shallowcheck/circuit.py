@@ -35,7 +35,6 @@ __all__ = [
     "circuit_from_json",
     "circuit_to_json",
     "concat",
-    "gate_in_sorted_order",
     "haar_unitary",
     "matrix_from_json",
     "matrix_to_json",
@@ -298,7 +297,7 @@ def adjoint(c: Circuit) -> Circuit:
 
 
 def _frozen_dagger(u: np.ndarray) -> np.ndarray:
-    """``dagger(u)`` as a read-only transposed view, which ``Gate`` keeps uncopied."""
+    """``u†`` as a read-only transposed view, which ``Gate`` keeps uncopied."""
     m = np.conj(u)
     m.setflags(write=False)  # frozen before the transpose
     return m.T
@@ -412,24 +411,6 @@ def random_circuit(
         )
         layers.append(Layer(gates))
     return Circuit(n, tuple(layers))
-
-
-def gate_in_sorted_order(g: Gate) -> Gate:
-    """Equivalent gate with its qubit list sorted ascending.
-
-    Permutes the matrix's tensor axes to match, so the returned gate
-    implements the same operator.  Needed by consumers that require
-    sorted supports, such as :func:`~shallowcheck.linalg.embed`.
-    """
-    if list(g.qubits) == sorted(g.qubits):
-        return g
-    order = sorted(range(g.arity), key=lambda i: g.qubits[i])
-    k = g.arity
-    perm = order + [k + i for i in order]
-    matrix = (
-        g.matrix.reshape((2,) * (2 * k)).transpose(perm).reshape(g.matrix.shape)
-    )
-    return Gate(tuple(sorted(g.qubits)), matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -177,36 +178,25 @@ def _derived_seed(master: int, n: int, depth: int, trial: int, salt: int) -> int
 def _bench_row(mode: str, n: int, depth: int, trial: int, seed: int) -> str:
     circuit = random_circuit(n, depth, seed=seed)
     if mode == "describe":
-        start = perf_counter()
-        try:
-            description = compute_description(circuit)
-        except CapacityError as e:
-            elapsed = perf_counter() - start
-            print(f"note: n={n} depth={depth} trial={trial}: {e}", file=sys.stderr)
-            support = "" if e.size is None else e.size
-            return f"describe,{n},{depth},{trial},{seed},{elapsed:.6f},{support},"
-        elapsed = perf_counter() - start
-        max_support = max(len(p.support) for p in description.projections)
-        return f"describe,{n},{depth},{trial},{seed},{elapsed:.6f},{max_support},"
-    if mode == "inequiv":
-        other = random_circuit(n, depth, seed=_derived_seed(seed, n, depth, trial, 1))
-        check = check_weak
+        run = partial(compute_description, circuit)
     else:
-        other = random_circuit(n, depth, seed=seed)
-        check = check_strong if mode == "strong" else check_weak
+        other_seed = _derived_seed(seed, n, depth, trial, 1) if mode == "inequiv" else seed
+        other = random_circuit(n, depth, seed=other_seed)
+        run = partial(check_strong if mode == "strong" else check_weak, circuit, other)
+    prefix = f"{mode},{n},{depth},{trial},{seed}"
     start = perf_counter()
     try:
-        report = check(circuit, other)
+        result = run()
     except CapacityError as e:
         elapsed = perf_counter() - start
         print(f"note: n={n} depth={depth} trial={trial}: {e}", file=sys.stderr)
         support = "" if e.size is None else e.size
-        return f"{mode},{n},{depth},{trial},{seed},{elapsed:.6f},{support},"
+        return f"{prefix},{elapsed:.6f},{support},"
     elapsed = perf_counter() - start
-    return (
-        f"{mode},{n},{depth},{trial},{seed},{elapsed:.6f},"
-        f"{report.max_support},{report.max_linf:.17g}"
-    )
+    if mode == "describe":
+        max_support = max(len(p.support) for p in result.projections)
+        return f"{prefix},{elapsed:.6f},{max_support},"
+    return f"{prefix},{elapsed:.6f},{result.max_support},{result.max_linf:.17g}"
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

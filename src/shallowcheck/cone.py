@@ -48,7 +48,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate
 from .errors import CapacityError, DomainError
-from .linalg import ErrorTriple, apply_layer, residual_norms
+from .linalg import ErrorTriple, _integral, apply_layer, residual_norms
 
 __all__ = [
     "ZERO_PROJECTOR",
@@ -109,14 +109,14 @@ def walk_light_cones(
     Raises
     ------
     DomainError
-        If ``cap`` is below 1, which no support can meet.
+        If ``cap`` is not an integer, or below 1, which no support can meet.
     CapacityError
         If a support would exceed ``cap``.  All cones advance one layer
         at a time, so the error names the first layer, in walk order, at
         which any cone overflows, and the lowest-index cone that does,
         and no cone is simulated before every cone is known to fit.
     """
-    if cap < 1:
+    if _integral(cap, "the support cap") < 1:
         raise DomainError(f"the support cap must be at least 1, got {cap}")
     # A class of cones with one support and one list of steps: each cone
     # alone at first, then those whose steps coincide.

@@ -11,6 +11,7 @@ work over all ``2**n`` amplitudes.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 
 from .errors import DomainError
@@ -59,7 +60,14 @@ def support_cap() -> int:
 
 
 def _checked_threshold(threshold: float, what: str = "threshold") -> float:
-    """``threshold`` as a float; :class:`DomainError` unless finite and at least 0."""
+    """``threshold`` as a float; :class:`DomainError` unless finite and at least 0.
+
+    Only real numbers are accepted: ``int``, ``float`` and numpy reals.
+    Strings, ``None``, complex numbers and ``bool`` are rejected, not
+    converted.
+    """
+    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real):
+        raise DomainError(f"{what} must be a real number, got {threshold!r}")
     value = float(threshold)
     if not (math.isfinite(value) and value >= 0):
         raise DomainError(f"{what} must be finite and non-negative, got {threshold}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, _require_int, matrix_from_json, validate
 from .cone import ZERO_PROJECTOR, ConeStep, walk_light_cones
-from .config import DEFAULT_ORACLE_CAP, support_cap
+from .config import support_cap
 from .errors import CapacityError, DomainError, SchemaError, ValidationError
 from .linalg import (
     ErrorTriple,
@@ -35,10 +35,8 @@ from .linalg import (
     _conjugate_hermitian,
     _integral,
     apply_layer,
-    apply_local,
     conjugate_layer,
     embed,
-    identity,
     membership_residual,
     zero_state,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "description_from_json",
     "description_to_json",
     "initial_state_residuals",
-    "intersection_rank_small",
     "projection_entries_from_json",
 ]
 
@@ -125,7 +122,8 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     c
         A valid circuit.
     cap
-        Support cap override, at least 1; defaults to the configured cap.
+        Support cap override, an integer of at least 1; defaults to the
+        configured cap.
 
     Returns
     -------
@@ -346,13 +344,13 @@ def commutator_deviations(
     Raises
     ------
     DomainError
-        If ``cap`` is below 1, which no support can meet.
+        If ``cap`` is not an integer, or below 1, which no support can meet.
     CapacityError
         If a union support exceeds the cap.
     """
     if cap is None:
         cap = support_cap()
-    if cap < 1:
+    if _integral(cap, "the support cap") < 1:
         raise DomainError(f"the support cap must be at least 1, got {cap}")
     for i, a in enumerate(entries):
         set_a = set(a.support)
@@ -387,7 +385,8 @@ def commutation_check(d: Description, cap: int | None = None) -> float:
     Raises
     ------
     DomainError
-        If ``cap`` is below 1, even when no entries overlap.
+        If ``cap`` is not an integer or is below 1, even when no entries
+        overlap.
     CapacityError
         If a union support exceeds the cap.
     """
@@ -400,33 +399,6 @@ def commutation_check(d: Description, cap: int | None = None) -> float:
         (dev for _, _, dev in commutator_deviations(list(unique.values()), cap)),
         default=0.0,
     )
-
-
-def intersection_rank_small(
-    d: Description,
-    cap: int = DEFAULT_ORACLE_CAP,
-) -> int:
-    """Rank of the product of all embedded projections over the full space.
-
-    Because the projections commute, their product is itself the
-    projection onto the intersection of their ranges, and its trace is
-    the intersection's dimension.  A valid circuit description always
-    yields 1: the intersection is the span of the output state.  Dense
-    over all ``2**n`` dimensions, hence the small-``n`` cap.
-    """
-    n = d.n_qubits
-    if n > cap:
-        raise CapacityError(
-            f"rank check over 2**{n} dimensions exceeds the brute-force cap "
-            f"of {cap} qubits",
-            size=n,
-            cap=cap,
-        )
-    product = identity(n)
-    for p in d.projections:
-        product = apply_local(p.matrix, product, list(p.support), n)
-    trace = float(np.trace(product).real)
-    return int(round(trace))
 
 
 # ---------------------------------------------------------------------------

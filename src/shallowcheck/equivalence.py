@@ -166,8 +166,8 @@ def check_weak(
     ValidationError
         If either circuit is invalid.
     DomainError
-        On a qubit-count mismatch, or a threshold that is negative or
-        not finite.
+        On a qubit-count mismatch, or a threshold that is not a real
+        number, is negative or is not finite.
     CapacityError
         If a light cone of the composite would exceed the support cap;
         the message names the qubit and the composite's layer.

@@ -9,10 +9,10 @@ the smallest index is the most significant bit of the row and column
 index.  Every embedding sorts supports ascending first, so the
 convention holds package-wide and no per-call permutation flags exist.
 
-Besides the core operations (:func:`dagger`, :func:`embed`,
-:func:`is_projection`, :func:`membership_residual`), this module
-provides locality-aware primitives that act on a few tensor axes of a
-larger operator or state without materializing the embedded matrix.
+Besides the core operations (:func:`embed`, :func:`is_projection`,
+:func:`membership_residual`, :func:`zero_state`), this module provides
+locality-aware primitives that act on a few tensor axes of a larger
+operator or state without materializing the embedded matrix.
 One kernel, :func:`apply_layer`, applies a layer of operators on
 disjoint axes of a tensor, one matrix product per operator, optionally
 for a whole stack of tensors with one matrix per member; the cone-state
@@ -31,7 +31,9 @@ the first two of these are one call to it:
 They are algebraically identical to ``embed`` followed by a dense
 product (and, for the last, ``(P + P†)/2``) and are cross-checked
 against that path in the test suite.
-Every public name here is used by another module of the package.
+Every public name here is used by another module of the package; the
+dense helpers that only the tests use (the conjugate transpose, the
+identity, the entrywise maximum) live with the tests, not here.
 
 A layer of plain matrices on contiguous, ascending axes of a
 C-contiguous tensor, at its leading or trailing edge or in the middle
@@ -58,11 +60,8 @@ __all__ = [
     "apply_layer",
     "apply_local",
     "conjugate_layer",
-    "dagger",
     "embed",
-    "identity",
     "is_projection",
-    "max_abs",
     "membership_residual",
     "residual_norms",
     "zero_state",
@@ -122,7 +121,7 @@ def _qubit_count(dim: int, what: str = "matrix") -> int:
     return dim.bit_length() - 1
 
 
-def max_abs(a: np.ndarray) -> float:
+def _max_abs(a: np.ndarray) -> float:
     """Largest absolute value of any entry (0.0 for an empty array)."""
     a = np.asarray(a)
     if a.size == 0:
@@ -137,18 +136,6 @@ def zero_state(n_qubits: int) -> np.ndarray:
     v = np.zeros(1 << n_qubits, dtype=complex)
     v[0] = 1.0
     return v
-
-
-def identity(n_qubits: int) -> np.ndarray:
-    """The identity operator on ``n_qubits`` qubits."""
-    if n_qubits < 0:
-        raise DomainError(f"qubit count must be non-negative, got {n_qubits}")
-    return np.eye(1 << n_qubits, dtype=complex)
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(a, dtype=complex)).T
 
 
 def embed(
@@ -232,7 +219,7 @@ def is_projection(p: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
     """
     p = _as_operator(p, "p")
     return bool(
-        max_abs(p @ p - p) <= tol and max_abs(p - dagger(p)) <= tol
+        _max_abs(p @ p - p) <= tol and _max_abs(p - p.conj().T) <= tol
     )
 
 
@@ -436,14 +423,14 @@ def conjugate_layer(
     ops: Sequence[tuple[np.ndarray, Sequence[int]]],
     n_qubits: int,
 ) -> np.ndarray:
-    """Return ``U @ mat @ dagger(U)`` for the product ``U`` of one layer's ops.
+    """Return ``U @ mat @ U†`` for the product ``U`` of one layer's ops.
 
     ``ops`` holds ``(matrix, positions)`` pairs on disjoint positions,
     listed as for :func:`apply_local`.  ``mat`` is viewed as a tensor
     with ``2·n_qubits`` axes, rows first, and conjugated by one
     :func:`apply_layer` call: each op acts on its row axes ``p`` and its
     complex conjugate on the column axes ``n_qubits + p``, since
-    ``mat @ dagger(u)`` is ``conj(u)`` applied to the columns.
+    ``mat @ u†`` is ``conj(u)`` applied to the columns.
     """
     mat = _as_operator(mat, "mat")
     dim = 1 << n_qubits

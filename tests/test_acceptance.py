@@ -19,12 +19,7 @@ from shallowcheck import (
     check_weak,
     commutation_check,
     compute_description,
-    equal_up_to_phase,
-    identity,
-    intersection_rank_small,
-    micro_fixtures,
     named_gate,
-    order_independence_check,
     random_circuit,
     runtime_assert,
     simulate,
@@ -32,6 +27,12 @@ from shallowcheck import (
 )
 from shallowcheck.cli import main
 from shallowcheck.linalg import apply_local
+from support import (
+    equal_up_to_phase,
+    intersection_rank_small,
+    micro_fixtures,
+    order_independence_check,
+)
 
 # The (n, depth) grid used by the 100-circuit uniqueness battery.
 UNIQUENESS_GRID = [(n, d) for n in (4, 6, 8, 10) for d in (1, 2, 3)]
@@ -217,7 +218,7 @@ def test_criterion_09_assertion_round_trip():
         k = seed % n
         p = entries[k]
         entries[k] = LocalProjection(
-            p.support, identity(len(p.support)) - p.matrix
+            p.support, np.eye(1 << len(p.support), dtype=complex) - p.matrix
         )
         flipped = verify_static(c, entries)
         for ch in flipped:

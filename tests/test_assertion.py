@@ -11,16 +11,14 @@ from shallowcheck import (
     Layer,
     LocalProjection,
     compute_description,
-    identity,
     named_gate,
-    order_independence_check,
     random_circuit,
     runtime_assert,
     simulate,
     verify_static,
 )
-from shallowcheck.assertion import _joint_pass_probability
 from shallowcheck.linalg import apply_local
+from support import equal_up_to_phase, joint_pass_probability, order_independence_check
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -81,7 +79,7 @@ class TestVerifyStatic:
         entries = list(d.projections)
         p = entries[k]
         entries[k] = LocalProjection(
-            p.support, identity(len(p.support)) - p.matrix
+            p.support, np.eye(1 << len(p.support), dtype=complex) - p.matrix
         )
         checks = verify_static(c, entries)
         for ch in checks:
@@ -106,7 +104,7 @@ class TestVerifyStatic:
             k = int(rng.integers(5))
             p = entries[k]
             entries[k] = LocalProjection(
-                p.support, identity(len(p.support)) - p.matrix
+                p.support, np.eye(1 << len(p.support), dtype=complex) - p.matrix
             )
             checks = verify_static(c, entries)
             for ch, entry in zip(checks, entries):
@@ -153,8 +151,6 @@ class TestRuntimeAssert:
         assert report.outcome_log == (0,) * 5
 
     def test_pass_preserves_state(self):
-        from shallowcheck import equal_up_to_phase
-
         c = random_circuit(4, 2, seed=8)
         psi = simulate(c)
         report = runtime_assert(psi, compute_description(c), seed=2)
@@ -291,8 +287,8 @@ class TestOrderIndependence:
         # |+><+| passes with probability 1/2, the reverse order with 1/4.
         entries = (zero_assertion(0), LocalProjection((0,), PLUS))
         state = np.array([1.0, 0.0], dtype=complex)
-        forward = _joint_pass_probability(state, entries, [0, 1], 1)
-        backward = _joint_pass_probability(state, entries, [1, 0], 1)
+        forward = joint_pass_probability(state, entries, [0, 1], 1)
+        backward = joint_pass_probability(state, entries, [1, 0], 1)
         assert forward == pytest.approx(0.5)
         assert backward == pytest.approx(0.25)
         assert abs(forward - backward) > 1e-3

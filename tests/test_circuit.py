@@ -25,8 +25,8 @@ from shallowcheck import (
     validate,
 )
 from shallowcheck import circuit
-from shallowcheck.circuit import gate_in_sorted_order
 from shallowcheck.config import DEFAULT_K_MAX, STRUCTURAL_TOL
+from support import gate_in_sorted_order
 
 
 def bell_layer_circuit():

@@ -359,6 +359,29 @@ class TestBench:
             assert fields[6] == "4"  # the support size that tripped the cap
             assert fields[7] == ""
 
+    @pytest.mark.parametrize(
+        ("mode", "overflow"),
+        [
+            ("describe", "support of qubit 2 would reach 4 qubit(s) at layer 1"),
+            ("weak", "support of qubit 2 would reach 4 qubit(s) at layer 1"),
+            ("strong", "support of qubit 0 would reach 4 qubit(s) at layer 2"),
+            ("inequiv", "support of qubit 2 would reach 4 qubit(s) at layer 1"),
+        ],
+    )
+    def test_capacity_row_per_mode(self, tmp_path, capsys, monkeypatch, mode, overflow):
+        monkeypatch.setenv(SUPPORT_CAP_ENV, "3")
+        csv = tmp_path / "bench.csv"
+        assert main(["bench", "--mode", mode, "--n-range", "8", "--depth", "3",
+                     "--trials", "1", "--csv", str(csv)]) == 0
+        assert capsys.readouterr().err == (
+            f"note: n=8 depth=3 trial=0: {overflow}, exceeding the support cap of 3\n"
+        )
+        header, row = csv.read_text().strip().split("\n")
+        assert header == CSV_HEADER
+        fields = row.split(",")
+        assert float(fields[5]) >= 0.0
+        assert fields[:5] + fields[6:] == [mode, "8", "3", "0", "6255131401728597803", "4", ""]
+
     def test_bad_range_rejected(self, tmp_path, capsys):
         csv = tmp_path / "bench.csv"
         for bad in ("4:2:1", "4:8:0", "a:b:c", "1:2:3:4"):

@@ -30,8 +30,6 @@ from shallowcheck import (
     choi_extend,
     compute_description,
     concat,
-    equal_up_to_phase,
-    full_unitary,
     haar_unitary,
     initial_state_residuals,
     membership_residual,
@@ -42,7 +40,8 @@ from shallowcheck import (
 )
 from shallowcheck.cone import ZERO_PROJECTOR, walk_light_cones
 from shallowcheck.config import DEFAULT_SUPPORT_CAP, EQUIV_THRESHOLD, SUPPORT_CAP_ENV
-from shallowcheck.linalg import ErrorTriple, apply_layer, apply_local, dagger, embed
+from shallowcheck.linalg import ErrorTriple, apply_layer, apply_local, embed
+from support import dagger, equal_up_to_phase, full_unitary
 
 TOL = 1e-12
 

@@ -25,22 +25,20 @@ from shallowcheck import (
     ValidationError,
     commutation_check,
     compute_description,
-    dagger,
     description_from_json,
     description_to_json,
     embed,
     haar_unitary,
     initial_state_residuals,
-    intersection_rank_small,
     is_projection,
     named_gate,
     projection_entries_from_json,
     random_circuit,
     simulate,
 )
-from shallowcheck.circuit import gate_in_sorted_order
 from shallowcheck.cone import walk_light_cones
 from shallowcheck.linalg import apply_local, conjugate_layer
+from support import dagger, gate_in_sorted_order, intersection_rank_small
 
 TOL = 1e-12
 

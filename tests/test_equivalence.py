@@ -12,13 +12,12 @@ from shallowcheck import (
     ValidationError,
     check_strong,
     check_weak,
-    equal_up_to_phase,
-    micro_fixtures,
     named_gate,
     random_circuit,
     simulate,
 )
 from shallowcheck.config import SUPPORT_CAP_ENV
+from support import equal_up_to_phase, full_unitary, micro_fixtures
 
 
 def s_and_t_circuits():
@@ -163,8 +162,6 @@ class TestMicroFixtures:
             assert check_strong(c0, c1).verdict == expected, name
 
     def test_small_fixture_verdicts_against_oracle(self):
-        from shallowcheck import full_unitary
-
         for name, c0, c1, expected in micro_fixtures(seed=3):
             if c0.n_qubits > 4:
                 continue

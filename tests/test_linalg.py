@@ -16,12 +16,9 @@ from shallowcheck import (
     check_strong,
     check_weak,
     compute_description,
-    dagger,
     embed,
     haar_unitary,
-    identity,
     is_projection,
-    max_abs,
     membership_residual,
     random_circuit,
     verify_static,
@@ -34,6 +31,7 @@ from shallowcheck.linalg import (
     apply_local,
     conjugate_layer,
 )
+from support import dagger, max_abs
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -60,9 +58,6 @@ class TestBasics:
         assert v.shape == (8,)
         assert v[0] == 1.0
         assert np.count_nonzero(v) == 1
-
-    def test_identity(self):
-        assert np.array_equal(identity(2), np.eye(4))
 
     def test_max_abs(self):
         assert max_abs(np.array([[1, -3j], [2, 0]])) == 3.0
@@ -202,7 +197,7 @@ class TestApplyLayer:
         assert np.array_equal(tensor, before)
         members = zip(tensor, got) if batch else [(tensor, got)]
         for b, (rows, out) in enumerate(members):
-            dense = identity(n)
+            dense = np.eye(1 << n, dtype=complex)
             for u, axes in ops:
                 op = _sorted_op(u[b] if u.ndim == 3 else u, [a - lead for a in axes])
                 dense = embed(*op, list(range(n))) @ dense
@@ -248,7 +243,7 @@ class TestApplyLayer:
             ops.append((haar_unitary(trail, rng), list(range(w - trail, w))))
         mat = rng.normal(size=(1 << w,) * 2) + 1j * rng.normal(size=(1 << w,) * 2)
         got = conjugate_layer(mat, ops, w)
-        u = identity(w)
+        u = np.eye(1 << w, dtype=complex)
         for g, axes in ops:
             u = embed(g, axes, list(range(w))) @ u
         assert max_abs(got - u @ mat @ dagger(u)) <= 1e-12
@@ -275,7 +270,7 @@ class TestApplyLayer:
         got = apply_layer(tensor, ops)
         assert got.shape == shape
         assert np.array_equal(tensor, before)
-        dense = identity(n)
+        dense = np.eye(1 << n, dtype=complex)
         for u, axes in ops:
             dense = embed(u, axes, list(range(n))) @ dense
         want = (dense @ tensor.reshape(1 << n, -1)).reshape(shape)
@@ -487,7 +482,7 @@ class TestConjugate:
 
 class TestPredicates:
     def test_identity_is_projection(self):
-        assert is_projection(identity(2))
+        assert is_projection(np.eye(4, dtype=complex))
 
     def test_rank_one_pair_projector(self):
         plus = np.full(2, 1 / np.sqrt(2))
@@ -537,7 +532,7 @@ class TestIntegerPositions:
 
     def test_conjugate_layer(self):
         with pytest.raises(DomainError, match="must be an integer"):
-            conjugate_layer(identity(2), [(X, [0.5])], 2)
+            conjugate_layer(np.eye(4, dtype=complex), [(X, [0.5])], 2)
 
     def test_conjugate_hermitian(self):
         cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]

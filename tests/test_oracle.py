@@ -1,4 +1,4 @@
-"""Tests for the brute-force simulator and cross-check utilities."""
+"""Tests for the brute-force simulator and the cross-check helpers of ``support``."""
 
 import numpy as np
 import pytest
@@ -11,15 +11,11 @@ from shallowcheck import (
     ValidationError,
     compute_description,
     embed,
-    equal_up_to_phase,
-    full_unitary,
     named_gate,
-    partial_trace,
     random_circuit,
     simulate,
-    subspace_dim,
 )
-from shallowcheck.linalg import dagger
+from support import dagger, equal_up_to_phase, full_unitary, partial_trace, subspace_dim
 
 
 def bell_circuit():
