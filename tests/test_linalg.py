@@ -351,6 +351,23 @@ class TestApplyLayer:
         assert not any(taken.values())
 
 
+@st.composite
+def wide_layers(draw):
+    """``(grown, support, gates)`` of a last step that grows to width 9 to
+    11 with an axis left idle: gates of 1 to 3 positions in drawn order,
+    on old qubits, new ones or both, and at least one new qubit."""
+    w = draw(st.integers(9, 11))
+    grown = sorted(draw(st.sets(st.integers(0, 15), min_size=w, max_size=w)))
+    acted = draw(st.permutations(range(w)))[: draw(st.integers(1, w - 1))]
+    new = draw(st.sets(st.sampled_from(acted), min_size=1, max_size=3))
+    gates = []
+    while acted:
+        k = draw(st.integers(1, 3))
+        gates.append(acted[:k])
+        acted = acted[k:]
+    return grown, [q for a, q in enumerate(grown) if a not in new], gates
+
+
 class TestConjugateHermitian:
     """The last step of a described entry, :func:`linalg._conjugate_hermitian`,
     against ``embed``, ``conjugate_layer`` and ``(P + P†)/2``."""
@@ -426,6 +443,49 @@ class TestConjugateHermitian:
         ops = [(haar_unitary(len(g), rng), g) for g in gates]
         p = self._hermitian(len(support), rng)
         self._check(p, list(support), list(grown), ops, tile)
+
+    @settings(max_examples=8, deadline=None)
+    @given(wide_layers(), st.integers(0, 2**32 - 1))
+    # New qubits at both ends (brickwork), in either qubit order.
+    @example(([*range(10)], [*range(1, 9)], [[0, 1], [8, 9]]), 0)
+    @example(([*range(10)], [*range(1, 9)], [[1, 0], [9, 8]]), 1)
+    # One new qubit in the middle, listed after its old partner.
+    @example(([*range(9)], [0, 1, 2, 3, 5, 6, 7, 8], [[5, 4]]), 2)
+    # A 3-qubit gate with two new qubits, in reversed order.
+    @example(([*range(11)], [0, 1, 2, 4, 6, 7, 8, 9, 10], [[5, 4, 3]]), 3)
+    # Inside gates next to a straddling one.
+    @example(([*range(10)], [*range(9)], [[9, 8], [2, 3], [6]]), 4)
+    def test_wide_tiles_match_embedded_conjugate(self, layout, seed):
+        # The real ``_TILE``: widths 9 to 11 split on 1 to 3 idle axes,
+        # each tile built from the gates' superoperators.
+        grown, support, gates = layout
+        rng = np.random.default_rng(seed)
+        ops = [(haar_unitary(len(g), rng), g) for g in gates]
+        self._check(self._hermitian(len(support), rng), support, grown, ops)
+
+    def test_tiled_growing_step_fills_no_zeroed_tile(self, monkeypatch):
+        # The width-10 brickwork step reads each tile of ``p`` as a view:
+        # no tile is zeroed and placed into, as a step of one tile is.
+        calls = []
+        place, zeros = linalg._place, np.zeros
+
+        def spy_place(*args):
+            calls.append("_place")
+            return place(*args)
+
+        def spy_zeros(*args, **kwargs):
+            calls.append("zeros")
+            return zeros(*args, **kwargs)
+
+        rng = np.random.default_rng(10)
+        ops = [(haar_unitary(2, rng), [0, 1]), (haar_unitary(2, rng), [8, 9])]
+        monkeypatch.setattr(linalg, "_place", spy_place)
+        monkeypatch.setattr(np, "zeros", spy_zeros)
+        _conjugate_hermitian(self._hermitian(7, rng), range(1, 8), range(8), ops[:1])
+        assert calls == ["zeros", "_place"]
+        calls.clear()
+        _conjugate_hermitian(self._hermitian(8, rng), range(1, 9), range(10), ops)
+        assert calls == []
 
     @pytest.mark.parametrize("w", [2, 5, 8])
     def test_one_tile_is_bit_identical_to_conjugate_then_hermitian_part(self, w):
