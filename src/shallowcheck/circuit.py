@@ -141,13 +141,6 @@ class Layer:
                 raise DomainError(f"a layer holds gates only, got {g!r}")
         object.__setattr__(self, "gates", gates)
 
-    def support(self) -> set[int]:
-        """Union of the supports of all gates in the layer."""
-        out: set[int] = set()
-        for g in self.gates:
-            out.update(g.qubits)
-        return out
-
     def __repr__(self) -> str:
         return f"Layer({list(self.gates)!r})"
 
@@ -427,7 +420,21 @@ def random_circuit(
 
 def matrix_to_json(m: np.ndarray) -> list:
     """Encode a complex matrix as row-major ``[re, im]`` pairs."""
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
+    m = np.asarray(m)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
+def _check_fields(
+    node: dict, where: str, required: Sequence[str], optional: Sequence[str] = ()
+) -> None:
+    """Reject a field of ``node`` outside ``required`` and ``optional``,
+    then the first of ``required`` that ``node`` lacks."""
+    unknown = set(node) - {*required, *optional}
+    if unknown:
+        raise SchemaError(f"{where}: unknown field(s) {sorted(unknown)}")
+    for field in required:
+        if field not in node:
+            raise SchemaError(f"{where}: missing required field {field!r}")
 
 
 def _require_int(value, where: str) -> int:
@@ -484,11 +491,7 @@ def circuit_to_json(c: Circuit) -> dict:
 def _gate_from_json(node, where: str) -> Gate:
     if not isinstance(node, dict):
         raise SchemaError(f"{where}: expected a gate object")
-    unknown = set(node) - {"qubits", "name", "matrix"}
-    if unknown:
-        raise SchemaError(f"{where}: unknown field(s) {sorted(unknown)}")
-    if "qubits" not in node:
-        raise SchemaError(f"{where}: missing required field 'qubits'")
+    _check_fields(node, where, ("qubits",), ("name", "matrix"))
     raw_qubits = node["qubits"]
     if not isinstance(raw_qubits, list) or not raw_qubits:
         raise SchemaError(f"{where}.qubits: expected a non-empty list")
@@ -533,12 +536,7 @@ def circuit_from_json(obj) -> Circuit:
     """
     if not isinstance(obj, dict):
         raise SchemaError("circuit: expected a JSON object at top level")
-    unknown = set(obj) - {"n_qubits", "layers"}
-    if unknown:
-        raise SchemaError(f"circuit: unknown field(s) {sorted(unknown)}")
-    for field in ("n_qubits", "layers"):
-        if field not in obj:
-            raise SchemaError(f"circuit: missing required field {field!r}")
+    _check_fields(obj, "circuit", ("n_qubits", "layers"))
     n_qubits = _require_int(obj["n_qubits"], "n_qubits")
     raw_layers = obj["layers"]
     if not isinstance(raw_layers, list):

@@ -99,10 +99,10 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     c1 = _load_circuit(args.b)
     check = check_strong if args.mode == "strong" else check_weak
     report = check(c0, c1, threshold=args.threshold)
-    payload = report.to_json()
-    print(json.dumps(payload, indent=2))
+    text = json.dumps(report.to_json(), indent=2)
+    print(text)
     if args.report is not None:
-        _write_text(args.report, json.dumps(payload, indent=2) + "\n")
+        _write_text(args.report, text + "\n")
     return 0 if report.equivalent else 1
 
 
@@ -144,7 +144,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     state = simulate(circuit, cap=DEFAULT_ORACLE_CAP)
     payload = {
         "n_qubits": circuit.n_qubits,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state],
+        "amplitudes": np.stack([state.real, state.imag], axis=-1).tolist(),
     }
     _emit(payload, args.out)
     return 0

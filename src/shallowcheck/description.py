@@ -24,7 +24,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _require_int, matrix_from_json, validate
+from .circuit import (
+    Circuit,
+    Gate,
+    _check_fields,
+    _require_int,
+    matrix_from_json,
+    validate,
+)
 from .cone import ZERO_PROJECTOR, ConeStep, walk_light_cones
 from .config import support_cap
 from .errors import CapacityError, DomainError, SchemaError, ValidationError
@@ -159,12 +166,13 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     reaches the final support, computes only the tiles on or above the
     diagonal, split on idle qubits of that layer, and mirrors them, so
     each entry is exactly Hermitian; diagonal tiles are re-symmetrized
-    as ``(T + T†)/2``.  When that step grows the support, each tile is
-    read from a strided view of the previous-width matrix and taken
-    through each straddling gate's superoperator, the map ``X ↦ G (X ⊗
-    I) G†`` as one small matrix (16×4 for a two-qubit gate with one new
-    qubit), so neither the full embedded matrix nor a zero-filled tile
-    is built; on 2 vCPUs with one BLAS thread this took the bench's
+    as ``(T + T†)/2``.  Each tile is read from a strided view of the
+    previous matrix and taken through each gate's superoperator, the map
+    ``X ↦ G (X ⊗ I) G†`` as one small matrix: 16×4 for a two-qubit gate
+    with one new qubit, ``G ⊗ Ḡ`` for one inside the old support, where a
+    last step that does not grow takes its layer's inside gates.  So
+    neither the full embedded matrix nor a zero-filled tile is built; on
+    2 vCPUs with one BLAS thread this took the bench's
     ``describe-dense`` operation (``n = 14``, depth 5) from 0.102 to
     0.074 s.  An entry of at most ``2^16`` amplitudes (width 8) is one
     tile, embedded, conjugated whole and re-symmetrized as
@@ -440,12 +448,7 @@ def projection_entries_from_json(obj) -> tuple[int, tuple[LocalProjection, ...]]
     """
     if not isinstance(obj, dict):
         raise SchemaError("description: expected a JSON object at top level")
-    unknown = set(obj) - {"n_qubits", "projections"}
-    if unknown:
-        raise SchemaError(f"description: unknown field(s) {sorted(unknown)}")
-    for field in ("n_qubits", "projections"):
-        if field not in obj:
-            raise SchemaError(f"description: missing required field {field!r}")
+    _check_fields(obj, "description", ("n_qubits", "projections"))
     n_qubits = _require_int(obj["n_qubits"], "n_qubits")
     if n_qubits < 1:
         raise SchemaError(f"n_qubits: must be at least 1, got {n_qubits}")
@@ -457,12 +460,7 @@ def projection_entries_from_json(obj) -> tuple[int, tuple[LocalProjection, ...]]
         where = f"projections[{i}]"
         if not isinstance(node, dict):
             raise SchemaError(f"{where}: expected an object")
-        unknown = set(node) - {"support", "matrix"}
-        if unknown:
-            raise SchemaError(f"{where}: unknown field(s) {sorted(unknown)}")
-        for field in ("support", "matrix"):
-            if field not in node:
-                raise SchemaError(f"{where}: missing required field {field!r}")
+        _check_fields(node, where, ("support", "matrix"))
         raw_support = node["support"]
         if not isinstance(raw_support, list) or not raw_support:
             raise SchemaError(f"{where}.support: expected a non-empty list")

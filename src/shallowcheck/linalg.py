@@ -25,10 +25,11 @@ the first two of these are one call to it:
   operators, the kernel of the dense description engine;
 * ``_conjugate_hermitian``, the last step of each described entry,
   computes only the tiles on or above the diagonal of the grown matrix
-  and mirrors them into an exactly Hermitian result.  When the support
-  grows, each tile comes straight from a strided view of the old matrix
-  through each gate's superoperator, one small matrix product per gate,
-  so neither the full embedded matrix nor a zero-filled tile is built.
+  and mirrors them into an exactly Hermitian result.  When there is
+  more than one tile, each comes straight from a strided view of the
+  old matrix through each gate's superoperator, one small matrix
+  product per gate, so neither the full embedded matrix nor a
+  zero-filled tile is built.
 
 They are algebraically identical to ``embed`` followed by a dense
 product (and, for the last, ``(P + P†)/2``) and are cross-checked
@@ -488,29 +489,27 @@ def _conjugate_hermitian(
     Otherwise the row and column indices are split on the first few
     axes no op acts on, as many as bring a tile down to ``_TILE``
     amplitudes, and only the tiles on or above the diagonal are
-    computed, each from the matching tile of ``p``, a strided view:
-
-    * when ``support`` is ``grown``, each tile is conjugated by one
-      :func:`apply_layer` call;
-    * when it grows, each op acts through its :func:`_superoperator`,
-      which maps the op's old (row, column) axis pair of the tile to its
-      full one, so no ``p ⊗ I`` is built and no product reads its
-      zeros.  A tile takes one matrix product per op, on axes that cycle
-      to the back as in :func:`apply_layer`, and one transpose into a
-      contiguous (rows, columns) tile.  On the brickwork step from
-      width 8 to 10, a 16×4 matrix per gate, this took 8.3 ms against
-      14.1 ms for zero-filled tiles conjugated by :func:`apply_layer`
-      (medians of 200 runs on 2 vCPUs, one BLAS thread).
+    computed, each from the matching tile of ``p``, a strided view.
+    Each op acts through its :func:`_superoperator`, which maps the op's
+    old (row, column) axis pair of the tile to its full one: ``u ⊗ ū``
+    for an op inside ``support``, 16×4 for a two-qubit gate with one new
+    qubit.  So no ``p ⊗ I`` is built and no product reads its zeros.  A
+    tile takes one matrix product per op, on axes that cycle to the back
+    as in :func:`apply_layer`, and one transpose into a contiguous
+    (rows, columns) tile.  On the brickwork step from width 8 to 10 this
+    took 8.3 ms against 14.1 ms for zero-filled tiles conjugated by
+    :func:`apply_layer` (medians of 200 runs on 2 vCPUs, one BLAS
+    thread).
 
     A tile ``T`` above the diagonal is written with ``T†`` in the
     mirrored tile, and a diagonal tile as ``T/2 + (T/2)†``, which is
     ``(T + T†)/2`` since halving is exact, so the result is Hermitian
-    bit for bit.  A growing step halves a diagonal tile through its last
+    bit for bit.  A diagonal tile is halved through its last
     superoperator, at no cost.  Besides ``p`` and the result, one tile
     and its conjugate are live at a time.  The result is written into
     ``out``, a C-contiguous complex matrix on ``grown``, when one is
-    given, and otherwise allocated once the first tile's input has been
-    freed.
+    given, and otherwise allocated, for one tile once its embedded input
+    has been freed.
     """
     support, grown = [int(q) for q in support], [int(q) for q in grown]
     w = len(grown)
@@ -549,49 +548,39 @@ def _conjugate_hermitian(
 
     fixed = [grown[a] for a in split]
     in_p = [support.index(q) for q in fixed]
-    layer = [(u, [a - sum(x < a for x in split) for a in pos]) for u, pos in checked]
-    # ``tile(r, c)`` is tile ``(r, c)`` of the result, halved when
-    # ``r == c``: halving is exact, so ``T/2 + (T/2)†`` is ``(T + T†)/2``.
-    if support == grown:
-        layer += [(np.conj(u), [k + a for a in pos]) for u, pos in layer]
-
-        def tile(r: int, c: int) -> np.ndarray:
-            t = apply_layer(source[at(in_p, len(support), r, c)], layer)
-            return t * 0.5 if r == c else t
-
-    else:
-        # A tile of ``p`` has a row and a column axis per kept qubit;
-        # ``label`` is the axis of the result's tile each one becomes.
-        rest = [q for q in grown if q not in fixed]
-        kept = [q for q in support if q not in fixed]
-        axis = {q: a for a, q in enumerate(rest)}
-        label = [axis[q] for q in kept] + [k + axis[q] for q in kept]
-        plan, outs = [], []
-        for u, pos in layer:
-            old = [kept.index(rest[a]) for a in pos if rest[a] in kept]
-            sup = _superoperator(u, [rest[a] in kept for a in pos])
-            plan.append((sup.T, old + [len(kept) + i for i in old]))
-            outs += pos + [k + a for a in pos]
-        halved = plan[:-1] + [(plan[-1][0] * 0.5, plan[-1][1])]
-        consumed = [i for _, axes in plan for i in axes]
-        passed = [i for i in range(2 * len(kept)) if i not in consumed]
-        back = np.argsort([label[i] for i in passed] + outs).tolist()
-
-        def tile(r: int, c: int) -> np.ndarray:
+    # A tile of ``p`` has a row and a column axis per kept qubit;
+    # ``label`` is the axis of the result's tile each one becomes.
+    rest = [q for q in grown if q not in fixed]
+    kept = [q for q in support if q not in fixed]
+    axis = {q: a for a, q in enumerate(rest)}
+    label = [axis[q] for q in kept] + [k + axis[q] for q in kept]
+    plan, outs = [], []
+    for u, pos in checked:
+        pos = [a - sum(x < a for x in split) for a in pos]
+        old = [kept.index(rest[a]) for a in pos if rest[a] in kept]
+        sup = _superoperator(u, [rest[a] in kept for a in pos])
+        plan.append((sup.T, old + [len(kept) + i for i in old]))
+        outs += pos + [k + a for a in pos]
+    halved = plan[:-1] + [(m * 0.5, axes) for m, axes in plan[-1:]]
+    consumed = [i for _, axes in plan for i in axes]
+    passed = [i for i in range(2 * len(kept)) if i not in consumed]
+    back = np.argsort([label[i] for i in passed] + outs).tolist()
+    if out is None:
+        out = np.empty((1 << w, 1 << w), dtype=complex)
+    full = out.reshape((2,) * (2 * w))
+    for r in range(1 << s):
+        for c in range(r, 1 << s):
             # Each product takes the op's old axes from the front and
             # puts its full ones at the back, as in ``apply_layer``.
             t = source[at(in_p, len(support), r, c)].transpose(consumed + passed)
             for m, axes in halved if r == c else plan:
                 t = t.reshape(1 << len(axes), -1).T @ m
-            return np.ascontiguousarray(t.reshape((2,) * (2 * k)).transpose(back))
-
-    for r in range(1 << s):
-        for c in range(r, 1 << s):
-            t = tile(r, c)
-            if out is None:
-                out = np.empty((1 << w, 1 << w), dtype=complex)
-            full = out.reshape((2,) * (2 * w))
+            # ``copy``, unlike ``ascontiguousarray``, keeps a tile of no
+            # axes 0-d.
+            t = t.reshape((2,) * (2 * k)).transpose(back).copy()
             if r == c:
+                if not plan:
+                    t *= 0.5
                 d = full[at(split, w, r, r)]
                 np.conjugate(t.transpose(swap), out=d)
                 d += t

@@ -1,8 +1,10 @@
 """Tests for the circuit IR: construction, validation, composition, JSON."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shallowcheck import (
@@ -31,6 +33,22 @@ from support import gate_in_sorted_order
 
 def bell_layer_circuit():
     return Circuit(2, [Layer([named_gate("H", (0,))]), Layer([named_gate("CNOT", (0, 1))])])
+
+
+@st.composite
+def complex_views(draw):
+    """A ``2**n``-square complex matrix, ``n`` from 0 to 3, as a C-ordered
+    array or a transposed, strided or reversed view of one; its parts are
+    any finite floats, with -0.0, subnormals and values near 1e-17 often."""
+    dim = 1 << draw(st.integers(0, 3))
+    special = st.sampled_from([0.0, -0.0, 5e-324, -1.5e-310, 1e-17, -9.999999999999999e-18])
+    parts = st.one_of(special, st.floats(allow_nan=False, allow_infinity=False))
+    base = np.empty((dim, 2 * dim), dtype=complex)
+    for part in (base.real, base.imag):
+        values = draw(st.lists(parts, min_size=base.size, max_size=base.size))
+        part[...] = np.reshape(values, base.shape)
+    views = [base[:, :dim].copy(), base[:, :dim], base[:, ::2], base[:, :dim].T, base[::-1, dim:]]
+    return draw(st.sampled_from(views))
 
 
 class TestGate:
@@ -507,6 +525,17 @@ class TestJson:
             for ga, gb in zip(la.gates, lb.gates):
                 assert np.array_equal(ga.matrix, gb.matrix)
 
+    @settings(max_examples=100, deadline=None)
+    @given(complex_views())
+    @example(np.array([
+        [complex(-0.0, 5e-324), complex(1e-17, -0.0)],
+        [complex(-1.5e-310, -0.0), complex(1.0, -1e-17)],
+    ]).T)
+    def test_matrix_to_json_bytes_match_the_entrywise_encoder(self, m):
+        entrywise = [[[float(x.real), float(x.imag)] for x in row] for row in m]
+        want = json.dumps(entrywise, indent=2)
+        assert json.dumps(circuit.matrix_to_json(m), indent=2) == want
+
     def test_unknown_top_level_field(self):
         obj = circuit_to_json(bell_layer_circuit())
         obj["version"] = 2
@@ -518,6 +547,36 @@ class TestJson:
             circuit_from_json({"n_qubits": 2})
         with pytest.raises(SchemaError, match="missing required field"):
             circuit_from_json({"layers": []})
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (
+                {"n_qubits": 1, "layers": [], "version": 2, "author": "a"},
+                "circuit: unknown field(s) ['author', 'version']",
+            ),
+            ({"layers": []}, "circuit: missing required field 'n_qubits'"),
+            ({"n_qubits": 1}, "circuit: missing required field 'layers'"),
+            # Unknown fields are reported before missing ones.
+            ({"extra": 0}, "circuit: unknown field(s) ['extra']"),
+            (
+                {"n_qubits": 1, "layers": [[], [{"qubits": [0], "name": "X", "label": "a"}]]},
+                "layers[1][0]: unknown field(s) ['label']",
+            ),
+            (
+                {"n_qubits": 1, "layers": [[{"name": "X"}]]},
+                "layers[0][0]: missing required field 'qubits'",
+            ),
+            (
+                {"n_qubits": 1, "layers": [[{"label": "a"}]]},
+                "layers[0][0]: unknown field(s) ['label']",
+            ),
+        ],
+    )
+    def test_field_check_messages(self, obj, message):
+        with pytest.raises(SchemaError) as raised:
+            circuit_from_json(obj)
+        assert str(raised.value) == message
 
     def test_unknown_gate_field(self):
         obj = {"n_qubits": 1, "layers": [[{"qubits": [0], "name": "X", "label": "a"}]]}

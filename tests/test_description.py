@@ -262,6 +262,17 @@ class TestLayerKernel:
             assert np.array_equal(p.matrix, dagger(p.matrix))
             assert np.max(np.abs(p.matrix @ p.matrix - p.matrix)) <= TOL
 
+    def test_tiled_last_step_that_does_not_grow_matches_reference(self):
+        # The two central entries span all ten qubits a layer before the
+        # last, so their last step is tiled and does not grow.
+        c = random_circuit(10, 6, seed=1)
+        cones = walk_light_cones(c, [(t,) for t in range(10)], "support of qubit {}", 10)
+        assert [t for t, steps in enumerate(cones) if steps[-2][1] == steps[-1][1]] == [4, 5]
+        d = compute_description(c)
+        _assert_description_matches(d, *per_gate_reference_description(c))
+        for p in d.projections:
+            assert np.array_equal(p.matrix, dagger(p.matrix))
+
     def test_inside_gates_are_conjugated_before_the_embed(self, monkeypatch, streams):
         # Each call records, in its thread's stream, the width of the
         # matrix it reads, the width it conjugates at, the gate matrices
@@ -849,6 +860,39 @@ class TestJson:
         obj["extra"] = 1
         with pytest.raises(SchemaError, match="unknown field"):
             description_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (
+                {"n_qubits": 1, "projections": [], "version": 2, "author": "a"},
+                "description: unknown field(s) ['author', 'version']",
+            ),
+            ({"projections": []}, "description: missing required field 'n_qubits'"),
+            ({"n_qubits": 1}, "description: missing required field 'projections'"),
+            # Unknown fields are reported before missing ones.
+            ({"extra": 0}, "description: unknown field(s) ['extra']"),
+            (
+                {"n_qubits": 1, "projections": [
+                    {"support": [0], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+                    {"support": [0], "label": "a", "kind": "b"},
+                ]},
+                "projections[1]: unknown field(s) ['kind', 'label']",
+            ),
+            (
+                {"n_qubits": 1, "projections": [{"support": [0]}]},
+                "projections[0]: missing required field 'matrix'",
+            ),
+            (
+                {"n_qubits": 1, "projections": [{}]},
+                "projections[0]: missing required field 'support'",
+            ),
+        ],
+    )
+    def test_field_check_messages(self, obj, message):
+        with pytest.raises(SchemaError) as raised:
+            projection_entries_from_json(obj)
+        assert str(raised.value) == message
 
     def test_unsorted_support_rejected(self):
         zero_row = [[0, 0]] * 4

@@ -320,10 +320,11 @@ class TestApplyLayer:
         # built on the pool.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        # Gates at the ends of a support of 8 or more, short of covering
-        # it: every straddling call at the widths where ``B >= 64`` holds
-        # for the gates at the start of the column axes, whole at width
-        # 8 and in tiles of width 8 at width 10.
+        # Gates at the ends of a support of 8, short of covering it:
+        # ``B >= 64`` holds for the gates at the start of the column axes,
+        # so every ``apply_layer`` call of those steps takes the edge form.
+        # A width-10 last step builds its tiles from the gates'
+        # superoperators and calls ``apply_layer`` not at all.
         d = compute_description(random_circuit(12, 5, seed=1))
         # Widths up to 10, built on the pool: each entry's calls grow to
         # its width in one thread's stream.
@@ -334,14 +335,20 @@ class TestApplyLayer:
             assert widths == sorted(widths)
             assert widths[-1] == len(d.projections[t].support)
         ends = [
-            (positions, n, runs)
+            runs
             for entry in found.values()
             for positions, n, runs, _ in entry
-            if n >= 8 and sum(map(len, positions)) < n
+            if n == 8 and sum(map(len, positions)) < n
             and all(0 in p or n - 1 in p for p in positions)
         ]
-        assert ends and all(all(runs) for *_, runs in ends)
-        assert {8, 10} <= {n for _, n, _ in ends}
+        assert ends and all(runs and all(runs) for runs in ends)
+        last = [
+            runs
+            for entry in found.values()
+            for _, n, runs, result in entry
+            if n == 10 and result is not None
+        ]
+        assert last and all(runs == [] for runs in last)
         c, other = random_circuit(8, 2, seed=1), random_circuit(8, 2, seed=2)
         claims = compute_description(other)
         taken.clear()
@@ -455,6 +462,10 @@ class TestConjugateHermitian:
     @example(([*range(11)], [0, 1, 2, 4, 6, 7, 8, 9, 10], [[5, 4, 3]]), 3)
     # Inside gates next to a straddling one.
     @example(([*range(10)], [*range(9)], [[9, 8], [2, 3], [6]]), 4)
+    # A support that does not grow: two-qubit gates, one-qubit gates, none.
+    @example(([*range(10)], [*range(10)], [[1, 2], [5, 4], [8, 9]]), 5)
+    @example(([*range(10)], [*range(10)], [[2], [7], [9]]), 6)
+    @example(([*range(10)], [*range(10)], []), 7)
     def test_wide_tiles_match_embedded_conjugate(self, layout, seed):
         # The real ``_TILE``: widths 9 to 11 split on 1 to 3 idle axes,
         # each tile built from the gates' superoperators.
@@ -485,6 +496,28 @@ class TestConjugateHermitian:
         assert calls == ["zeros", "_place"]
         calls.clear()
         _conjugate_hermitian(self._hermitian(8, rng), range(1, 9), range(10), ops)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "support, gates",
+        [(range(1, 9), [[0, 1], [8, 9]]), (range(10), [[1, 2], [7, 8]]), (range(10), [[3], [6]])],
+        ids=["growing", "inside", "one-qubit"],
+    )
+    def test_tiled_steps_call_no_apply_layer(self, monkeypatch, support, gates):
+        # Every tile of a width-10 step, grown or not, comes from the
+        # gates' superoperators.
+        calls = []
+        apply = linalg.apply_layer
+
+        def spy(*args):
+            calls.append(None)
+            return apply(*args)
+
+        rng = np.random.default_rng(11)
+        ops = [(haar_unitary(len(g), rng), g) for g in gates]
+        p = self._hermitian(len(support), rng)
+        monkeypatch.setattr(linalg, "apply_layer", spy)
+        _conjugate_hermitian(p, support, range(10), ops)
         assert calls == []
 
     @pytest.mark.parametrize("w", [2, 5, 8])
