@@ -342,7 +342,7 @@ def haar_unitary(
     seed yields a bit-identical matrix on repeat calls; passing a
     generator draws from (and advances) its stream.
     """
-    if k_qubits < 1:
+    if _integral(k_qubits, "k_qubits") < 1:
         raise DomainError(f"k_qubits must be at least 1, got {k_qubits}")
     cap = support_cap()
     if k_qubits > cap:
@@ -386,9 +386,9 @@ def random_circuit(
     seed
         Integer seed or generator for the gate stream.
     """
-    if n < 2:
+    if _integral(n, "the qubit count") < 2:
         raise DomainError(f"random circuits need at least 2 qubits, got {n}")
-    if depth < 0:
+    if _integral(depth, "depth") < 0:
         raise DomainError(f"depth must be non-negative, got {depth}")
     if geometry != "1d-brickwork":
         raise DomainError(

@@ -17,10 +17,11 @@ and the tuple doubles as a machine-checkable assertion about the state.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -184,20 +185,20 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
 
     Validation and the light-cone walk run on the calling thread, so a
     capacity error comes before any entry is built.  When some entry's
-    final matrix holds at least ``2^16`` amplitudes (one tile), the
-    calling thread and one pool thread per further CPU take entries,
-    widest first, from one shared queue; their matrix products release
-    the interpreter lock and overlap.  The CPUs are those of
-    ``os.sched_getaffinity``, divided by the threads each BLAS call runs
-    on: the count ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` or
-    ``OMP_NUM_THREADS`` sets, or every CPU when none is set.  Each
-    entry's final matrix is allocated untouched on the calling thread
-    before the pool starts, so pool threads allocate only temporaries,
-    and glibc's per-thread arenas keep no freed output resident.
-    Narrower descriptions, whose entries spend their time in Python
-    under the lock, and hosts with no CPU to spare are built serially
-    with no thread started.  The output is bit-identical whichever
-    thread builds an entry.
+    final matrix holds at least ``2^16`` amplitudes (one tile) and the
+    process may run on more than one CPU (``os.sched_getaffinity``, else
+    ``os.cpu_count()``), one pool thread per CPU builds the entries,
+    widest first, while the caller waits; their matrix products release
+    the interpreter lock and overlap.  Meanwhile numpy's bundled OpenBLAS
+    runs each call on one thread, a count set for the whole process and
+    restored when the call returns or raises; concurrent calls pool one
+    at a time.  Another BLAS, whose count cannot be set, builds serially,
+    as do one-CPU hosts and narrower descriptions, whose entries spend
+    their time in Python under the interpreter lock.  Each final matrix
+    is allocated untouched on the calling thread first, so pool threads
+    allocate only temporaries and glibc's per-thread arenas keep no freed
+    output resident.  The output is bit-identical whichever thread builds
+    an entry.
     """
     violations = validate(c)
     if violations:
@@ -208,82 +209,79 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     cones = walk_light_cones(c, [(t,) for t in range(n)], "support of qubit {}", cap)
     # Amplitudes of each entry's final matrix, 0 for an entry no gate touches.
     sizes = [1 << 2 * len(steps[-1][1]) if steps else 0 for steps in cones]
-    workers = _pool_threads() if max(sizes, default=0) >= _TILE else 0
-    if not workers:
+    workers = _pool_threads() if max(sizes, default=0) >= _TILE else 1
+    blas = _openblas() if workers > 1 else None
+    if blas is None:
         return Description(n, tuple(_entry(t, s, None) for t, s in enumerate(cones)))
-    return Description(n, _pooled(cones, sizes, workers))
-
-
-#: Variables that set the BLAS's thread count: OpenBLAS's and MKL's own
-#: before OpenMP's, which both read last.
-_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+    return Description(n, _pooled(cones, sizes, workers, blas))
 
 
 def _pool_threads() -> int:
-    """Pool threads to start besides the caller: one per CPU left once
-    each thread's BLAS calls have the threads they run on.
+    """Pool threads for a wide description: one per CPU this process may run on."""
+    # ``sched_getaffinity`` is missing on macOS and Windows.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The BLAS runs on the count its environment sets, or on every CPU
-    when none is set, so then no pool thread is started: threads that
-    contend with the BLAS's own measured slower than one thread.
+
+@functools.cache
+def _openblas() -> tuple[Callable, Callable] | None:
+    """The functions that get and set the thread count of numpy's bundled
+    OpenBLAS, or ``None`` when numpy runs on another BLAS.
+
+    Looked up on the first wide description, so importing the package
+    loads no ``ctypes``.
     """
-    for name in _BLAS_THREADS:
-        value = os.environ.get(name, "")
-        if value.isdigit() and int(value) > 0:
-            # ``sched_getaffinity`` is missing on macOS and Windows.
-            if hasattr(os, "sched_getaffinity"):
-                cpus = len(os.sched_getaffinity(0))
-            else:
-                cpus = os.cpu_count() or 1
-            return max(0, cpus // int(value) - 1)
-    return 0
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+
+
+#: Held while a pool runs: the BLAS's thread count is one per process,
+#: so pools that overlapped would read each other's count and restore it.
+_PINNED = threading.Lock()
 
 
 def _pooled(
-    cones: Sequence[Sequence[ConeStep]], sizes: Sequence[int], workers: int
+    cones: Sequence[Sequence[ConeStep]], sizes: Sequence[int], workers: int, blas: tuple
 ) -> tuple[LocalProjection, ...]:
-    """The entries of :func:`compute_description`, built by the calling
-    thread and ``workers`` pool threads, widest first.
+    """The entries of :func:`compute_description`, built widest first on
+    ``workers`` pool threads while each BLAS call runs on one thread.
 
-    Each final matrix is allocated here, untouched, so a pool thread
-    allocates only temporaries and no output stays in its arena.  After
-    the first exception no thread takes another entry, and it is
-    raised once every thread has stopped.
+    On the first exception, here or in an entry, the entries not yet
+    started are cancelled, and once the running ones end the first
+    failure in build order is raised.  The BLAS's thread count is
+    restored whatever happens; pools in other threads wait for it.
     """
     # Imported here: a process that never builds a wide description
     # does not load the executor and the logging module it imports.
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
     outs = [
         np.empty((1 << len(steps[-1][1]),) * 2, dtype=complex) if steps else None
         for steps in cones
     ]
-    entries: list[LocalProjection | None] = [None] * len(cones)
-    todo = iter(sorted(range(len(cones)), key=lambda t: -sizes[t]))
-    lock = threading.Lock()
-    failure: list[BaseException] = []
-
-    def build() -> None:
-        while True:
-            with lock:
-                t = None if failure else next(todo, None)
-            if t is None:
-                return
-            try:
-                entries[t] = _entry(t, cones[t], outs[t])
-            except BaseException as e:
-                with lock:
-                    failure.append(e)
-                return
-
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(build) for _ in range(workers)]
-        build()
-        for f in futures:
-            f.result()
-    if failure:
-        raise failure[0]
-    return tuple(entries)
+    get_threads, set_threads = blas
+    with _PINNED:
+        threads = get_threads()
+        set_threads(1)
+        pool = ThreadPoolExecutor(workers)
+        try:
+            futures = {
+                t: pool.submit(_entry, t, cones[t], outs[t])
+                for t in sorted(range(len(cones)), key=lambda t: -sizes[t])
+            }
+            wait(futures.values(), return_when=FIRST_EXCEPTION)
+        finally:
+            pool.shutdown(cancel_futures=True)
+            set_threads(threads)
+    # ``result`` raises the first failure in build order.
+    built = {t: f.result() for t, f in futures.items() if not f.cancelled()}
+    return tuple(built[t] for t in range(len(cones)))
 
 
 def _entry(

@@ -134,7 +134,7 @@ def _max_abs(a: np.ndarray) -> float:
 
 def zero_state(n_qubits: int) -> np.ndarray:
     """The all-zeros computational basis state on ``n_qubits`` qubits."""
-    if n_qubits < 0:
+    if _integral(n_qubits, "the qubit count") < 0:
         raise DomainError(f"qubit count must be non-negative, got {n_qubits}")
     v = np.zeros(1 << n_qubits, dtype=complex)
     v[0] = 1.0

@@ -1,13 +1,16 @@
-"""Helpers shared by the tests that spy on ``compute_description``'s kernels.
+"""Helpers shared by the tests of ``compute_description``'s pool.
 
 ``compute_description`` builds its entries on several threads when some
 entry is wide, so spies record calls per thread and a test matches the
 calls to entries by the matrices they return, never by a global order.
+While the pool runs, numpy's bundled OpenBLAS is set to one thread.
 """
 
 import threading
 
 import pytest
+
+from shallowcheck import description
 
 
 class ThreadStreams:
@@ -49,3 +52,17 @@ class ThreadStreams:
 @pytest.fixture
 def streams():
     return ThreadStreams()
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's bundled OpenBLAS on two threads; yields its count getter
+    and restores the count the test found."""
+    blas = description._openblas()
+    if blas is None:
+        pytest.skip("numpy does not run on its bundled OpenBLAS")
+    get, set_ = blas
+    before = get()
+    set_(2)
+    yield get
+    set_(before)

@@ -8,9 +8,10 @@ or be named in code in README.md, and every name ``linalg`` exports
 must be imported by another module.  Helpers that only the tests call
 live in ``tests/support.py``.  Gates are applied through one kernel,
 ``linalg.apply_layer``: no module may contract tensors with
-``tensordot`` or ``moveaxis`` beside it.  Numeric arguments of the
-public entry points (thresholds, tolerances, noise, support caps) that
-are not numbers of the right kind raise ``DomainError``.
+``tensordot`` or ``moveaxis`` beside it.  Only ``config.py`` reads the
+environment.  Numeric arguments of the public entry points (thresholds,
+tolerances, noise, support caps) that are not numbers of the right kind
+raise ``DomainError``.
 """
 
 import ast
@@ -70,6 +71,15 @@ def _names(path: Path) -> set[str]:
 def test_gates_are_applied_by_one_kernel(banned):
     users = [p.name for p in sorted(PACKAGE.glob("*.py")) if banned in _names(p)]
     assert users == []
+
+
+def test_only_config_reads_the_environment():
+    readers = [
+        p.name
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name != "config.py" and {"environ", "getenv"} & _names(p)
+    ]
+    assert readers == []
 
 
 def test_every_linalg_export_is_used_by_another_module():

@@ -423,8 +423,9 @@ class TestHaarUnitary:
         assert total / trials == pytest.approx(0.5, abs=0.02)
 
     def test_rejects_bad_size(self):
-        with pytest.raises(DomainError):
-            haar_unitary(0)
+        for k in (0, 1.5, True):
+            with pytest.raises(DomainError):
+                haar_unitary(k)
 
     def test_cap(self, monkeypatch):
         from shallowcheck import CapacityError
@@ -469,6 +470,10 @@ class TestRandomCircuit:
             random_circuit(4, -1)
         with pytest.raises(DomainError):
             random_circuit(4, 2, geometry="2d-grid")
+        with pytest.raises(DomainError, match="must be an integer"):
+            random_circuit(4.0, 2)
+        with pytest.raises(DomainError, match="must be an integer"):
+            random_circuit(4, 2.0)
 
 
 class TestGateInSortedOrder:

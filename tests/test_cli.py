@@ -1,6 +1,8 @@
 """Tests for the command-line interface, run in-process via main()."""
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from shallowcheck import (
     named_gate,
     random_circuit,
 )
+from shallowcheck import description
 from shallowcheck.cli import CSV_HEADER, main
 from shallowcheck.config import SUPPORT_CAP_ENV
 from shallowcheck.description import compute_description
@@ -49,6 +52,32 @@ class TestDescribe:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["describe", str(tmp_path / "nope.json")]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_out_of_memory_on_the_pool_exits_three(
+        self, tmp_path, capsys, monkeypatch, blas_threads
+    ):
+        # A wide description on two CPUs is built on the pool; one entry
+        # runs out of memory there.
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps(circuit_to_json(random_circuit(12, 5, seed=1))))
+        threads = set()
+        entry = description._entry
+
+        def exhausted(t, *args):
+            threads.add(threading.current_thread())
+            if t == 3:
+                raise MemoryError
+            return entry(t, *args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(description, "_entry", exhausted)
+        assert main(["describe", str(wide)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: allocation failed\n"
+        assert threading.current_thread() not in threads
+        assert not any(t.is_alive() for t in threads)
+        assert blas_threads() == 2
 
     def test_schema_violation(self, tmp_path, capsys):
         doc = tmp_path / "c.json"

@@ -1,5 +1,6 @@
 """Tests for the per-qubit local-projection description engine."""
 
+import concurrent.futures
 import contextlib
 import os
 import sys
@@ -192,18 +193,27 @@ def _assert_description_matches(d, supports, mats):
 
 
 @contextlib.contextmanager
-def _host(cpus, blas="1"):
-    """A host of ``cpus`` CPUs whose BLAS runs on ``blas`` threads, or on
-    every CPU when ``blas`` is ``None``."""
-    env = {k: v for k, v in os.environ.items() if k not in description._BLAS_THREADS}
-    if blas is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas
-    affinity = mock.patch.object(
+def _host(cpus):
+    """A host of ``cpus`` CPUs."""
+    with mock.patch.object(
         os, "sched_getaffinity", return_value=set(range(cpus)), create=True
-    )
-    with affinity:
-        with mock.patch.dict(os.environ, env, clear=True):
-            yield
+    ):
+        yield
+
+
+class _Blas:
+    """Stands in for numpy's OpenBLAS, its thread count starting at ``threads``."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.counts = []
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.threads = threads
+        self.counts.append(threads)
 
 
 class _Starts:
@@ -603,8 +613,9 @@ def brickworks(draw, max_qubits=12, max_depth=5):
 
 
 class TestPool:
-    """Descriptions with an entry of one tile or more are built on a pool
-    of ``len(os.sched_getaffinity(0)) - 1`` threads besides the caller."""
+    """Descriptions with an entry of one tile or more are built on one
+    pool thread per CPU of ``os.sched_getaffinity(0)`` while numpy's
+    bundled OpenBLAS runs on one thread."""
 
     @staticmethod
     def _bits(d):
@@ -628,9 +639,54 @@ class TestPool:
         assert starts.count > 0
         assert self._bits(pooled) == self._bits(serial)
 
-    def test_error_in_one_entry_propagates_and_stops_the_pool(self):
-        # Width 10, 12 entries: the first last step fails, and no thread
-        # takes an entry after it, so most entries are never built.
+    def test_pool_needs_no_blas_variable(self, monkeypatch):
+        for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        c = random_circuit(14, 5, seed=1)
+        with _host(1):
+            serial = compute_description(c)
+        if description._openblas() is None:
+            pytest.skip("numpy does not run on its bundled OpenBLAS")
+        with _host(2), _Starts() as starts:
+            pooled = compute_description(c)
+        assert starts.count == 2
+        assert self._bits(pooled) == self._bits(serial)
+
+    def test_blas_count_is_one_while_pooled_and_restored_after(self, blas_threads):
+        seen = []
+        entry = description._entry
+
+        def recording(*args):
+            seen.append(blas_threads())
+            return entry(*args)
+
+        with _host(4), mock.patch.object(description, "_entry", recording):
+            compute_description(random_circuit(12, 5, seed=1))
+        assert seen == [1] * 12
+        assert blas_threads() == 2
+
+    def test_overlapping_describes_restore_the_blas_count(self, blas_threads):
+        # Two threads describe at once: a pool that did not wait for the
+        # other would read its count of 1 and could restore that last.
+        c = random_circuit(12, 5, seed=1)
+        for _ in range(5):
+            built = []
+            callers = [
+                threading.Thread(target=lambda: built.append(compute_description(c)))
+                for _ in range(2)
+            ]
+            with _host(2):
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=60)
+            assert not any(caller.is_alive() for caller in callers)
+            assert len(built) == 2
+            assert blas_threads() == 2
+
+    def test_error_in_one_entry_propagates_and_stops_the_pool(self, blas_threads):
+        # Width 10, 12 entries: the first last step fails, and the entries
+        # not yet started then are cancelled, so most are never built.
         injected = RuntimeError("injected")
         threads, calls = set(), []
         final = description._conjugate_hermitian
@@ -647,44 +703,64 @@ class TestPool:
                 compute_description(random_circuit(12, 5, seed=1))
         assert exc.value is injected
         assert len(calls) < 12
-        assert not any(t.is_alive() for t in threads if t is not threading.current_thread())
+        assert threading.current_thread() not in threads
+        assert not any(t.is_alive() for t in threads)
+        assert blas_threads() == 2
+
+    def test_interrupt_while_waiting_cancels_and_restores(self, blas_threads):
+        # A KeyboardInterrupt in the waiting caller: the queued entries are
+        # cancelled, the running ones end, and the BLAS count is restored.
+        built = []
+        entry = description._entry
+
+        def recording(*args):
+            built.append(threading.current_thread())
+            return entry(*args)
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        spy = mock.patch.object(description, "_entry", recording)
+        stop = mock.patch.object(concurrent.futures, "wait", interrupted)
+        with _host(2), spy, stop, pytest.raises(KeyboardInterrupt):
+            compute_description(random_circuit(12, 5, seed=1))
+        assert len(built) < 12
+        assert not any(t.is_alive() for t in built)
+        assert blas_threads() == 2
 
     @pytest.mark.parametrize(
         "cpus, blas, n, depth, started",
         [
-            (1, "1", 12, 5, 0),  # one CPU, width 10
-            (1, "1", 10, 4, 0),  # one CPU, width 8
-            (4, "1", 20, 3, 0),  # width 6, below a tile
-            (4, None, 12, 5, 0),  # the BLAS on every CPU
-            (4, "4", 12, 5, 0),
-            (4, "2", 12, 5, 1),  # two BLAS threads each, for two threads
-            (2, "1", 10, 4, 1),  # one tile
+            (1, 1, 12, 5, 0),  # one CPU, width 10
+            (1, 1, 10, 4, 0),  # one CPU, width 8
+            (4, 1, 20, 3, 0),  # width 6, below a tile
+            (4, None, 12, 5, 0),  # a BLAS whose thread count cannot be set
+            (4, 4, 12, 5, 4),  # the BLAS on every CPU, pinned while pooled
+            (4, 2, 12, 5, 4),
+            (3, 2, 12, 5, 3),
+            (2, 1, 10, 4, 2),  # one tile
         ],
     )
     def test_threads_started(self, cpus, blas, n, depth, started):
-        with _host(cpus, blas), _Starts() as starts:
-            compute_description(random_circuit(n, depth, seed=1))
+        # ``blas`` is the fake BLAS's thread count before the call, or
+        # ``None`` when the lookup finds no count to set.
+        fake = _Blas(blas)
+        lookup = None if blas is None else (fake.get, fake.set)
+        with _host(cpus), mock.patch.object(description, "_openblas", lambda: lookup):
+            with _Starts() as starts:
+                compute_description(random_circuit(n, depth, seed=1))
         assert starts.count == started
-
-    @pytest.mark.parametrize(
-        "cpus, blas, threads",
-        [(4, "1", 3), (4, "2", 1), (8, "3", 1), (4, "4", 0), (1, "1", 0),
-         (4, None, 0), (4, "0", 0), (4, "two", 0)],
-    )
-    def test_pool_threads_leave_each_blas_thread_a_cpu(self, cpus, blas, threads):
-        with _host(cpus, blas):
-            assert description._pool_threads() == threads
+        assert fake.counts == ([1, blas] if started else [])
 
     def test_cpu_count_without_sched_getaffinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert description._pool_threads() == 3
+        assert description._pool_threads() == 4
 
     def test_stress_each_entry_built_once(self):
-        # Seven pool threads on this host's CPUs, switching threads every
-        # microsecond: a lost update of the shared queue would build an
-        # entry twice or leave one out.
+        # Eight pool threads on this host's CPUs, switching threads every
+        # microsecond: a lost update of the executor's queue would build
+        # an entry twice or leave one out.
         c = random_circuit(24, 4, seed=5)
         with _host(1):
             serial = compute_description(c)

@@ -58,6 +58,9 @@ class TestBasics:
         assert v.shape == (8,)
         assert v[0] == 1.0
         assert np.count_nonzero(v) == 1
+        for n in (2.0, True):
+            with pytest.raises(DomainError, match="must be an integer"):
+                zero_state(n)
 
     def test_max_abs(self):
         assert max_abs(np.array([[1, -3j], [2, 0]])) == 3.0
@@ -316,10 +319,8 @@ class TestApplyLayer:
         monkeypatch.setattr(linalg, "apply_layer", spy_layer)
         monkeypatch.setattr(description, "conjugate_layer", record)
         monkeypatch.setattr(description, "_conjugate_hermitian", record_final)
-        # Four CPUs and the BLAS on one thread: wide descriptions are
-        # built on the pool.
+        # Four CPUs: wide descriptions are built on the pool.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         # Gates at the ends of a support of 8, short of covering it:
         # ``B >= 64`` holds for the gates at the start of the column axes,
         # so every ``apply_layer`` call of those steps takes the edge form.
