@@ -19,8 +19,8 @@ projection ``P`` on a light cone: how far is ``P|0...0>`` from
   product ``A`` of the cone's gates: the gates in circuit order on a
   forward walk (the weak check's ``V Π_t V†``), ``U†`` on a backward
   walk (the static check's ``U† Q U``).  It runs ``|0...0>`` on the
-  ``w`` cone qubits through ``A†``, ``Q`` and ``A``, one layer per
-  :func:`~shallowcheck.linalg.apply_layer` call, and measures the
+  ``w`` cone qubits through ``A†``, ``Q`` and ``A``, one layer of
+  gates per :func:`~shallowcheck.linalg.apply_layer` call, and measures the
   defect: ``16·2^w`` bytes and ``O(gates·2^w)`` time instead of the
   ``16·4^w`` bytes of the dense projection, the light-cone idea of
   Bravyi, Gosset and Movassagh ("Classical algorithms for quantum mean
@@ -30,19 +30,25 @@ projection ``P`` on a light cone: how far is ``P|0...0>`` from
   arithmetic, so cones of the same shape (width and gate axes layer by
   layer) run as one group: their states are stacked on a leading batch
   axis and each layer of gates is one ``apply_layer`` call for the
-  whole group.  ``Q`` is applied with one call per run of members whose
-  ``Q`` has the same axes, so twins, whose ``Q`` differ only in their
-  axes, share every other call.  Each chain's axes and gate matrices are
-  built once.  A stacked state holds at most ``2^16`` amplitudes
-  (1 MiB); larger groups are split into chunks, and a cone of ``2^16``
-  amplitudes or more runs alone, so wide cones take no more memory than
-  one cone at a time does.
+  whole group.  Each chain of steps is simulated once: twins share
+  their gates, so ``A†|0...0>`` runs on one state per chain and is
+  copied out to the chain's members before ``Q``, which is one call per
+  run of members whose ``Q`` has the same axes.  A run of layers whose
+  gates act on the same axes, such as the middle of a paired ladder's
+  cone, is multiplied into one layer first, the standard gate fusion of
+  state-vector simulators (qsim, Isakov et al., arXiv:2111.02396), so
+  it costs one call for ``A†`` and one for ``A``; the fused gates still
+  act only on cone axes.  Each chain's axes and gate matrices are built
+  once.  A stacked state holds at most ``2^16`` amplitudes (1 MiB);
+  larger groups are split into chunks that hold whole chains where one
+  fits, and a cone of ``2^16`` amplitudes or more runs alone, so wide
+  cones take no more memory than one cone at a time does.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -202,14 +208,18 @@ def cone_residuals(
     Cones of the same shape (the same width and the same cone axes for
     every gate of every layer) are simulated together: their states are
     stacked on a leading batch axis, their gates into ``(B, d, d)``
-    stacks, and each layer of ``A†`` and ``A`` is one
-    :func:`~shallowcheck.linalg.apply_layer` call for the whole group.
-    Members are sorted by the axes of their ``Q``, which is one call per
-    run of equal axes on that run's slice of the stacked state.  A group
-    is split into chunks of at most
-    ``_BATCH_AMPLITUDES`` amplitudes, so a cone that wide or wider runs
-    alone.  Each member's residual equals the one its cone gives on its
-    own, bit for bit.
+    stacks.  Members that share a chain of steps, such as Choi twins,
+    share ``A†|0...0>``: it runs on one state per chain, which is then
+    copied out to the chain's members before ``Q``.  Layers of ``A``
+    whose gates act on the same axes as the layer before are multiplied
+    into one layer, so each run of them is one
+    :func:`~shallowcheck.linalg.apply_layer` call for ``A†`` and one for
+    ``A``.  Members are sorted by the axes of their ``Q``, which is one
+    call per run of equal axes on that run's slice of the stacked state.
+    A group is split into chunks of at most ``_BATCH_AMPLITUDES``
+    amplitudes, each holding whole chains where one fits, so a cone that
+    wide or wider runs alone.  Each member's residual equals the one its
+    cone gives on its own, bit for bit.
 
     Parameters
     ----------
@@ -241,10 +251,11 @@ def cone_residuals(
     """
     cones = walk_light_cones(c, [s for _, s in projections], what, cap, backward)
     # Cones by shape: width, then the axes of each layer's gates (1 +
-    # cone axis, behind the batch axis).  Each member is its Q's axes,
-    # its index, its support, its Q and its gate matrices, layer by
-    # layer.  Cones that share a chain of steps (Choi twins) share their
-    # support, axes and matrices, so each chain's are built once.
+    # cone axis, behind the batch axis), and within a shape by chain.
+    # Cones that share a chain of steps (Choi twins) share their support,
+    # axes and gate matrices, so each chain's are built once.  A chain is
+    # its gate matrices, layer by layer, and its members: each member's
+    # Q axes, index, support and Q.
     groups: dict[tuple, list] = {}
     built: dict[int, tuple] = {}
     for index, ((projector, start), steps) in enumerate(zip(projections, cones)):
@@ -254,38 +265,65 @@ def cone_residuals(
             layer_axes = tuple([
                 tuple([tuple([axis[q] for q in g.qubits]) for g in gates]) for gates, _ in steps
             ])
-            matrices = [[g.matrix for g in gates] for gates, _ in steps]
-            built[id(steps)] = (support, axis, (len(support), layer_axes), matrices)
-        support, axis, shape, matrices = built[id(steps)]
-        member = (tuple([axis[q] for q in start]), index, support, projector, matrices)
-        groups.setdefault(shape, []).append(member)
+            chain = ([[g.matrix for g in gates] for gates, _ in steps], [])
+            built[id(steps)] = (support, axis, chain)
+            groups.setdefault((len(support), layer_axes), []).append(chain)
+        support, axis, chain = built[id(steps)]
+        chain[1].append((tuple([axis[q] for q in start]), index, support, projector))
     results: list = [None] * len(projections)
-    for (width, layer_axes), members in groups.items():
-        # Members by the axes of Q, so each run of equal axes is one slice.
-        if len(members) > 1:
-            members.sort(key=itemgetter(0))
-        size = max(1, _BATCH_AMPLITUDES >> width)
-        for first in range(0, len(members), size):
-            q_axes, indices, supports, projectors, matrices = zip(*members[first:first + size])
-            # Op j of layer l of ``A`` (or ``A†``), stacked over the chunk.
-            gates = [
-                [(np.stack([m[l][j] for m in matrices]), axes) for j, axes in enumerate(ops)]
-                for l, ops in enumerate(layer_axes)
-            ]
-            daggers = [[(np.conj(u).mT, axes) for u, axes in ops] for ops in gates]
-            a_layers, a_dag_layers = (daggers, gates) if backward else (gates, daggers)
-            state = np.zeros((len(indices),) + (2,) * width, dtype=complex)
-            state.reshape(len(indices), -1)[:, 0] = 1.0
-            for ops in a_dag_layers[::-1]:
-                state = apply_layer(state, ops)
+    for (width, layer_axes), chains in groups.items():
+        for chunk in _chunks(chains, max(1, _BATCH_AMPLITUDES >> width)):
+            # Members by the axes of Q, so each run of equal axes is one
+            # slice; ``pick`` holds each member's chain in the chunk.
+            members = [(*m, k) for k, (_, piece) in enumerate(chunk) for m in piece]
+            if len(members) > 1:
+                members.sort(key=itemgetter(0))
+            q_axes, indices, supports, projectors, pick = zip(*members)
+            pick = np.array(pick)
+            # A's layers in the order A applies them, op j of layer l
+            # stacked over the chunk's chains; a layer on the axes of the
+            # one before is multiplied into it, op by op.
+            fused: list[tuple[list, tuple]] = []
+            for l, axes in enumerate(layer_axes):
+                ops = [np.array([m[l][j] for m, _ in chunk]) for j in range(len(axes))]
+                if backward:
+                    ops = [np.conj(u).mT.copy() for u in ops]
+                if fused and fused[-1][1] == axes:
+                    ops = [later @ earlier for later, earlier in zip(ops, fused.pop()[0])]
+                fused.append((ops, axes))
+            state = np.zeros((len(chunk),) + (2,) * width, dtype=complex)
+            state.reshape(len(chunk), -1)[:, 0] = 1.0
+            for ops, axes in fused[::-1]:
+                state = apply_layer(state, [(np.conj(u).mT, a) for u, a in zip(ops, axes)])
+            # Rebinding frees the chains' states before Q runs.
+            state = state[pick]
             state = _apply_projectors(state, q_axes, projectors)
-            for ops in a_layers:
-                state = apply_layer(state, ops)
+            for ops, axes in fused:
+                state = apply_layer(state, [(u[pick], a) for u, a in zip(ops, axes)])
             e = state.reshape(len(indices), -1)
             e[:, 0] -= 1.0
             for index, support, norms in zip(indices, supports, residual_norms(e)):
                 results[index] = (support, norms)
     return results
+
+
+def _chunks(chains: list[tuple[list, list]], size: int) -> Iterator[list]:
+    """``(matrices, members)`` chains packed into chunks of at most ``size`` members.
+
+    A chain goes whole into the current chunk when it fits, else it
+    starts a new one; only a chain of more than ``size`` members is cut.
+    """
+    chunk: list = []
+    held = 0
+    for matrices, members in chains:
+        for first in range(0, len(members), size):
+            piece = members[first:first + size]
+            if held + len(piece) > size:
+                yield chunk
+                chunk, held = [], 0
+            chunk.append((matrices, piece))
+            held += len(piece)
+    yield chunk
 
 
 def _apply_projectors(
@@ -298,9 +336,9 @@ def _apply_projectors(
     stacked state.
     """
     if q_axes[0] == q_axes[-1]:
-        return apply_layer(state, [(np.stack(projectors), q_axes[0])])
+        return apply_layer(state, [(np.array(projectors), q_axes[0])])
     runs = [b for b in range(1, len(q_axes)) if q_axes[b] != q_axes[b - 1]]
     out = np.empty_like(state)
     for lo, hi in zip([0] + runs, runs + [len(q_axes)]):
-        out[lo:hi] = apply_layer(state[lo:hi], [(np.stack(projectors[lo:hi]), q_axes[lo])])
+        out[lo:hi] = apply_layer(state[lo:hi], [(np.array(projectors[lo:hi]), q_axes[lo])])
     return out

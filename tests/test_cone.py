@@ -8,7 +8,12 @@ empty layers, idle qubits and no layers at all.  On translation-invariant
 layouts, where many cones share a shape and are simulated as one batch,
 they are also held to a loop that simulates one cone at a time, with the
 batch bound at its default and small enough to split batches into chunks.
+Cones that share a chain of steps share one simulation of ``A†``, and
+runs of layers on the same axes are fused; call counts and chunk
+contents pin both.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +343,24 @@ def test_batches_stay_within_the_bound(monkeypatch, bound):
             assert batch << len(qubits) <= bound
 
 
+def test_a_wide_cone_keeps_at_most_three_states_live():
+    # A cone of 2^15 amplitudes: apply_layer holds its input, a
+    # transposed copy and its output, so three states at most.  The
+    # chain's state copied out to its members before Q must not add a
+    # fourth.
+    c = random_circuit(16, 8, seed=1)
+    projections = [(ZERO_PROJECTOR, (7,))]
+    cone.cone_residuals(c, projections, "cone {}", 16)
+    tracemalloc.start()
+    try:
+        [(support, _)] = cone.cone_residuals(c, projections, "cone {}", 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(support) == 15
+    assert peak < 3.5 * (16 << len(support))
+
+
 def test_weak_capacity_error_names_qubit_and_layer(monkeypatch):
     monkeypatch.setenv(SUPPORT_CAP_ENV, "3")
     c = random_circuit(8, 3, seed=1)
@@ -440,9 +463,12 @@ def test_overflowing_twins_name_the_lower_index_and_first_layer(backward, revers
 def test_strong_check_of_a_paired_ladder_batches_by_gate_layout(monkeypatch):
     # On the composite of two paired ladders, the cones of qubits 2k and
     # 6 + 2k (twins) have 4 qubits and the same gate axes, and so do the
-    # cones of 2k + 1 and 6 + 2k + 1: two groups.  Each chain has
-    # 2 * depth + 2 steps, each one call for A† and one for A, and Q is
-    # one call per run of equal axes, one run per twin.
+    # cones of 2k + 1 and 6 + 2k + 1: two groups of n members, n / 2
+    # chains each.  Each chain has 2 * depth + 2 steps: the pair layer,
+    # then 2 * depth layers on the same pair of axes, which fuse into
+    # one op, then the pair daggers, so 3 fused layers.  A† runs them on
+    # one state per chain, A on every member, and Q is one call per run
+    # of equal axes, one run per twin.
     n, depth = 6, 2
     rng = np.random.default_rng(3)
 
@@ -461,11 +487,122 @@ def test_strong_check_of_a_paired_ladder_batches_by_gate_layout(monkeypatch):
     monkeypatch.setattr(cone, "apply_layer", recording)
     report = check_strong(ladder(), ladder())
     assert {len(r.support) for r in report.residuals} == {4}
-    steps = 2 * depth + 2
-    assert len(batches) == 2 * (2 * steps + 2)
-    # The layers of A† and A run on a whole group, Q on one twin's run.
-    assert batches.count(n) == 2 * 2 * steps
-    assert batches.count(n // 2) == 2 * 2
+    fused = 3
+    assert len(batches) == 2 * (2 * fused + 2)
+    # A's layers run on a whole group; A†'s on its chains and Q on one
+    # twin's run, n / 2 states each.
+    assert batches.count(n) == 2 * fused
+    assert batches.count(n // 2) == 2 * (fused + 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layouts())
+def test_weak_residuals_equal_static_residuals_of_the_inverse_on_layouts(pair):
+    # Paired ladders put whole runs of layers on one pair of axes, which
+    # fuse: forward from the walked gates, backward from their daggers,
+    # multiplied in the order A applies them either way.
+    c0, c1 = pair
+    v = concat(c0, adjoint(c1))
+    claims = [LocalProjection((t,), ZERO_PROJECTOR) for t in range(v.n_qubits)]
+    weak = check_weak(c0, c1).residuals
+    static = verify_static(adjoint(v), claims)
+    assert [r.support for r in weak] == [s.support for s in static]
+    assert [(r.l1, r.l2, r.linf) for r in weak] == [tuple(s.residual) for s in static]
+
+
+def _paired_ladder(n, depth, rng):
+    return Circuit(n, [
+        Layer([Gate((q, q + 1), haar_unitary(2, rng)) for q in range(0, n - 1, 2)])
+        for _ in range(depth)
+    ])
+
+
+def test_static_check_of_a_ladder_fuses_its_backward_walk(monkeypatch):
+    # Every cone of a paired ladder is one pair, and its 4 layers fuse
+    # into one op.  The cones of 2k and 2k + 1 share a chain: one group
+    # of n claims in n / 2 chains, so A† is one call, Q one call per
+    # qubit of the pair, and A one call.
+    n, depth = 6, 4
+    rng = np.random.default_rng(5)
+    c = _paired_ladder(n, depth, rng)
+    state = simulate(c)
+    zeros = [LocalProjection((t,), ZERO_PROJECTOR) for t in range(n)]
+    ones = [LocalProjection((t,), np.diag([0.0, 1.0]).astype(complex)) for t in range(n)]
+    described = list(compute_description(_paired_ladder(n, depth, rng)).projections)
+    calls = []
+
+    def recording(tensor, ops):
+        calls.append(tensor.shape[0])
+        return apply_layer(tensor, ops)
+
+    monkeypatch.setattr(cone, "apply_layer", recording)
+    checks = verify_static(c, zeros)
+    assert calls == [n // 2, n // 2, n // 2, n]
+    checks += verify_static(c, ones + described)
+    for check, entry in zip(checks, zeros + ones + described):
+        support, residual = dense_static(c, entry)
+        assert check.support == support
+        assert max(abs(a - b) for a, b in zip(check.residual, residual)) <= TOL
+        defect = apply_local(entry.matrix, state, list(entry.support), n) - state
+        assert check.holds == (np.max(np.abs(defect)) <= EQUIV_THRESHOLD)
+
+
+@pytest.mark.parametrize("bound", [16, 48])
+@settings(max_examples=15, deadline=None)
+@given(layouts(max_qubits=8, max_depth=1))
+def test_chunks_of_the_strong_check_hold_whole_chains(bound, pair):
+    # At these bounds a chunk holds one member of a cone of 16 or more
+    # amplitudes (16), or 3 members of a 4-qubit cone (48), so the twins
+    # of a chain run apart or, with one chain per chunk, together.
+    c0, c1 = pair
+    composite = concat(choi_extend(c0), adjoint(choi_extend(c1)))
+    zeros = [(ZERO_PROJECTOR, (t,)) for t in range(composite.n_qubits)]
+    walked = walk_light_cones(composite, [s for _, s in zeros], "cone {}", DEFAULT_SUPPORT_CAP)
+    chain = [[i for i, s in enumerate(walked) if s is steps] for steps in walked]
+    chunks = []
+    original = cone._chunks
+
+    def recording(chains, size):
+        for chunk in original(chains, size):
+            chunks.append([m[1] for _, piece in chunk for m in piece])
+            yield chunk
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cone, "_BATCH_AMPLITUDES", bound)
+        mp.setattr(cone, "_chunks", recording)
+        report = check_strong(c0, c1)
+    _assert_same_cones(_weak_cones(report), one_cone_at_a_time(composite, zeros))
+    assert sorted(i for chunk in chunks for i in chunk) == list(range(composite.n_qubits))
+    for chunk in chunks:
+        if len(chunk) > 1:
+            assert all(set(chain[i]) <= set(chunk) for i in chunk)
+
+
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("qubits, calls", [
+    ([(0, 1), (0, 1)], 3),
+    ([(0, 1), (1, 2), (0, 1)], 7),
+    ([(1, 0), (0, 1)], 5),
+])
+def test_only_layers_on_the_same_axes_fuse(backward, qubits, calls):
+    # The cone of qubit 0 meets every layer, walked either way.  Layers
+    # fuse only when adjacent and listing their gates' qubits in the same
+    # order; else A† and A make one call per layer, with Q between them.
+    rng = np.random.default_rng(7)
+    n = 1 + max(q for g in qubits for q in g)
+    c = Circuit(n, [Layer([Gate(g, haar_unitary(2, rng))]) for g in qubits])
+    projections = [(ZERO_PROJECTOR, (0,))]
+    recorded = []
+
+    def recording(tensor, ops):
+        recorded.append(ops)
+        return apply_layer(tensor, ops)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cone, "apply_layer", recording)
+        got = cone.cone_residuals(c, projections, "cone {}", DEFAULT_SUPPORT_CAP, backward)
+    assert len(recorded) == calls
+    _assert_same_cones(got, one_cone_at_a_time(c, projections, backward))
 
 
 @pytest.mark.parametrize("cap", [0, -3])
