@@ -37,7 +37,7 @@ from .cone import cone_residuals
 from .config import EQUIV_THRESHOLD, _checked_threshold, support_cap
 from .description import Description, LocalProjection, commutator_deviations
 from .errors import DomainError, ValidationError
-from .linalg import ErrorTriple, apply_local, is_projection
+from .linalg import ErrorTriple, _integral, apply_local, is_projection
 
 __all__ = [
     "RuntimeAssertReport",
@@ -215,13 +215,14 @@ def runtime_assert(
     Parameters
     ----------
     state
-        Normalized state vector on ``2**n`` amplitudes.
+        Normalized state vector on ``2**n`` amplitudes, all finite.
     assertions
         Pairwise-commuting tuple; non-commuting tuples are rejected
         with the offending pair, since their outcome statistics would
         depend on measurement order.
     seed
-        Seed for the outcome sampling (and the optional noise).
+        Non-negative integer seed for the outcome sampling (and the
+        optional noise).
     commute_tol
         Entrywise bound for the commutation pre-check; a bound that is
         not a real number, negative or not finite is a
@@ -240,12 +241,17 @@ def runtime_assert(
     n = dim.bit_length() - 1
     if dim < 2 or dim != 1 << n:
         raise DomainError(f"state dimension {dim} is not a power of two")
+    # A NaN norm would pass the normalization test below.
+    if not np.isfinite(psi).all():
+        raise DomainError("state has a non-finite amplitude")
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-6:
         raise DomainError(f"state is not normalized (norm {norm!r})")
     noise = _checked_threshold(noise, "noise")
     if noise > 1.0:
         raise DomainError(f"noise must be a probability, got {noise!r}")
+    if seed is not None and _integral(seed, "seed") < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     _check_entry_shapes(entries, n)
     _check_commuting(entries, commute_tol)
     rng = np.random.default_rng(seed)

@@ -53,12 +53,20 @@ CSV_HEADER = "mode,n,depth,trial,seed,seconds,max_support,max_linf"
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """The JSON document in ``path``; a file that does not decode, whatever
+    the reason, is a :class:`SchemaError` (exit 2), never a failing verdict."""
     try:
-        return json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.loads(fh.read())
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: not UTF-8 at byte {e.start}: {e.reason}") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: nested too deeply to decode") from None
+    except ValueError as e:
+        # For example an integer literal past Python's digit limit.
+        raise SchemaError(f"{path}: {e}") from None
 
 
 def _write_text(path: str, text: str) -> None:

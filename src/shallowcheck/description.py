@@ -40,10 +40,10 @@ from .linalg import (
     ErrorTriple,
     _TILE,
     _as_frozen,
+    _conjugate,
     _conjugate_hermitian,
     _integral,
     apply_layer,
-    conjugate_layer,
     embed,
     membership_residual,
     zero_state,
@@ -160,9 +160,10 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     cone's edge act on the grown matrix.  Since
     ``(G⊗I)(P⊗I)(G⊗I)† = (GPG†)⊗I`` and the layer's gates are disjoint,
     this equals conjugating by the embedded tensor product of the
-    layer's gates.  Each half is one
-    :func:`~shallowcheck.linalg.conjugate_layer` call: one matrix product
-    per gate on the row axes and one on the column axes, with the tensor
+    layer's gates.  Each half is one call of the private, unchecked
+    ``linalg._conjugate``, itself one
+    :func:`~shallowcheck.linalg.apply_layer` call: one matrix product per
+    gate on the row axes and one on the column axes, with the tensor
     permuted at most once before and once after.  The last step, which
     reaches the final support, computes only the tiles on or above the
     diagonal, split on idle qubits of that layer, and mirrors them, so
@@ -298,7 +299,7 @@ def _entry(
         # A last step that does not grow hands its inside gates to the
         # final conjugation instead.
         if inside and (straddling or k < len(steps)):
-            p = _conjugate(p, inside, support)
+            p = _conjugate(p, _layer(inside, support))
         if k == len(steps):
             # The last step reaches the final support: only the tiles on
             # or above the diagonal are conjugated there.
@@ -310,16 +311,9 @@ def _entry(
             # Two statements, so the old matrix is freed before the grown
             # one is conjugated, keeping the peak as it was.
             p = embed(p, support, grown)
-            p = _conjugate(p, straddling, grown)
+            p = _conjugate(p, _layer(straddling, grown))
         support = grown
     return LocalProjection(support, p)
-
-
-def _conjugate(
-    p: np.ndarray, gates: Sequence[Gate], support: tuple[int, ...]
-) -> np.ndarray:
-    """Conjugate ``p``, a matrix on ``support``, by disjoint ``gates`` within it."""
-    return conjugate_layer(p, _layer(gates, support), len(support))
 
 
 def _layer(

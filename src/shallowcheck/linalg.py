@@ -21,7 +21,7 @@ the first two of these are one call to it:
 
 * :func:`apply_local` applies an operator to some qubit axes of a
   state, or of the rows of a matrix;
-* :func:`conjugate_layer` conjugates a matrix by a layer of disjoint
+* ``_conjugate``, unchecked, conjugates a matrix by a layer of disjoint
   operators, the kernel of the dense description engine;
 * ``_conjugate_hermitian``, the last step of each described entry,
   computes only the tiles on or above the diagonal of the grown matrix
@@ -62,7 +62,6 @@ __all__ = [
     "ErrorTriple",
     "apply_layer",
     "apply_local",
-    "conjugate_layer",
     "embed",
     "is_projection",
     "membership_residual",
@@ -421,31 +420,22 @@ def apply_local(
     return apply_layer(t, [(op, pos)]).reshape(vec.shape)
 
 
-def conjugate_layer(
-    mat: np.ndarray,
-    ops: Sequence[tuple[np.ndarray, Sequence[int]]],
-    n_qubits: int,
+def _conjugate(
+    mat: np.ndarray, ops: Sequence[tuple[np.ndarray, Sequence[int]]]
 ) -> np.ndarray:
-    """Return ``U @ mat @ U†`` for the product ``U`` of one layer's ops.
+    """``U mat U†`` for the product ``U`` of one layer's ops, in ``mat``'s shape.
 
-    ``ops`` holds ``(matrix, positions)`` pairs on disjoint positions,
-    listed as for :func:`apply_local`.  ``mat`` is viewed as a tensor
-    with ``2·n_qubits`` axes, rows first, and conjugated by one
-    :func:`apply_layer` call: each op acts on its row axes ``p`` and its
-    complex conjugate on the column axes ``n_qubits + p``, since
-    ``mat @ u†`` is ``conj(u)`` applied to the columns.
+    ``mat`` is an operator on ``w`` qubits, as a matrix or as a tensor
+    with ``2·w`` axes, rows first.  ``ops`` holds ``(matrix, positions)``
+    pairs on disjoint positions, listed as for :func:`apply_local`.  It
+    is one :func:`apply_layer` call: each op acts on its row axes ``p``
+    and its complex conjugate on the column axes ``w + p``, since ``mat
+    @ u†`` is ``conj(u)`` applied to the columns.  It checks no
+    arguments, so callers must.
     """
-    mat = _as_operator(mat, "mat")
-    dim = 1 << n_qubits
-    if mat.shape[0] != dim:
-        raise DomainError(f"mat is {mat.shape[0]}-dimensional, expected {dim}")
-    checked = [_check_local_args(u, pos, n_qubits) for u, pos in ops]
-    order = [p for _, pos in checked for p in pos]
-    if len(set(order)) != len(order):
-        raise DomainError(f"ops must act on disjoint positions, got {order}")
-    columns = [(np.conj(u), [n_qubits + p for p in pos]) for u, pos in checked]
-    t = apply_layer(mat.reshape((2,) * (2 * n_qubits)), checked + columns)
-    return t.reshape(dim, dim)
+    w = (mat.size.bit_length() - 1) // 2
+    columns = [(np.conj(u), [w + p for p in pos]) for u, pos in ops]
+    return apply_layer(mat.reshape((2,) * (2 * w)), [*ops, *columns]).reshape(mat.shape)
 
 
 def _superoperator(u: np.ndarray, old: Sequence[bool]) -> np.ndarray:
@@ -480,12 +470,12 @@ def _conjugate_hermitian(
     ``p`` is a Hermitian matrix (up to rounding) on the sorted
     ``support``, a subset of the sorted ``grown``; ``ops`` holds
     ``(matrix, positions)`` pairs on disjoint positions of ``grown``,
-    listed as for :func:`conjugate_layer`, and must touch every qubit of
+    listed as for :func:`apply_local`, and must touch every qubit of
     ``grown`` not in ``support``.  ``p`` is not modified.
 
     A result of at most ``_TILE`` amplitudes, or with no idle axis, is
-    one tile: the conjugate of the embedded ``p``, by one
-    :func:`apply_layer` call, made Hermitian as ``(P + P†)/2``.
+    one tile: the :func:`_conjugate` of the embedded ``p``, made
+    Hermitian as ``(P + P†)/2``.
     Otherwise the row and column indices are split on the first few
     axes no op acts on, as many as bring a tile down to ``_TILE``
     amplitudes, and only the tiles on or above the diagonal are
@@ -521,13 +511,12 @@ def _conjugate_hermitian(
     source = p.reshape((2,) * (2 * len(support)))
     swap = list(range(k, 2 * k)) + list(range(k))
     if not s:
-        layer = checked + [(np.conj(u), [w + a for a in pos]) for u, pos in checked]
         if support == grown:
-            t = apply_layer(source, layer)
+            t = _conjugate(source, checked)
         else:
             x = np.zeros((1 << w, 1 << w), dtype=complex)
             _place(x, source, support, grown)
-            t = apply_layer(x.reshape((2,) * (2 * w)), layer)
+            t = _conjugate(x.reshape((2,) * (2 * w)), checked)
             del x  # freed before the result is allocated
         if out is None:
             out = np.empty((1 << w, 1 << w), dtype=complex)

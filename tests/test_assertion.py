@@ -211,6 +211,26 @@ class TestRuntimeAssert:
         with pytest.raises(DomainError, match="power of two"):
             runtime_assert(np.array([1.0, 0.0, 0.0]), [zero_assertion(0)])
 
+    @pytest.mark.parametrize(
+        "where, bad",
+        [(slice(None), np.nan), (5, complex(0, np.nan)), (5, np.inf)],
+        ids=["all-nan", "nan-imag", "inf"],
+    )
+    def test_rejects_non_finite_state(self, where, bad):
+        # An all-NaN state has a NaN norm, which no bound rejects, and a
+        # NaN pass probability, which ``min(1.0, nan)`` makes 1: it would
+        # pass every assertion.
+        state = np.zeros(16, dtype=complex)
+        state[0] = 1.0
+        state[where] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            runtime_assert(state, [zero_assertion(q) for q in range(4)], seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1"])
+    def test_malformed_seed_is_a_domain_error(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            runtime_assert(np.array([1.0, 0.0]), [zero_assertion(0)], seed=seed)
+
     def test_noise_knob_triggers_aborts(self):
         # With certain noise every qubit suffers a Pauli; X and Y flips
         # knock the state out of the asserted subspace, so across seeds

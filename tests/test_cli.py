@@ -1,11 +1,15 @@
 """Tests for the command-line interface, run in-process via main()."""
 
+import contextlib
+import io
 import json
 import os
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shallowcheck import (
     Circuit,
@@ -254,6 +258,73 @@ class TestAssert:
         path.write_text(json.dumps(description_to_json(other)))
         assert main(["assert", circuit_file, str(path)]) == 2
         assert "declares 4 qubit" in capsys.readouterr().err
+
+
+#: Files the JSON decoder rejects with something other than a
+#: ``JSONDecodeError``: bytes that are not UTF-8 (``UnicodeDecodeError``),
+#: nesting deeper than the recursion limit (``RecursionError``) and an
+#: integer literal past Python's 4300-digit limit (``ValueError``).
+UNDECODABLE = {
+    "non-utf8": b"\xff\xfe{",
+    "deep": b"[" * 200_000,
+    "long-int": b"1" * 4301,
+}
+
+#: Each subcommand that reads documents, with the malformed file ``{bad}``
+#: read first or after a valid circuit ``{good}``.
+READERS = [
+    ["describe", "{bad}"],
+    ["equiv", "{bad}", "{good}"],
+    ["equiv", "{good}", "{bad}"],
+    ["assert", "{bad}", "{good}"],
+    ["assert", "{good}", "{bad}"],
+]
+
+
+def _run_on(argv, good, bad):
+    return main([arg.format(good=good, bad=bad) for arg in argv])
+
+
+class TestMalformedFiles:
+    """A file that does not decode is malformed input (exit 2), never a
+    failing verdict (exit 1) or a traceback."""
+
+    @pytest.mark.parametrize("content", UNDECODABLE.values(), ids=UNDECODABLE)
+    @pytest.mark.parametrize("argv", READERS, ids=[" ".join(a) for a in READERS])
+    def test_undecodable_file_exits_two(self, circuit_file, tmp_path, capsys, argv, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert _run_on(argv, circuit_file, str(bad)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(READERS),
+        st.one_of(
+            # Random bytes, which never spell a whole document.
+            st.binary(max_size=64),
+            st.tuples(
+                st.binary(max_size=16), st.sampled_from([b"\xff", b"\xc0", b"\x80"]),
+                st.binary(max_size=16),
+            ).map(b"".join),
+            st.tuples(st.sampled_from([b"[", b'{"layers": ']), st.integers(1, 200_000))
+            .map(lambda t: t[0] * t[1]),
+            st.tuples(st.sampled_from([b"", b'{"n_qubits": ']), st.integers(4301, 20_000))
+            .map(lambda t: t[0] + b"7" * t[1]),
+        ),
+    )
+    def test_malformed_documents_never_exit_one(self, tmp_path_factory, argv, content):
+        folder = tmp_path_factory.mktemp("malformed")
+        good = folder / "good.json"
+        good.write_text(json.dumps(circuit_to_json(random_circuit(3, 1, seed=0))))
+        bad = folder / "bad.json"
+        bad.write_bytes(content)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert _run_on(argv, str(good), str(bad)) == 2
+        assert out.getvalue() == ""
 
 
 class TestRandomAndSimulate:

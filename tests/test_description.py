@@ -38,7 +38,7 @@ from shallowcheck import (
     simulate,
 )
 from shallowcheck.cone import walk_light_cones
-from shallowcheck.linalg import apply_local, conjugate_layer
+from shallowcheck.linalg import _conjugate, apply_local
 from support import dagger, gate_in_sorted_order, intersection_rank_small
 
 TOL = 1e-12
@@ -125,11 +125,11 @@ def untiled_description(c):
             straddling = [g for g in touched if not set(g.qubits) <= set(support)]
             if inside:
                 layer = [(g.matrix, [axis[q] for q in g.qubits]) for g in inside]
-                p = conjugate_layer(p, layer, len(support))
+                p = _conjugate(p, layer)
             if straddling:
                 axis = {q: i for i, q in enumerate(grown)}
                 layer = [(g.matrix, [axis[q] for q in g.qubits]) for g in straddling]
-                p = conjugate_layer(embed(p, support, grown), layer, len(grown))
+                p = _conjugate(embed(p, support, grown), layer)
             support = grown
         supports.append(support)
         mats.append((p + dagger(p)) / 2)
@@ -287,11 +287,12 @@ class TestLayerKernel:
         # Each call records, in its thread's stream, the width of the
         # matrix it reads, the width it conjugates at, the gate matrices
         # it applies and, for an entry's last step, the matrix it returns.
-        conjugate, final = description.conjugate_layer, description._conjugate_hermitian
+        conjugate, final = description._conjugate, description._conjugate_hermitian
 
-        def recording(mat, ops, n_qubits):
-            streams.mine().append((n_qubits, n_qubits, [u for u, _ in ops], None))
-            return conjugate(mat, ops, n_qubits)
+        def recording(mat, ops):
+            width = mat.shape[0].bit_length() - 1
+            streams.mine().append((width, width, [u for u, _ in ops], None))
+            return conjugate(mat, ops)
 
         def recording_final(p, support, grown, ops, out=None):
             assert p.shape[0] == 1 << len(support)
@@ -299,7 +300,7 @@ class TestLayerKernel:
             streams.mine().append((len(support), len(grown), [u for u, _ in ops], result))
             return result
 
-        monkeypatch.setattr(description, "conjugate_layer", recording)
+        monkeypatch.setattr(description, "_conjugate", recording)
         monkeypatch.setattr(description, "_conjugate_hermitian", recording_final)
         c = random_circuit(10, 4, seed=3)
         with _host(4):
@@ -368,7 +369,7 @@ class TestLayerKernel:
         for g in gates:
             gs = gate_in_sorted_order(g)
             u = embed(gs.matrix, list(gs.qubits), list(range(n))) @ u
-        got = conjugate_layer(mat, [(g.matrix, g.qubits) for g in gates], n)
+        got = _conjugate(mat, [(g.matrix, g.qubits) for g in gates])
         assert np.max(np.abs(got - u @ mat @ dagger(u))) <= TOL
 
     @pytest.mark.parametrize(

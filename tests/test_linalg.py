@@ -26,10 +26,10 @@ from shallowcheck import (
 )
 from shallowcheck.config import SUPPORT_CAP_ENV
 from shallowcheck.linalg import (
+    _conjugate,
     _conjugate_hermitian,
     apply_layer,
     apply_local,
-    conjugate_layer,
 )
 from support import dagger, max_abs
 
@@ -245,7 +245,7 @@ class TestApplyLayer:
         if trail:
             ops.append((haar_unitary(trail, rng), list(range(w - trail, w))))
         mat = rng.normal(size=(1 << w,) * 2) + 1j * rng.normal(size=(1 << w,) * 2)
-        got = conjugate_layer(mat, ops, w)
+        got = _conjugate(mat, ops)
         u = np.eye(1 << w, dtype=complex)
         for g, axes in ops:
             u = embed(g, axes, list(range(w))) @ u
@@ -300,11 +300,12 @@ class TestApplyLayer:
             mine(layers).append(len(mine(taken)) > count)
             return out
 
-        conjugate, final = description.conjugate_layer, description._conjugate_hermitian
+        conjugate, final = description._conjugate, description._conjugate_hermitian
 
-        def record(mat, ops, n):
+        def record(mat, ops):
             start = len(mine(layers))
-            out = conjugate(mat, ops, n)
+            out = conjugate(mat, ops)
+            n = mat.shape[0].bit_length() - 1
             streams.mine().append(([list(p) for _, p in ops], n, mine(layers)[start:], None))
             return out
 
@@ -317,7 +318,7 @@ class TestApplyLayer:
 
         monkeypatch.setattr(linalg, "_apply_edges", spy)
         monkeypatch.setattr(linalg, "apply_layer", spy_layer)
-        monkeypatch.setattr(description, "conjugate_layer", record)
+        monkeypatch.setattr(description, "_conjugate", record)
         monkeypatch.setattr(description, "_conjugate_hermitian", record_final)
         # Four CPUs: wide descriptions are built on the pool.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
@@ -378,12 +379,12 @@ def wide_layers(draw):
 
 class TestConjugateHermitian:
     """The last step of a described entry, :func:`linalg._conjugate_hermitian`,
-    against ``embed``, ``conjugate_layer`` and ``(P + P†)/2``."""
+    against ``embed``, ``linalg._conjugate`` and ``(P + P†)/2``."""
 
     @staticmethod
     def _reference(p, support, grown, ops):
         q = embed(p, support, grown) if list(support) != list(grown) else p
-        q = conjugate_layer(q, ops, len(grown))
+        q = _conjugate(q, ops)
         return (q + dagger(q)) / 2
 
     @classmethod
@@ -552,26 +553,22 @@ class TestConjugateHermitian:
 
 
 class TestConjugate:
-    """One-operator layers of :func:`conjugate_layer`, ``u @ p @ dagger(u)``."""
+    """One-operator layers of ``linalg._conjugate``, ``u @ p @ dagger(u)``."""
 
     def test_hadamard_rotates_zero_projector(self):
-        assert np.allclose(conjugate_layer(P0, [(H, [0])], 1), np.full((2, 2), 0.5))
+        assert np.allclose(_conjugate(P0, [(H, [0])]), np.full((2, 2), 0.5))
 
     def test_round_trip(self):
         for u in small_unitaries(2):
             p = np.diag([1, 0, 1, 0]).astype(complex)
-            there = conjugate_layer(p, [(u, [0, 1])], 2)
-            back = conjugate_layer(there, [(dagger(u), [0, 1])], 2)
+            there = _conjugate(p, [(u, [0, 1])])
+            back = _conjugate(there, [(dagger(u), [0, 1])])
             assert np.allclose(back, p)
 
     def test_preserves_projections(self):
         for u in small_unitaries(2):
             p = np.diag([1, 1, 0, 0]).astype(complex)
-            assert is_projection(conjugate_layer(p, [(u, [1, 0])], 2), 1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            conjugate_layer(np.eye(4), [(np.eye(2), [0])], 1)
+            assert is_projection(_conjugate(p, [(u, [1, 0])]), 1e-12)
 
 
 class TestPredicates:
@@ -623,10 +620,6 @@ class TestIntegerPositions:
     def test_apply_local(self):
         with pytest.raises(DomainError, match="must be an integer"):
             apply_local(X, zero_state(2), [0.9], 2)
-
-    def test_conjugate_layer(self):
-        with pytest.raises(DomainError, match="must be an integer"):
-            conjugate_layer(np.eye(4, dtype=complex), [(X, [0.5])], 2)
 
     def test_conjugate_hermitian(self):
         cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
@@ -701,7 +694,7 @@ class TestLocalPrimitives:
                 for op, pos in layer:
                     ue = embed(op, pos, full) @ ue
                 dense = ue @ mat @ dagger(ue)
-                assert np.allclose(conjugate_layer(mat, layer, n), dense)
+                assert np.allclose(_conjugate(mat, layer), dense)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 8), st.integers(0, 2**32 - 1))
@@ -720,12 +713,6 @@ class TestLocalPrimitives:
         got = _conjugate_hermitian(p, range(n), range(n), [])
         assert np.array_equal(p.view(np.uint64), before.view(np.uint64))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    def test_conjugate_layer_rejects_overlapping_ops(self):
-        with pytest.raises(DomainError, match="disjoint"):
-            conjugate_layer(np.eye(8), [(X, [1]), (np.eye(4), [0, 1])], 3)
-        with pytest.raises(DomainError):
-            conjugate_layer(np.eye(4), [(X, [2])], 2)
 
     def test_position_validation(self):
         v = self._random_state(2, 12)
