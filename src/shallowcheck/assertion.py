@@ -37,7 +37,7 @@ from .cone import cone_residuals
 from .config import EQUIV_THRESHOLD, _checked_threshold, support_cap
 from .description import Description, LocalProjection, commutator_deviations
 from .errors import DomainError, ValidationError
-from .linalg import ErrorTriple, _integral, apply_local, is_projection
+from .linalg import ErrorTriple, _seed, apply_local, is_projection
 
 __all__ = [
     "RuntimeAssertReport",
@@ -250,8 +250,11 @@ def runtime_assert(
     noise = _checked_threshold(noise, "noise")
     if noise > 1.0:
         raise DomainError(f"noise must be a probability, got {noise!r}")
-    if seed is not None and _integral(seed, "seed") < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
+    # The report keeps the seed, so a generator, which JSON cannot
+    # hold, is refused.
+    if isinstance(seed, np.random.Generator):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+    seed = _seed(seed)
     _check_entry_shapes(entries, n)
     _check_commuting(entries, commute_tol)
     rng = np.random.default_rng(seed)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_K_MAX, STRUCTURAL_TOL, support_cap
 from .errors import CapacityError, DomainError, SchemaError
-from .linalg import _as_frozen, _integral
+from .linalg import _as_frozen, _integral, _seed
 
 __all__ = [
     "Circuit",
@@ -338,9 +338,9 @@ def haar_unitary(
     """Draw a Haar-distributed unitary on ``k_qubits`` qubits.
 
     Uses the standard construction: QR-decompose a complex Ginibre
-    matrix and normalize the phases of R's diagonal.  A fixed integer
-    seed yields a bit-identical matrix on repeat calls; passing a
-    generator draws from (and advances) its stream.
+    matrix and normalize the phases of R's diagonal.  A fixed
+    non-negative integer seed yields a bit-identical matrix on repeat
+    calls; passing a generator draws from (and advances) its stream.
     """
     if _integral(k_qubits, "k_qubits") < 1:
         raise DomainError(f"k_qubits must be at least 1, got {k_qubits}")
@@ -351,7 +351,7 @@ def haar_unitary(
             size=k_qubits,
             cap=cap,
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     dim = 1 << k_qubits
     ginibre = (
         rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -365,7 +365,7 @@ def haar_unitary(
 def random_circuit(
     n: int,
     depth: int,
-    geometry: str = "1d-brickwork",
+    *,
     seed: int | np.random.Generator | None = None,
 ) -> Circuit:
     """Random circuit of Haar two-qubit gates in brickwork layout.
@@ -381,20 +381,14 @@ def random_circuit(
         Qubit count, at least 2.
     depth
         Layer count; 0 yields a circuit with no layers.
-    geometry
-        Only ``"1d-brickwork"`` is supported.
     seed
-        Integer seed or generator for the gate stream.
+        Non-negative integer seed or generator for the gate stream.
     """
     if _integral(n, "the qubit count") < 2:
         raise DomainError(f"random circuits need at least 2 qubits, got {n}")
     if _integral(depth, "depth") < 0:
         raise DomainError(f"depth must be non-negative, got {depth}")
-    if geometry != "1d-brickwork":
-        raise DomainError(
-            f"unsupported geometry {geometry!r}; only '1d-brickwork' is available"
-        )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     layers = []
     for ell in range(depth):
         start = 0 if ell % 2 == 0 else 1

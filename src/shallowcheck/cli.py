@@ -15,7 +15,8 @@ verdict), 1 for a failing verdict, 2 for malformed input or an invalid
 circuit, 3 when a computation would exceed a capacity cap or runs out
 of memory.  All file writes go through a temporary file in the
 destination directory followed by an atomic replace, so an interrupted
-run never leaves a truncated output behind.
+run never leaves a truncated output behind; a replaced file keeps its
+mode.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import sys
 import tempfile
 from functools import partial
 from time import perf_counter
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -69,13 +71,23 @@ def _load_json(path: str) -> dict:
         raise SchemaError(f"{path}: {e}") from None
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write atomically: temp file in the target directory, then replace."""
+def _write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
+    """Write through ``write`` atomically: a temp file in the target
+    directory, then a replace.  The file keeps the mode of the one it
+    replaces, and a new file gets the mode the umask gives ``open``."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        try:
+            mode = os.stat(path).st_mode & 0o7777
+        except FileNotFoundError:
+            # The umask can only be read by setting it.
+            umask = os.umask(0o022)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -84,11 +96,17 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2)
+    """Write ``json.dumps(obj, indent=2)`` and a newline to ``out``, or to
+    stdout when ``out`` is ``None``, streamed rather than built whole."""
+
+    def write(fh: TextIO) -> None:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
     if out is None:
-        print(text)
+        write(sys.stdout)
     else:
-        _write_text(out, text + "\n")
+        _write_atomic(out, write)
 
 
 def _load_circuit(path: str):
@@ -107,10 +125,10 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     c1 = _load_circuit(args.b)
     check = check_strong if args.mode == "strong" else check_weak
     report = check(c0, c1, threshold=args.threshold)
-    text = json.dumps(report.to_json(), indent=2)
-    print(text)
+    payload = report.to_json()
+    _emit(payload, None)
     if args.report is not None:
-        _write_text(args.report, text + "\n")
+        _emit(payload, args.report)
     return 0 if report.equivalent else 1
 
 
@@ -137,7 +155,7 @@ def cmd_assert(args: argparse.Namespace) -> int:
         ],
         "all_hold": all(ch.holds for ch in checks),
     }
-    print(json.dumps(payload, indent=2))
+    _emit(payload, None)
     return 0 if payload["all_hold"] else 1
 
 
@@ -232,7 +250,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         text = existing + "\n".join(rows) + "\n"
     else:
         text = CSV_HEADER + "\n" + "\n".join(rows) + "\n"
-    _write_text(args.csv, text)
+    _write_atomic(args.csv, lambda fh: fh.write(text))
     return 0
 
 
@@ -296,7 +314,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse has printed the help (0) or a usage error (2).
+        return e.code
     try:
         return args.func(args)
     except CapacityError as e:

@@ -8,10 +8,10 @@ projection ``P`` on a light cone: how far is ``P|0...0>`` from
   a support absorbs the qubits of every gate that overlaps it.  The
   description engine, the static assertion check and the weak
   equivalence check all walk their cones with it, so supports, gate
-  order and capacity errors agree between them.  Supports that grow to
-  the same support share one step, so cones whose steps coincide form
-  one chain, walked once: the Choi twins of the strong check, the cones
-  of ``t`` and ``n + t``, from the pair layer on.
+  order and capacity errors agree between them.  Cones whose first
+  steps reach the same support form one chain, walked once: the Choi
+  twins of the strong check, the cones of ``t`` and ``n + t``, from the
+  pair layer on.
 
 * :func:`cone_residuals` answers the question for the weak, strong and
   static checks alike, without ever forming ``P`` as a matrix.  Each
@@ -106,11 +106,10 @@ def walk_light_cones(
         For each start, one step per layer in which some gate overlapped
         the support, in walk order.  The last step's support is the
         cone's final support; a cone with no steps keeps its start.
-        Supports that grow to the same support in a layer touch the same
-        gates there, since a layer's gates are disjoint, so they share
-        one step object.  Cones whose steps are the same objects, such
-        as Choi twins from their first step on, are walked once and share
-        one list.  Callers must modify neither.
+        Cones whose first steps reach the same support in one layer, such
+        as Choi twins, touch the same gates from then on, since a layer's
+        gates are disjoint, so they are walked once and share one list.
+        Callers must modify neither.
 
     Raises
     ------
@@ -133,20 +132,13 @@ def walk_light_cones(
         # overlap a support costs O(|support|) rather than a scan of the
         # whole layer; this keeps the total work linear in qubit count.
         owner = {q: g for g in c.layers[layer_index].gates for q in g.qubits}
-        # Each distinct support is grown once a layer, and each grown
-        # support has one step object.
-        memo: dict[tuple[int, ...], ConeStep | None] = {}
-        shared: dict[tuple[int, ...], ConeStep] = {}
         advanced = []
-        # Two classes with steps have different steps, or they would be
-        # one class, so only classes without steps merge: those that take
-        # the same first step, to the same grown support.
+        # Two classes with steps differ in an earlier step, or they would
+        # be one class, so only classes without steps merge: those that
+        # take the same first step, to the same grown support.
         fresh: dict[tuple[int, ...], list[int]] = {}
         for current, chain, members in classes:
-            if current not in memo:
-                step = _step(current, owner)
-                memo[current] = step if step is None else shared.setdefault(step[1], step)
-            step = memo[current]
+            step = _step(current, owner)
             if step is None:
                 advanced.append((current, chain, members))
                 continue

@@ -397,15 +397,7 @@ def commutation_check(d: Description, cap: int | None = None) -> float:
     CapacityError
         If a union support exceeds the cap.
     """
-    # Entries with identical support and bit-identical matrix commute
-    # exactly; collapsing them avoids redundant pair checks.
-    unique: dict[tuple, LocalProjection] = {}
-    for p in d.projections:
-        unique.setdefault((p.support, p.matrix.tobytes()), p)
-    return max(
-        (dev for _, _, dev in commutator_deviations(list(unique.values()), cap)),
-        default=0.0,
-    )
+    return max((dev for _, _, dev in commutator_deviations(d.projections, cap)), default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ the first two of these are one call to it:
   state, or of the rows of a matrix;
 * ``_conjugate``, unchecked, conjugates a matrix by a layer of disjoint
   operators, the kernel of the dense description engine;
-* ``_conjugate_hermitian``, the last step of each described entry,
+* ``_conjugate_hermitian``, unchecked, the last step of each described entry,
   computes only the tiles on or above the diagonal of the grown matrix
   and mirrors them into an exactly Hermitian result.  When there is
   more than one tile, each comes straight from a strided view of the
@@ -88,6 +88,18 @@ def _integral(value, what: str) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
+def _seed(seed) -> int | np.random.Generator | None:
+    """``seed`` checked for ``np.random.default_rng``: ``None``, a
+    ``Generator``, or a non-negative integer other than a ``bool``,
+    returned as an ``int``; anything else is a :class:`DomainError`."""
+    if seed is None or isinstance(seed, np.random.Generator):
+        return seed
+    value = _integral(seed, "seed")
+    if value < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    return value
 
 
 def _as_operator(a: np.ndarray | Sequence, what: str = "matrix") -> np.ndarray:
@@ -471,7 +483,8 @@ def _conjugate_hermitian(
     ``support``, a subset of the sorted ``grown``; ``ops`` holds
     ``(matrix, positions)`` pairs on disjoint positions of ``grown``,
     listed as for :func:`apply_local`, and must touch every qubit of
-    ``grown`` not in ``support``.  ``p`` is not modified.
+    ``grown`` not in ``support``.  ``p`` is not modified.  Like
+    :func:`_conjugate`, it checks no arguments, so callers must.
 
     A result of at most ``_TILE`` amplitudes, or with no idle axis, is
     one tile: the :func:`_conjugate` of the embedded ``p``, made
@@ -501,10 +514,10 @@ def _conjugate_hermitian(
     given, and otherwise allocated, for one tile once its embedded input
     has been freed.
     """
-    support, grown = [int(q) for q in support], [int(q) for q in grown]
+    # Lists, since ``_place`` concatenates them.
+    support, grown = list(support), list(grown)
     w = len(grown)
-    checked = [_check_local_args(u, pos, w) for u, pos in ops]
-    acted = {a for _, pos in checked for a in pos}
+    acted = {a for _, pos in ops for a in pos}
     idle = [a for a in range(w) if a not in acted]
     split = idle[: max(0, w - (_TILE.bit_length() - 1) // 2)]
     s, k = len(split), w - len(split)
@@ -512,11 +525,11 @@ def _conjugate_hermitian(
     swap = list(range(k, 2 * k)) + list(range(k))
     if not s:
         if support == grown:
-            t = _conjugate(source, checked)
+            t = _conjugate(source, ops)
         else:
             x = np.zeros((1 << w, 1 << w), dtype=complex)
             _place(x, source, support, grown)
-            t = _conjugate(x.reshape((2,) * (2 * w)), checked)
+            t = _conjugate(x.reshape((2,) * (2 * w)), ops)
             del x  # freed before the result is allocated
         if out is None:
             out = np.empty((1 << w, 1 << w), dtype=complex)
@@ -544,7 +557,7 @@ def _conjugate_hermitian(
     axis = {q: a for a, q in enumerate(rest)}
     label = [axis[q] for q in kept] + [k + axis[q] for q in kept]
     plan, outs = [], []
-    for u, pos in checked:
+    for u, pos in ops:
         pos = [a - sum(x < a for x in split) for a in pos]
         old = [kept.index(rest[a]) for a in pos if rest[a] in kept]
         sup = _superoperator(u, [rest[a] in kept for a in pos])

@@ -1,5 +1,7 @@
 """Tests for static assertion verification and runtime measurement chains."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -226,7 +228,7 @@ class TestRuntimeAssert:
         with pytest.raises(DomainError, match="non-finite"):
             runtime_assert(state, [zero_assertion(q) for q in range(4)], seed=0)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "1"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1", True, np.random.default_rng(0)])
     def test_malformed_seed_is_a_domain_error(self, seed):
         with pytest.raises(DomainError, match="seed"):
             runtime_assert(np.array([1.0, 0.0]), [zero_assertion(0)], seed=seed)
@@ -265,6 +267,11 @@ class TestRuntimeAssert:
             "outcome_log": [0],
             "seed": 9,
         }
+
+    def test_numpy_integer_seed_is_stored_as_int(self):
+        report = runtime_assert(np.array([1.0, 0.0]), [zero_assertion(0)], seed=np.int64(3))
+        assert type(report.seed) is int
+        assert json.loads(json.dumps(report.to_json()))["seed"] == 3
 
 
 class TestOrderIndependence:

@@ -436,6 +436,47 @@ class TestHaarUnitary:
             haar_unitary(5)
 
 
+#: Seeds that are not ``None``, a ``Generator`` or a non-negative
+#: integer, with the word the error must contain.
+MALFORMED_SEEDS = [
+    (-1, "non-negative"),
+    (np.int64(-2), "non-negative"),
+    (1.5, "must be an integer"),
+    (True, "must be an integer"),
+    ("1", "must be an integer"),
+]
+
+
+class TestSeeds:
+    """``haar_unitary`` and ``random_circuit`` check their seed, like
+    ``runtime_assert``: a malformed seed is a DomainError, never numpy's
+    ValueError or TypeError, and ``True`` is not the seed 1."""
+
+    @pytest.mark.parametrize(("seed", "match"), MALFORMED_SEEDS)
+    def test_haar_unitary_rejects(self, seed, match):
+        with pytest.raises(DomainError, match=match):
+            haar_unitary(2, seed=seed)
+
+    @pytest.mark.parametrize(("seed", "match"), MALFORMED_SEEDS)
+    def test_random_circuit_rejects(self, seed, match):
+        with pytest.raises(DomainError, match=match):
+            random_circuit(4, 1, seed=seed)
+
+    def test_accepted_seeds(self):
+        assert np.array_equal(haar_unitary(2, seed=np.int64(3)), haar_unitary(2, seed=3))
+        assert np.array_equal(
+            haar_unitary(2, seed=np.random.default_rng(3)), haar_unitary(2, seed=3)
+        )
+        assert np.array_equal(haar_unitary(2, seed=2**70), haar_unitary(2, seed=2**70))
+        assert haar_unitary(2, seed=None).shape == (4, 4)
+        assert random_circuit(4, 1, seed=0).depth == 1
+        a = random_circuit(4, 2, seed=np.uint8(5))
+        b = random_circuit(4, 2, seed=5)
+        for la, lb in zip(a.layers, b.layers):
+            for ga, gb in zip(la.gates, lb.gates):
+                assert np.array_equal(ga.matrix, gb.matrix)
+
+
 class TestRandomCircuit:
     def test_brickwork_pattern(self):
         c = random_circuit(7, 4, seed=3)
@@ -468,8 +509,6 @@ class TestRandomCircuit:
             random_circuit(1, 3)
         with pytest.raises(DomainError):
             random_circuit(4, -1)
-        with pytest.raises(DomainError):
-            random_circuit(4, 2, geometry="2d-grid")
         with pytest.raises(DomainError, match="must be an integer"):
             random_circuit(4.0, 2)
         with pytest.raises(DomainError, match="must be an integer"):

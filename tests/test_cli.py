@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shallowcheck import (
@@ -510,3 +510,155 @@ class TestBench:
         assert main(["bench", "--mode", "describe", "--n-range", "4",
                      "--depth", "1", "--seed", "-3", "--csv", str(csv)]) == 2
         capsys.readouterr()
+
+
+def _expected(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _described(circuit) -> str:
+    return _expected(description_to_json(compute_description(circuit)))
+
+
+class TestOutput:
+    """Every command writes ``json.dumps(obj, indent=2)`` and a newline,
+    streamed through one writer, and a written file gets the mode an
+    ordinary ``open`` would: the old file's, or the umask's."""
+
+    def test_describe_bytes(self, circuit_file, tmp_path, capsys):
+        expected = _described(random_circuit(6, 2, seed=3))
+        out = tmp_path / "desc.json"
+        assert main(["describe", circuit_file]) == 0
+        assert main(["describe", circuit_file, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == expected
+        assert out.read_text() == expected
+
+    def test_describe_out_never_builds_the_whole_text(self, circuit_file, tmp_path, monkeypatch):
+        expected = _described(random_circuit(6, 2, seed=3))
+        calls = []
+        dumps = json.dumps
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", spy)
+        out = tmp_path / "desc.json"
+        assert main(["describe", circuit_file, "--out", str(out)]) == 0
+        assert calls == []
+        assert out.read_text() == expected
+
+    def test_random_and_simulate_bytes(self, tmp_path, capsys):
+        from shallowcheck.oracle import simulate
+
+        c = random_circuit(5, 2, seed=4)
+        state = simulate(c)
+        amplitudes = {
+            "n_qubits": 5,
+            "amplitudes": np.stack([state.real, state.imag], axis=-1).tolist(),
+        }
+        circuit, sim = tmp_path / "c.json", tmp_path / "s.json"
+        argv = ["random", "--n", "5", "--depth", "2", "--seed", "4"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == _expected(circuit_to_json(c))
+        assert main(argv + ["--out", str(circuit)]) == 0
+        assert circuit.read_text() == _expected(circuit_to_json(c))
+        assert main(["simulate", str(circuit)]) == 0
+        assert capsys.readouterr().out == _expected(amplitudes)
+        assert main(["simulate", str(circuit), "--out", str(sim)]) == 0
+        assert sim.read_text() == _expected(amplitudes)
+
+    @pytest.mark.parametrize("mode", ["weak", "strong"])
+    def test_equiv_bytes(self, circuit_file, tmp_path, capsys, mode):
+        report = tmp_path / "report.json"
+        argv = ["equiv", circuit_file, circuit_file, "--mode", mode, "--report", str(report)]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed == _expected(json.loads(printed))
+        assert report.read_text() == printed
+
+    def test_assert_bytes(self, circuit_file, tmp_path, capsys):
+        desc = tmp_path / "desc.json"
+        assert main(["describe", circuit_file, "--out", str(desc)]) == 0
+        assert main(["assert", circuit_file, str(desc)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == _expected(json.loads(printed))
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
+    def test_new_file_mode_follows_the_umask(self, circuit_file, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            assert main(["describe", circuit_file, "--out", str(tmp_path / "d.json")]) == 0
+            assert main(["bench", "--mode", "weak", "--n-range", "2", "--depth", "1",
+                         "--trials", "1", "--csv", str(tmp_path / "b.csv")]) == 0
+        finally:
+            os.umask(old)
+        for name in ("d.json", "b.csv"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+    @pytest.mark.parametrize("mode", [0o644, 0o664, 0o640], ids=oct)
+    def test_replaced_file_keeps_its_mode(self, circuit_file, tmp_path, mode):
+        desc, csv = tmp_path / "d.json", tmp_path / "b.csv"
+        desc.write_text("old\n")
+        csv.write_text(CSV_HEADER + "\n")
+        for path in (desc, csv):
+            path.chmod(mode)
+        assert main(["describe", circuit_file, "--out", str(desc)]) == 0
+        assert main(["bench", "--mode", "weak", "--n-range", "2", "--depth", "1",
+                     "--trials", "1", "--csv", str(csv)]) == 0
+        assert json.loads(desc.read_text())["n_qubits"] == 6
+        assert len(csv.read_text().splitlines()) == 2
+        for path in (desc, csv):
+            assert path.stat().st_mode & 0o777 == mode
+
+
+#: Integer options as strings: small integers, edge integers beyond 64
+#: bits, and strings that name a boolean or are not integers at all.
+NOT_INTEGERS = st.sampled_from(["True", "False", "true", "1.0", "0x1", "", "yes"])
+
+
+def _integers(high: int):
+    return st.one_of(st.integers(-3, high).map(str), NOT_INTEGERS)
+
+
+#: Seeds and caps, from small to past 64 bits.
+ANY_INTEGER = st.one_of(
+    _integers(8),
+    st.sampled_from([-(2**70), -(2**63), 2**63, 2**64, 2**70]).map(str),
+)
+
+
+class TestIntegerOptions:
+    def test_negative_random_seed_exits_two(self, capsys):
+        assert main(["random", "--n", "4", "--depth", "1", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative, got -1\n"
+
+    def test_non_integer_option_exits_two(self, capsys):
+        assert main(["random", "--n", "4", "--depth", "1", "--seed", "True"]) == 2
+        assert "invalid int value: 'True'" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None)
+    @example(["random", "--n", "4", "--depth", "1", "--seed", "-1"])
+    @given(
+        st.one_of(
+            st.tuples(_integers(64), _integers(4), ANY_INTEGER).map(
+                lambda t: ["random", "--n", t[0], "--depth", t[1], "--seed", t[2]]
+            ),
+            st.tuples(
+                st.sampled_from(["describe", "weak", "strong", "inequiv"]),
+                ANY_INTEGER, _integers(2), _integers(4),
+            ).map(
+                lambda t: ["bench", "--mode", t[0], "--n-range", "2:4:2", "--seed", t[1],
+                           "--trials", t[2], "--depth", t[3], "--csv", "{folder}/b.csv"]
+            ),
+            ANY_INTEGER.map(lambda cap: ["describe", "{folder}/c.json", "--cap", cap]),
+        )
+    )
+    def test_main_never_raises(self, tmp_path_factory, argv):
+        folder = tmp_path_factory.mktemp("options")
+        (folder / "c.json").write_text(json.dumps(circuit_to_json(random_circuit(4, 2, seed=1))))
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main([arg.format(folder=folder) for arg in argv]) in (0, 2, 3)

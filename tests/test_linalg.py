@@ -621,11 +621,6 @@ class TestIntegerPositions:
         with pytest.raises(DomainError, match="must be an integer"):
             apply_local(X, zero_state(2), [0.9], 2)
 
-    def test_conjugate_hermitian(self):
-        cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-        with pytest.raises(DomainError, match="must be an integer"):
-            _conjugate_hermitian(P0, [0], [0, 1], [(cnot, [0, 1.0])])
-
 
 class TestLocalPrimitives:
     """Contraction-based products against the dense embed reference."""
