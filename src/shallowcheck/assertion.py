@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, validate
+from .circuit import Circuit, _tabled
 from .cone import cone_residuals
 from .config import EQUIV_THRESHOLD, _checked_threshold, support_cap
 from .description import Description, LocalProjection, commutator_deviations
@@ -145,7 +145,7 @@ def verify_static(
         the assertion index and the layer reached.
     """
     threshold = _checked_threshold(threshold)
-    violations = validate(c)
+    layers, violations = _tabled(c)
     if violations:
         raise ValidationError(violations)
     entries = _entries(assertions)
@@ -153,7 +153,7 @@ def verify_static(
     if cap is None:
         cap = support_cap()
     cones = cone_residuals(
-        c,
+        layers,
         [(e.matrix, e.support) for e in entries],
         "assertion {}: support",
         cap,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,6 +64,8 @@ NAMED_GATES: dict[str, np.ndarray] = {
 #: Entangling two-qubit gate used by :func:`choi_extend`.  Applied to
 #: ``|00>`` it prepares the Bell state ``(|00> + |11>)/sqrt(2)``.
 _PAIR_GATE = _as_frozen(NAMED_GATES["CNOT"] @ np.kron(NAMED_GATES["H"], np.eye(2)))
+#: The pair gate as a matrix stack of one, for :func:`_pair_layer`.
+_PAIR_STACKS = {4: _PAIR_GATE[None]}
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,6 +186,55 @@ def named_gate(name: str, qubits: Sequence[int]) -> Gate:
     return Gate(tuple(qubits), matrix, name)
 
 
+class _LayerView(NamedTuple):
+    """One layer as a check walks it: gate qubits, owners and matrix rows.
+
+    ``qubits[j]`` are gate ``j``'s qubits in the check's numbering,
+    ``owner`` maps each qubit the layer acts on to its gate, and gate
+    ``j``'s matrix is ``stacks[2**len(qubits[j])][rows[j]]``; ``rows``
+    is an integer array, so the rows of many gates are gathered at once.
+    With ``dagger`` set the layer applies each gate's conjugate
+    transpose, as the inverse of a circuit does with its layers
+    reversed.  Views are read, never modified.
+    """
+
+    qubits: list[tuple[int, ...]]
+    owner: dict[int, int]
+    rows: np.ndarray
+    stacks: dict[int, np.ndarray]
+    dagger: bool
+
+
+def _tabled(c: Circuit, offset: int = 0) -> tuple[list[_LayerView], list[str]]:
+    """``c``'s layers as views with every qubit shifted up by ``offset``,
+    and the violations :func:`validate` reports for ``c``.
+
+    The views share one table: each layer's qubit tuples and owner map,
+    and one stack of the matrices of each gate dimension, built once per
+    call and read by the unitarity check, the light-cone walker and the
+    cone kernel alike.
+    """
+    by_dim: dict[int, list[np.ndarray]] = {}
+    stacks: dict[int, np.ndarray] = {}
+    views = []
+    for layer in c.layers:
+        qubits: list[tuple[int, ...]] = []
+        owner: dict[int, int] = {}
+        rows = []
+        for j, g in enumerate(layer.gates):
+            gate_qubits = tuple([q + offset for q in g.qubits]) if offset else g.qubits
+            same = by_dim.setdefault(1 << len(gate_qubits), [])
+            rows.append(len(same))
+            same.append(g.matrix)
+            qubits.append(gate_qubits)
+            for q in gate_qubits:
+                owner[q] = j
+        rows = np.array(rows, dtype=np.intp)
+        views.append(_LayerView(qubits, owner, rows, stacks, False))
+    stacks.update((dim, np.array(matrices)) for dim, matrices in by_dim.items())
+    return views, _violations(c, views, offset)
+
+
 def validate(c: Circuit) -> list[str]:
     """Check every structural invariant; return violations as strings.
 
@@ -194,24 +245,29 @@ def validate(c: Circuit) -> list[str]:
     qubits.  Violations are data, not errors: this function never
     raises on a bad circuit.
     """
+    return _tabled(c)[1]
+
+
+def _violations(c: Circuit, views: list[_LayerView], offset: int) -> list[str]:
+    """:func:`validate`'s violations of ``c``, read from its views at ``offset``."""
     violations: list[str] = []
     if c.n_qubits < 1:
         violations.append(f"circuit: n_qubits must be at least 1, got {c.n_qubits}")
-    faulty = _faulty_matrices(c)
-    for i, layer in enumerate(c.layers):
-        qubits = [q for g in layer.gates for q in g.qubits]
+    faulty = _faulty_matrices(views[0].stacks) if views else {}
+    for i, (layer, view) in enumerate(zip(c.layers, views)):
+        owner = view.owner
         if (
-            len(set(qubits)) == len(qubits)
-            and (not qubits or (min(qubits) >= 0 and max(qubits) < c.n_qubits))
-            and all(len(g.qubits) <= DEFAULT_K_MAX for g in layer.gates)
+            len(owner) == sum(map(len, view.qubits))
+            and (not owner or (min(owner) >= offset and max(owner) < offset + c.n_qubits))
+            and all(len(qubits) <= DEFAULT_K_MAX for qubits in view.qubits)
         ):
             # Distinct, in-range qubits and small gates: only a matrix
             # can be at fault, and the loop below would say the same.
             if faulty:
                 violations += [
-                    _matrix_violation(i, j, faulty[id(g)])
-                    for j, g in enumerate(layer.gates)
-                    if id(g) in faulty
+                    _matrix_violation(i, j, faulty[len(qubits), row])
+                    for j, (qubits, row) in enumerate(zip(view.qubits, view.rows))
+                    if (len(qubits), row) in faulty
                 ]
             continue
         claimed: dict[int, int] = {}
@@ -231,8 +287,8 @@ def validate(c: Circuit) -> list[str]:
                     f"layer {i}, gate {j}: arity {g.arity} exceeds the "
                     f"gate-arity limit {DEFAULT_K_MAX}"
                 )
-            if id(g) in faulty:
-                violations.append(_matrix_violation(i, j, faulty[id(g)]))
+            if (g.arity, view.rows[j]) in faulty:
+                violations.append(_matrix_violation(i, j, faulty[g.arity, view.rows[j]]))
             overlap = sorted(q for q in g.qubits if q in claimed)
             if overlap:
                 other = claimed[overlap[0]]
@@ -251,24 +307,21 @@ def _matrix_violation(i: int, j: int, dev: float | None) -> str:
     return f"layer {i}, gate {j}: matrix is not unitary (max deviation {dev:.3e})"
 
 
-def _faulty_matrices(c: Circuit) -> dict[int, float | None]:
-    """``max|U U† - I|`` of each gate of ``c`` beyond ``STRUCTURAL_TOL``, by ``id``.
+def _faulty_matrices(stacks: dict[int, np.ndarray]) -> dict[tuple[int, int], float | None]:
+    """``max|U U† - I|`` beyond ``STRUCTURAL_TOL`` of each matrix of ``stacks``,
+    keyed by its gate's arity and its row in the stack of its dimension.
 
-    ``None`` marks a matrix with non-finite entries.  The matrices of
-    each dimension are stacked and checked with one product.
+    ``None`` marks a matrix with non-finite entries.  Each stack is
+    checked with one product.
     """
-    by_dim: dict[int, list[Gate]] = {}
-    for layer in c.layers:
-        for g in layer.gates:
-            by_dim.setdefault(g.matrix.shape[0], []).append(g)
-    out: dict[int, float | None] = {}
-    for dim, gates in by_dim.items():
-        u = np.stack([g.matrix for g in gates])
+    out: dict[tuple[int, int], float | None] = {}
+    for dim, u in stacks.items():
         finite = np.isfinite(u).all(axis=(1, 2))
         with np.errstate(all="ignore"):  # NaN members are reported, not checked
             devs = np.abs(u @ np.conj(u).mT - np.eye(dim)).max(axis=(1, 2))
+        arity = dim.bit_length() - 1
         for b in np.flatnonzero(~finite | (devs > STRUCTURAL_TOL)).tolist():
-            out[id(gates[b])] = float(devs[b]) if finite[b] else None
+            out[arity, b] = float(devs[b]) if finite[b] else None
     return out
 
 
@@ -287,6 +340,11 @@ def adjoint(c: Circuit) -> Circuit:
             gates.append(_derived_gate(g.qubits, m, name))
         new_layers.append(Layer(tuple(gates)))
     return Circuit(c.n_qubits, tuple(new_layers))
+
+
+def _inverse(layers: list[_LayerView]) -> list[_LayerView]:
+    """The views of :func:`adjoint`'s layers: reversed, each gate daggered."""
+    return [view._replace(dagger=not view.dagger) for view in reversed(layers)]
 
 
 def _frozen_dagger(u: np.ndarray) -> np.ndarray:
@@ -329,6 +387,17 @@ def choi_extend(c: Circuit) -> Circuit:
         for layer in c.layers
     )
     return Circuit(2 * n, (pair_layer,) + shifted)
+
+
+def _pair_layer(n: int) -> _LayerView:
+    """The view of :func:`choi_extend`'s layer 0 on ``2n`` qubits, which
+    puts the pair gate on every ``(p, n + p)``; the views of ``c``'s
+    layers at offset ``n`` (:func:`_tabled`) are the rest of the
+    extension."""
+    owner = {p: p for p in range(n)}
+    owner.update({n + p: p for p in range(n)})
+    rows = np.zeros(n, dtype=np.intp)
+    return _LayerView([(p, n + p) for p in range(n)], owner, rows, _PAIR_STACKS, False)
 
 
 def haar_unitary(

@@ -6,12 +6,20 @@ projection ``P`` on a light cone: how far is ``P|0...0>`` from
 
 * :func:`walk_light_cones` grows supports layer by layer: at each layer
   a support absorbs the qubits of every gate that overlaps it.  The
-  description engine, the static assertion check and the weak
-  equivalence check all walk their cones with it, so supports, gate
-  order and capacity errors agree between them.  Cones whose first
-  steps reach the same support form one chain, walked once: the Choi
-  twins of the strong check, the cones of ``t`` and ``n + t``, from the
-  pair layer on.
+  description engine, the static assertion check and the weak and
+  strong equivalence checks all walk their cones with it, so supports,
+  gate order and capacity errors agree between them.  It walks layer
+  views (``circuit._LayerView``): each layer's gate qubits, an owner
+  map from qubit to gate index, and the rows of the gates' matrices in
+  one stack per gate dimension, built once per call from each input
+  circuit.  A composite is a list of views over its inputs, so the
+  checks build no composite circuit: the weak check walks ``c0``'s
+  views, then ``c1``'s reversed with ``dagger`` set, and the strong
+  check the same views shifted up by ``n``, between two views of the
+  Bell pair layer on ``(p, n + p)``.  Steps hold gate indices, not
+  gates.  Cones whose first steps reach the same support form one
+  chain, walked once: the Choi twins of the strong check, the cones of
+  ``t`` and ``n + t``, from the pair layer on.
 
 * :func:`cone_residuals` answers the question for the weak, strong and
   static checks alike, without ever forming ``P`` as a matrix.  Each
@@ -38,11 +46,14 @@ projection ``P`` on a light cone: how far is ``P|0...0>`` from
   cone, is multiplied into one layer first, the standard gate fusion of
   state-vector simulators (qsim, Isakov et al., arXiv:2111.02396), so
   it costs one call for ``A†`` and one for ``A``; the fused gates still
-  act only on cone axes.  Each chain's axes and gate matrices are built
-  once.  A stacked state holds at most ``2^16`` amplitudes (1 MiB);
-  larger groups are split into chunks that hold whole chains where one
-  fits, and a cone of ``2^16`` amplitudes or more runs alone, so wide
-  cones take no more memory than one cone at a time does.
+  act only on cone axes.  Each chain's axes and gate indices are built
+  once, and each op of a group is gathered from its layer's stack at
+  the rows of the chunk's chains' gates; a daggered view's gates are
+  ``conj(u).mT`` of its stack, taken once per call.  A stacked state
+  holds at most ``2^16`` amplitudes (1 MiB); larger groups are split
+  into chunks that hold whole chains where one fits, and a cone of
+  ``2^16`` amplitudes or more runs alone, so wide cones take no more
+  memory than one cone at a time does.
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import _LayerView
 from .errors import CapacityError, DomainError
 from .linalg import ErrorTriple, _integral, apply_layer, residual_norms
 
@@ -71,25 +82,27 @@ ZERO_PROJECTOR.setflags(write=False)
 #: above it runs alone.
 _BATCH_AMPLITUDES = 1 << 16
 
-#: One layer of a cone walk: the gates that overlapped the support,
-#: sorted by smallest qubit, and the grown, sorted support.
-ConeStep = tuple[list[Gate], tuple[int, ...]]
+#: One layer of a cone walk: the layer's index, its gates that overlapped
+#: the support, by index and sorted by smallest qubit, and the grown,
+#: sorted support.
+ConeStep = tuple[int, list[int], tuple[int, ...]]
 
 
 def walk_light_cones(
-    c: Circuit,
+    layers: Sequence[_LayerView],
     starts: Sequence[Sequence[int]],
     what: str,
     cap: int,
     backward: bool = False,
 ) -> list[list[ConeStep]]:
-    """Grow each starting support through the layers of ``c``.
+    """Grow each starting support through ``layers``.
 
     Parameters
     ----------
-    c
-        The circuit whose layers are walked, first to last, or last to
-        first when ``backward`` is set.
+    layers
+        The views of the layers walked, first to last, or last to first
+        when ``backward`` is set; only their ``owner`` maps and gate
+        qubits are read.
     starts
         Sorted starting supports, one per cone.
     what
@@ -109,7 +122,7 @@ def walk_light_cones(
         Cones whose first steps reach the same support in one layer, such
         as Choi twins, touch the same gates from then on, since a layer's
         gates are disjoint, so they are walked once and share one list.
-        Callers must modify neither.
+        Callers must modify none of these.
 
     Raises
     ------
@@ -123,26 +136,37 @@ def walk_light_cones(
     """
     if _integral(cap, "the support cap") < 1:
         raise DomainError(f"the support cap must be at least 1, got {cap}")
-    # A class of cones with one support and one list of steps: each cone
-    # alone at first, then those whose steps coincide.
-    classes = [(tuple(s), [], [i]) for i, s in enumerate(starts)]
-    order = range(c.depth - 1, -1, -1) if backward else range(c.depth)
+    # A class of cones with one support (as a tuple and a set) and one
+    # list of steps: each cone alone at first, then those whose steps
+    # coincide.
+    classes = [(tuple(s), {*s}, [], [i]) for i, s in enumerate(starts)]
+    order = range(len(layers) - 1, -1, -1) if backward else range(len(layers))
     for layer_index in order:
-        # Gates keyed by the qubits they own, so finding the gates that
-        # overlap a support costs O(|support|) rather than a scan of the
-        # whole layer; this keeps the total work linear in qubit count.
-        owner = {q: g for g in c.layers[layer_index].gates for q in g.qubits}
+        # The owner map finds the gates that overlap a support in
+        # O(|support|) rather than a scan of the whole layer; this keeps
+        # the total work linear in qubit count.
+        owner, qubits = layers[layer_index].owner, layers[layer_index].qubits
         advanced = []
         # Two classes with steps differ in an earlier step, or they would
         # be one class, so only classes without steps merge: those that
         # take the same first step, to the same grown support.
         fresh: dict[tuple[int, ...], list[int]] = {}
-        for current, chain, members in classes:
-            step = _step(current, owner)
-            if step is None:
-                advanced.append((current, chain, members))
+        for current, inside, chain, members in classes:
+            touched = {*map(owner.get, current)}
+            touched.discard(None)
+            if not touched:
+                advanced.append((current, inside, chain, members))
                 continue
-            grown = step[1]
+            if len(touched) == 1:
+                gates = [*touched]
+                reached = qubits[gates[0]]
+            else:
+                gates = sorted(touched, key=lambda j: min(qubits[j]))
+                reached = [q for j in gates for q in qubits[j]]
+            grown = current
+            if not inside.issuperset(reached):
+                inside = inside.union(reached)
+                grown = tuple(sorted(inside))
             if len(grown) > cap:
                 # Classes stay in the order of their lowest index, their
                 # first member, so this is the lowest-index cone to overflow.
@@ -158,38 +182,18 @@ def walk_light_cones(
                     twins.extend(members)
                     continue
                 fresh[grown] = members
-            chain.append(step)
-            advanced.append((grown, chain, members))
+            chain.append((layer_index, gates, grown))
+            advanced.append((grown, inside, chain, members))
         classes = advanced
     steps: list = [None] * len(starts)
-    for _, chain, members in classes:
+    for _, _, chain, members in classes:
         for i in members:
             steps[i] = chain
     return steps
 
 
-def _step(current: tuple[int, ...], owner: dict[int, Gate]) -> ConeStep | None:
-    """The gates of one layer that overlap ``current`` and the grown support.
-
-    ``owner`` maps each qubit the layer acts on to its gate; ``None``
-    means no gate overlaps.
-    """
-    touched: list[Gate] = []
-    for q in current:
-        g = owner.get(q)
-        if g is not None and g not in touched:
-            touched.append(g)
-    if not touched:
-        return None
-    reached = {q for g in touched for q in g.qubits}
-    grown = current if reached.issubset(current) else tuple(sorted(reached.union(current)))
-    if len(touched) > 1:
-        touched.sort(key=lambda g: min(g.qubits))
-    return touched, grown
-
-
 def cone_residuals(
-    c: Circuit,
+    layers: Sequence[_LayerView],
     projections: Sequence[tuple[np.ndarray, Sequence[int]]],
     what: str,
     cap: int,
@@ -215,9 +219,10 @@ def cone_residuals(
 
     Parameters
     ----------
-    c
-        The circuit whose cones are walked, as for
-        :func:`walk_light_cones`.
+    layers
+        The views of the layers whose cones are walked, as for
+        :func:`walk_light_cones`; gate matrices are gathered from their
+        stacks, daggered where a view says so.
     projections
         ``(matrix, support)`` pairs: a local projector ``Q`` and the
         sorted qubits it acts on, which start its cone.
@@ -241,29 +246,35 @@ def cone_residuals(
     CapacityError
         If a cone would exceed ``cap``, before any cone is simulated.
     """
-    cones = walk_light_cones(c, [s for _, s in projections], what, cap, backward)
-    # Cones by shape: width, then the axes of each layer's gates (1 +
-    # cone axis, behind the batch axis), and within a shape by chain.
-    # Cones that share a chain of steps (Choi twins) share their support,
-    # axes and gate matrices, so each chain's are built once.  A chain is
-    # its gate matrices, layer by layer, and its members: each member's
-    # Q axes, index, support and Q.
+    cones = walk_light_cones(layers, [s for _, s in projections], what, cap, backward)
+    # Cones by shape: width, then each step's layer and the axes of its
+    # gates (1 + cone axis, behind the batch axis), and within a shape by
+    # chain.  Cones that share a chain of steps (Choi twins) share their
+    # support, axes and gates, so each chain's are built once.  A chain
+    # is the indices of its gates, step by step in one flat list, and
+    # its members: each member's Q axes, index, support and Q.
     groups: dict[tuple, list] = {}
     built: dict[int, tuple] = {}
     for index, ((projector, start), steps) in enumerate(zip(projections, cones)):
         if id(steps) not in built:
-            support = steps[-1][1] if steps else tuple(start)
-            axis = {q: 1 + i for i, q in enumerate(support)}
-            layer_axes = tuple([
-                tuple([tuple([axis[q] for q in g.qubits]) for g in gates]) for gates, _ in steps
-            ])
-            chain = ([[g.matrix for g in gates] for gates, _ in steps], [])
+            support = steps[-1][2] if steps else tuple(start)
+            axis = {q: 1 + i for i, q in enumerate(support)}.__getitem__
+            shape = []
+            gate_indices = []
+            for l, gates, _ in steps:
+                qubits = layers[l].qubits
+                shape.append((l, tuple([tuple(map(axis, qubits[j])) for j in gates])))
+                gate_indices += gates
+            chain = (gate_indices, [])
             built[id(steps)] = (support, axis, chain)
-            groups.setdefault((len(support), layer_axes), []).append(chain)
+            groups.setdefault((len(support), tuple(shape)), []).append(chain)
         support, axis, chain = built[id(steps)]
-        chain[1].append((tuple([axis[q] for q in start]), index, support, projector))
+        chain[1].append((tuple(map(axis, start)), index, support, projector))
     results: list = [None] * len(projections)
-    for (width, layer_axes), chains in groups.items():
+    # The stacks of each table whose gates A applies daggered, daggered
+    # once: ``conj(u).mT`` copied contiguous.
+    daggered: dict[int, dict[int, np.ndarray]] = {}
+    for (width, shape), chains in groups.items():
         for chunk in _chunks(chains, max(1, _BATCH_AMPLITUDES >> width)):
             # Members by the axes of Q, so each run of equal axes is one
             # slice; ``pick`` holds each member's chain in the chunk.
@@ -272,14 +283,24 @@ def cone_residuals(
                 members.sort(key=itemgetter(0))
             q_axes, indices, supports, projectors, pick = zip(*members)
             pick = np.array(pick)
-            # A's layers in the order A applies them, op j of layer l
-            # stacked over the chunk's chains; a layer on the axes of the
+            # A's layers in the order A applies them, each op gathered
+            # from its layer's stack at the rows of the chains' gates,
+            # one column of ``gates`` per op; a layer on the axes of the
             # one before is multiplied into it, op by op.
+            gates = np.array([chain_gates for chain_gates, _ in chunk])
             fused: list[tuple[list, tuple]] = []
-            for l, axes in enumerate(layer_axes):
-                ops = [np.array([m[l][j] for m, _ in chunk]) for j in range(len(axes))]
-                if backward:
-                    ops = [np.conj(u).mT.copy() for u in ops]
+            column = 0
+            for l, axes in shape:
+                rows = layers[l].rows[gates[:, column:column + len(axes)]]
+                column += len(axes)
+                stacks = layers[l].stacks
+                if layers[l].dagger != backward:
+                    if id(stacks) not in daggered:
+                        daggered[id(stacks)] = {
+                            dim: np.conj(u).mT.copy() for dim, u in stacks.items()
+                        }
+                    stacks = daggered[id(stacks)]
+                ops = [stacks[1 << len(a)][rows[:, j]] for j, a in enumerate(axes)]
                 if fused and fused[-1][1] == axes:
                     ops = [later @ earlier for later, earlier in zip(ops, fused.pop()[0])]
                 fused.append((ops, axes))
@@ -289,7 +310,7 @@ def cone_residuals(
                 state = apply_layer(state, [(np.conj(u).mT, a) for u, a in zip(ops, axes)])
             # Rebinding frees the chains' states before Q runs.
             state = state[pick]
-            state = _apply_projectors(state, q_axes, projectors)
+            _apply_projectors(state, q_axes, projectors)
             for ops, axes in fused:
                 state = apply_layer(state, [(u[pick], a) for u, a in zip(ops, axes)])
             e = state.reshape(len(indices), -1)
@@ -300,37 +321,34 @@ def cone_residuals(
 
 
 def _chunks(chains: list[tuple[list, list]], size: int) -> Iterator[list]:
-    """``(matrices, members)`` chains packed into chunks of at most ``size`` members.
+    """``(gates, members)`` chains packed into chunks of at most ``size`` members.
 
     A chain goes whole into the current chunk when it fits, else it
     starts a new one; only a chain of more than ``size`` members is cut.
     """
     chunk: list = []
     held = 0
-    for matrices, members in chains:
+    for gates, members in chains:
         for first in range(0, len(members), size):
             piece = members[first:first + size]
             if held + len(piece) > size:
                 yield chunk
                 chunk, held = [], 0
-            chunk.append((matrices, piece))
+            chunk.append((gates, piece))
             held += len(piece)
     yield chunk
 
 
 def _apply_projectors(
     state: np.ndarray, q_axes: Sequence[tuple[int, ...]], projectors: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Apply member ``b``'s ``projectors[b]`` on its ``q_axes[b]`` of ``state``.
+) -> None:
+    """Apply member ``b``'s ``projectors[b]`` on its ``q_axes[b]`` of ``state``, in place.
 
     Equal axes come in sorted runs; each run is one
     :func:`~shallowcheck.linalg.apply_layer` call on its slice of the
-    stacked state.
+    stacked state, written back into that slice, so no third state is
+    allocated beside the kernel's.
     """
-    if q_axes[0] == q_axes[-1]:
-        return apply_layer(state, [(np.array(projectors), q_axes[0])])
     runs = [b for b in range(1, len(q_axes)) if q_axes[b] != q_axes[b - 1]]
-    out = np.empty_like(state)
     for lo, hi in zip([0] + runs, runs + [len(q_axes)]):
-        out[lo:hi] = apply_layer(state[lo:hi], [(np.array(projectors[lo:hi]), q_axes[lo])])
-    return out
+        state[lo:hi] = apply_layer(state[lo:hi], [(np.array(projectors[lo:hi]), q_axes[lo])])

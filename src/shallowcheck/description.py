@@ -30,10 +30,10 @@ from .circuit import (
     Gate,
     _check_fields,
     _require_int,
+    _tabled,
     matrix_from_json,
-    validate,
 )
-from .cone import ZERO_PROJECTOR, ConeStep, walk_light_cones
+from .cone import ZERO_PROJECTOR, walk_light_cones
 from .config import support_cap
 from .errors import CapacityError, DomainError, SchemaError, ValidationError
 from .linalg import (
@@ -201,13 +201,21 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     output resident.  The output is bit-identical whichever thread builds
     an entry.
     """
-    violations = validate(c)
+    layers, violations = _tabled(c)
     if violations:
         raise ValidationError(violations)
     if cap is None:
         cap = support_cap()
     n = c.n_qubits
-    cones = walk_light_cones(c, [(t,) for t in range(n)], "support of qubit {}", cap)
+    walked = walk_light_cones(layers, [(t,) for t in range(n)], "support of qubit {}", cap)
+    # Each chain's gate indices resolved to ``c``'s own gates, once.
+    resolved: dict[int, list[tuple[list[Gate], tuple[int, ...]]]] = {}
+    for steps in walked:
+        if id(steps) not in resolved:
+            resolved[id(steps)] = [
+                ([c.layers[l].gates[j] for j in gates], grown) for l, gates, grown in steps
+            ]
+    cones = [resolved[id(steps)] for steps in walked]
     # Amplitudes of each entry's final matrix, 0 for an entry no gate touches.
     sizes = [1 << 2 * len(steps[-1][1]) if steps else 0 for steps in cones]
     workers = _pool_threads() if max(sizes, default=0) >= _TILE else 1
@@ -247,8 +255,13 @@ def _openblas() -> tuple[Callable, Callable] | None:
 _PINNED = threading.Lock()
 
 
+#: One step of an entry's light cone: the gates it meets, sorted by
+#: smallest qubit, and the grown support.
+_Step = tuple[list[Gate], tuple[int, ...]]
+
+
 def _pooled(
-    cones: Sequence[Sequence[ConeStep]], sizes: Sequence[int], workers: int, blas: tuple
+    cones: Sequence[Sequence[_Step]], sizes: Sequence[int], workers: int, blas: tuple
 ) -> tuple[LocalProjection, ...]:
     """The entries of :func:`compute_description`, built widest first on
     ``workers`` pool threads while each BLAS call runs on one thread.
@@ -286,7 +299,7 @@ def _pooled(
 
 
 def _entry(
-    t: int, steps: Sequence[ConeStep], out: np.ndarray | None
+    t: int, steps: Sequence[_Step], out: np.ndarray | None
 ) -> LocalProjection:
     """Entry ``t`` from its light-cone ``steps``, the last step writing
     into ``out`` when one is given."""

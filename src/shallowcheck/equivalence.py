@@ -16,6 +16,14 @@ The strong check reduces to the weak one by doubling both circuits with
 Bell-pair preparations, which turns agreement on every input into
 agreement on a single state.
 
+Neither check builds its composite circuit.  Each input is read once
+per call into layer views (``circuit._tabled``), which also validate
+it, and a composite is a list of those views: ``c0``'s layers, then
+``c1``'s reversed and marked daggered, the composite
+``concat(c0, adjoint(c1))`` builds; the strong check shifts both up by
+``n`` and walks them between two views of the Bell pair layer, the
+composite ``concat(choi_extend(c0), adjoint(choi_extend(c1)))`` builds.
+
 Verdicts are decided by a single threshold on the largest L-infinity
 residual.  Inequivalent random circuits produce residuals of order one
 while numerical drift stays below 1e-10, so the default threshold of
@@ -28,7 +36,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .circuit import Circuit, adjoint, choi_extend, concat, validate
+from .circuit import Circuit, _LayerView, _inverse, _pair_layer, _tabled
 from .cone import ZERO_PROJECTOR, cone_residuals
 from .config import EQUIV_THRESHOLD, _checked_threshold, support_cap
 from .errors import DomainError, ValidationError
@@ -98,21 +106,27 @@ class EquivalenceReport:
         }
 
 
-def _validated_pair(c0: Circuit, c1: Circuit) -> None:
+def _tabled_pair(
+    c0: Circuit, c1: Circuit, offset: int
+) -> tuple[list[_LayerView], list[_LayerView]]:
+    """The layer views of valid ``c0`` and ``c1``, qubits shifted by ``offset``."""
+    views = []
     for c, which in ((c0, "first circuit"), (c1, "second circuit")):
-        violations = validate(c)
+        layers, violations = _tabled(c, offset)
         if violations:
             raise ValidationError([f"{which}: {v}" for v in violations])
+        views.append(layers)
     if c0.n_qubits != c1.n_qubits:
         raise DomainError(
             f"cannot compare circuits on {c0.n_qubits} and {c1.n_qubits} qubits"
         )
+    return views[0], views[1]
 
 
 def _weak_report(
-    composite: Circuit, threshold: float, mode: str, start: float
+    composite: list[_LayerView], n_qubits: int, threshold: float, mode: str, start: float
 ) -> EquivalenceReport:
-    """The weak check of a valid composite ``V = c0 · c1†``, timed from ``start``.
+    """The weak check of a valid composite ``V`` on ``n_qubits``, timed from ``start``.
 
     Entry ``t`` of ``V`` is the projection ``V Π_t V†`` with
     ``Π_t = |0><0|`` on qubit ``t``, whose residual the forward cone
@@ -120,7 +134,7 @@ def _weak_report(
     """
     cones = cone_residuals(
         composite,
-        [(ZERO_PROJECTOR, (t,)) for t in range(composite.n_qubits)],
+        [(ZERO_PROJECTOR, (t,)) for t in range(n_qubits)],
         "support of qubit {}",
         support_cap(),
     )
@@ -147,12 +161,14 @@ def check_weak(
 ) -> EquivalenceReport:
     """Decide whether two circuits agree on the all-zeros input.
 
-    Builds the composite circuit that applies ``c0`` and then the
-    inverse of ``c1``; the two agree on the all-zeros input up to a
-    phase exactly when that composite fixes the all-zeros state, which
-    in turn holds exactly when the all-zeros state satisfies every
-    projection of the composite's description.  Each projection is
-    tested on its light cone's state vector without being formed.
+    Walks the composite that applies ``c0`` and then the inverse of
+    ``c1``, as views of the two inputs: ``c0``'s layers, then ``c1``'s
+    in reverse order with each gate daggered.  The two agree on the
+    all-zeros input up to a phase exactly when that composite fixes the
+    all-zeros state, which in turn holds exactly when the all-zeros
+    state satisfies every projection of the composite's description.
+    Each projection is tested on its light cone's state vector without
+    being formed.
 
     Parameters
     ----------
@@ -173,9 +189,9 @@ def check_weak(
         the message names the qubit and the composite's layer.
     """
     threshold = _checked_threshold(threshold)
-    _validated_pair(c0, c1)
+    v0, v1 = _tabled_pair(c0, c1, 0)
     start = time.perf_counter()
-    return _weak_report(concat(c0, adjoint(c1)), threshold, "weak", start)
+    return _weak_report(v0 + _inverse(v1), c0.n_qubits, threshold, "weak", start)
 
 
 def check_strong(
@@ -188,13 +204,21 @@ def check_strong(
     Doubles both circuits with Bell-pair preparation layers and runs
     the weak check on the results: the doubled circuits' outputs on the
     all-zeros input encode the full unitaries, so agreement there is
-    agreement everywhere.  Support sizes roughly double relative to the
-    weak check; the report's ``max_support`` records what was reached.
-    The inputs are validated once; their doublings are valid by
-    construction and are not validated again.
+    agreement everywhere.  The doubled composite on ``2n`` qubits is
+    walked as views: the pair layer, which puts the Bell pair gate on
+    every ``(p, n + p)``, then ``c0``'s layers and the daggered, reversed
+    layers of ``c1``, both shifted up by ``n``, then the pair layer
+    daggered.  Support sizes roughly double relative to the weak check;
+    the report's ``max_support`` records what was reached.  The inputs
+    are validated once, as they are read; the doubling needs no check.
+    Capacity errors name the qubit in the composite's numbering and its
+    layer: 0 for the pair layer, then ``c0``'s, ``c1``'s and the
+    closing pair layer.
     """
     threshold = _checked_threshold(threshold)
-    _validated_pair(c0, c1)
+    n = c0.n_qubits
+    v0, v1 = _tabled_pair(c0, c1, n)
     start = time.perf_counter()
-    composite = concat(choi_extend(c0), adjoint(choi_extend(c1)))
-    return _weak_report(composite, threshold, "strong", start)
+    pair = _pair_layer(n)
+    composite = [pair, *v0, *_inverse([pair, *v1])]
+    return _weak_report(composite, 2 * n, threshold, "strong", start)

@@ -11,7 +11,9 @@ tests check them against:
   of ``runtime_assert`` protects;
 * :func:`micro_fixtures`, named circuit pairs with known verdicts;
 * small operator helpers (:func:`dagger`, :func:`max_abs`,
-  :func:`gate_in_sorted_order`).
+  :func:`gate_in_sorted_order`);
+* :func:`views` and :func:`walk`, which hand a circuit to the light-cone
+  walker and the cone kernel as the checks do.
 
 Test modules import it by name (``from support import ...``): this
 directory has no ``__init__.py``, so pytest's default import mode puts
@@ -37,6 +39,8 @@ from shallowcheck import (
     validate,
 )
 from shallowcheck.assertion import _check_commuting, _check_entry_shapes, _entries
+from shallowcheck.circuit import _tabled
+from shallowcheck.cone import walk_light_cones
 from shallowcheck.config import DEFAULT_ORACLE_CAP
 from shallowcheck.linalg import _integral, apply_local
 from shallowcheck.oracle import _check_cap
@@ -45,6 +49,22 @@ from shallowcheck.oracle import _check_cap
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conj(np.asarray(a, dtype=complex)).T
+
+
+def views(c: Circuit) -> list:
+    """The layer views of a valid circuit ``c``, as the checks walk it."""
+    layers, violations = _tabled(c)
+    assert violations == []
+    return layers
+
+
+def walk(c: Circuit, starts, what: str, cap: int, backward: bool = False) -> list:
+    """:func:`~shallowcheck.cone.walk_light_cones` on ``c``, each step's gate
+    indices resolved to ``c``'s gates: ``(layer, gates, grown)`` steps."""
+    return [
+        [(l, [c.layers[l].gates[j] for j in gates], grown) for l, gates, grown in steps]
+        for steps in walk_light_cones(views(c), starts, what, cap, backward)
+    ]
 
 
 def max_abs(a: np.ndarray) -> float:

@@ -116,6 +116,24 @@ def test_every_public_function_is_used_outside_its_module():
     assert unused == []
 
 
+def test_only_circuit_builds_composite_circuits():
+    # The checks walk views of their inputs; adjoint, concat and
+    # choi_extend are for library users and have no caller in the engine.
+    composers = {"adjoint", "concat", "choi_extend"}
+    importers = [
+        p.name
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name not in ("__init__.py", "circuit.py")
+        and composers & {
+            alias.name
+            for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+    ]
+    assert importers == []
+
+
 #: ``(entry point, keyword, malformed value)``: strings (numeric or not),
 #: ``None``, complex and ``bool`` for the real bounds, non-integers for
 #: the support cap.

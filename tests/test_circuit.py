@@ -15,7 +15,6 @@ from shallowcheck import (
     Layer,
     SchemaError,
     adjoint,
-    check_strong,
     choi_extend,
     circuit_from_json,
     circuit_to_json,
@@ -371,29 +370,6 @@ class TestChoiExtend:
         for b in range(4):
             expect[b * 4 + b] = 0.5
         assert np.allclose(state, expect)
-
-    def test_strong_check_builds_each_gate_once(self, monkeypatch):
-        # Each gate of the two extensions and of the inverse of the
-        # second is derived from a checked gate once, never checked again.
-        c0, c1 = random_circuit(6, 3, seed=1), random_circuit(6, 2, seed=2)
-        built = []
-        post_init = Gate.__post_init__
-        derived = circuit._derived_gate
-
-        def count(self):
-            built.append(self)
-            post_init(self)
-
-        def count_derived(*args):
-            built.append(args)
-            return derived(*args)
-
-        monkeypatch.setattr(Gate, "__post_init__", count)
-        monkeypatch.setattr(circuit, "_derived_gate", count_derived)
-        check_strong(c0, c1)
-        sizes = [6 + sum(len(layer.gates) for layer in c.layers) for c in (c0, c1)]
-        assert len(built) == sizes[0] + 2 * sizes[1]
-        assert all(type(b) is tuple for b in built)
 
     def test_encodes_the_unitary(self):
         # The extension's output amplitudes are the unitary's entries up

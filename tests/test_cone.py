@@ -46,7 +46,7 @@ from shallowcheck import (
 from shallowcheck.cone import ZERO_PROJECTOR, walk_light_cones
 from shallowcheck.config import DEFAULT_SUPPORT_CAP, EQUIV_THRESHOLD, SUPPORT_CAP_ENV
 from shallowcheck.linalg import ErrorTriple, apply_layer, apply_local, embed
-from support import dagger, equal_up_to_phase, full_unitary
+from support import dagger, equal_up_to_phase, full_unitary, views, walk
 
 TOL = 1e-12
 
@@ -171,6 +171,49 @@ def test_weak_residuals_equal_static_residuals_of_the_inverse(pair):
     assert [(r.l1, r.l2, r.linf) for r in weak] == [tuple(s.residual) for s in static]
 
 
+def _kernel_report(mode, composite):
+    """The report of a check whose composite is ``composite``, from the cone
+    kernel walking it as given, without ``seconds``."""
+    zeros = [(ZERO_PROJECTOR, (t,)) for t in range(composite.n_qubits)]
+    cones = cone.cone_residuals(
+        views(composite), zeros, "support of qubit {}", DEFAULT_SUPPORT_CAP
+    )
+    max_linf = max(t.linf for _, t in cones)
+    return {
+        "mode": mode,
+        "verdict": "equivalent" if max_linf <= EQUIV_THRESHOLD else "inequivalent",
+        "threshold": EQUIV_THRESHOLD,
+        "max_linf": max_linf,
+        "residuals": [
+            {"support": list(s), "l1": t.l1, "l2": t.l2, "linf": t.linf} for s, t in cones
+        ],
+        "max_support": max(len(s) for s, _ in cones),
+        "warning": EQUIV_THRESHOLD / 10 <= max_linf <= EQUIV_THRESHOLD * 10,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs())
+def test_checks_equal_the_kernel_on_explicit_composites(pair):
+    # The checks walk views of their inputs; the composites built with
+    # the public concat, adjoint and choi_extend must give the same
+    # report, bit for bit: 1- to 3-qubit gates, layouts that are not
+    # brickwork, unequal depths, empty layers and n = 1 among them.
+    c0, c1 = pair
+    composites = [
+        (check_weak, "weak", concat(c0, adjoint(c1))),
+        (check_strong, "strong", concat(choi_extend(c0), adjoint(choi_extend(c1)))),
+    ]
+    for check, mode, composite in composites:
+        got = check(c0, c1).to_json()
+        del got["seconds"]
+        want = _kernel_report(mode, composite)
+        assert got == want
+        assert [float.hex(r["linf"]) for r in got["residuals"]] == [
+            float.hex(r["linf"]) for r in want["residuals"]
+        ]
+
+
 @settings(max_examples=40, deadline=None)
 @given(pairs(max_qubits=10, max_depth=3))
 def test_weak_and_static_verdicts_match_oracle(pair):
@@ -226,14 +269,12 @@ def layouts(draw, max_qubits=12, max_depth=2):
 
 def one_cone_at_a_time(c, projections, backward=False):
     """The residuals :func:`~shallowcheck.cone.cone_residuals` batches, cone by cone."""
-    cones = walk_light_cones(
-        c, [s for _, s in projections], "cone {}", DEFAULT_SUPPORT_CAP, backward
-    )
+    cones = walk(c, [s for _, s in projections], "cone {}", DEFAULT_SUPPORT_CAP, backward)
     out = []
     for (projector, start), steps in zip(projections, cones):
-        support = steps[-1][1] if steps else tuple(start)
+        support = steps[-1][2] if steps else tuple(start)
         axis = {q: i for i, q in enumerate(support)}
-        gates = [[(g.matrix, [axis[q] for q in g.qubits]) for g in t] for t, _ in steps]
+        gates = [[(g.matrix, [axis[q] for q in g.qubits]) for g in t] for _, t, _ in steps]
         undo = [[(dagger(u), axes) for u, axes in ops] for ops in gates]
         a, a_dag = (undo, gates) if backward else (gates, undo)
         state = zero_state(len(support)).reshape((2,) * len(support))
@@ -349,11 +390,11 @@ def test_a_wide_cone_keeps_at_most_three_states_live():
     # chain's state copied out to its members before Q must not add a
     # fourth.
     c = random_circuit(16, 8, seed=1)
-    projections = [(ZERO_PROJECTOR, (7,))]
-    cone.cone_residuals(c, projections, "cone {}", 16)
+    layers, projections = views(c), [(ZERO_PROJECTOR, (7,))]
+    cone.cone_residuals(layers, projections, "cone {}", 16)
     tracemalloc.start()
     try:
-        [(support, _)] = cone.cone_residuals(c, projections, "cone {}", 16)
+        [(support, _)] = cone.cone_residuals(layers, projections, "cone {}", 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -370,6 +411,73 @@ def test_weak_capacity_error_names_qubit_and_layer(monkeypatch):
     assert "layer 1" in str(exc.value)
     assert exc.value.size == 4
     assert exc.value.cap == 3
+
+
+def _cap_inputs():
+    """Three pairs: unequal brickwork depths, 3-qubit gates in unsorted
+    order around an empty layer, and one qubit."""
+    rng = np.random.default_rng(11)
+    mixed = Circuit(5, [
+        Layer([Gate((3, 0, 1), haar_unitary(3, rng)), Gate((4,), haar_unitary(1, rng))]),
+        Layer([]),
+        Layer([Gate((4, 2), haar_unitary(2, rng)), Gate((1, 0), haar_unitary(2, rng))]),
+    ])
+    other = Circuit(5, [Layer([Gate((2, 3), haar_unitary(2, rng))])])
+    one = Circuit(1, [Layer([Gate((0,), haar_unitary(1, rng))])])
+    return [
+        (random_circuit(6, 3, seed=1), random_circuit(6, 2, seed=2)),
+        (mixed, other),
+        (one, Circuit(1)),
+    ]
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_capacity_errors_name_the_composite_qubit_and_layer(monkeypatch, which):
+    # For every cap up to the composite's width, the checks fail exactly
+    # when the plain walk of the explicit composite does, with its
+    # message: the qubit in composite numbering and the composite's
+    # layer, pair layer 0 first on the strong check, c1† after c0.
+    c0, c1 = _cap_inputs()[which]
+    composites = [
+        (check_weak, concat(c0, adjoint(c1))),
+        (check_strong, concat(choi_extend(c0), adjoint(choi_extend(c1)))),
+    ]
+    for check, composite in composites:
+        starts = [(t,) for t in range(composite.n_qubits)]
+        for cap in range(1, composite.n_qubits + 1):
+            monkeypatch.setenv(SUPPORT_CAP_ENV, str(cap))
+            try:
+                unmemoised_walk(composite, starts, "support of qubit {}", cap)
+            except CapacityError as want:
+                with pytest.raises(CapacityError) as exc:
+                    check(c0, c1)
+                assert (str(exc.value), exc.value.size, exc.value.cap) == (
+                    str(want), want.size, want.cap
+                )
+            else:
+                check(c0, c1)
+
+
+def test_capacity_error_messages_of_the_composites(monkeypatch):
+    (c0, c1), (mixed, other), (one, empty) = _cap_inputs()
+    monkeypatch.setenv(SUPPORT_CAP_ENV, "2")
+    with pytest.raises(CapacityError) as weak:
+        check_weak(mixed, other)
+    with pytest.raises(CapacityError) as strong:
+        check_strong(c0, c1)
+    assert str(weak.value) == (
+        "support of qubit 0 would reach 3 qubit(s) at layer 0, exceeding the support cap of 2"
+    )
+    assert str(strong.value) == (
+        "support of qubit 0 would reach 3 qubit(s) at layer 1, exceeding the support cap of 2"
+    )
+    monkeypatch.setenv(SUPPORT_CAP_ENV, "1")
+    with pytest.raises(CapacityError) as single:
+        check_strong(one, empty)
+    assert str(single.value) == (
+        "support of qubit 0 would reach 2 qubit(s) at layer 0, exceeding the support cap of 1"
+    )
+    check_weak(one, empty)
 
 
 def unmemoised_walk(c, starts, what, cap, backward=False):
@@ -394,7 +502,7 @@ def unmemoised_walk(c, starts, what, cap, backward=False):
                     cap=cap,
                 )
             supports[i] = grown
-            steps[i].append((sorted(touched, key=lambda g: min(g.qubits)), grown))
+            steps[i].append((layer_index, sorted(touched, key=lambda g: min(g.qubits)), grown))
     return steps
 
 
@@ -414,13 +522,13 @@ def test_walker_matches_the_unmemoised_walk(c, doubled, backward, cap, data):
         want = unmemoised_walk(c, starts, "cone {}", cap, backward)
     except CapacityError as error:
         with pytest.raises(CapacityError) as exc:
-            walk_light_cones(c, starts, "cone {}", cap, backward)
+            walk(c, starts, "cone {}", cap, backward)
         assert (str(exc.value), exc.value.size, exc.value.cap) == (
             str(error), error.size, error.cap
         )
     else:
         # Gates compare by identity, so the same gates in the same order.
-        assert walk_light_cones(c, starts, "cone {}", cap, backward) == want
+        assert walk(c, starts, "cone {}", cap, backward) == want
 
 
 def test_walker_shares_the_step_of_a_shared_support():
@@ -428,7 +536,7 @@ def test_walker_shares_the_step_of_a_shared_support():
     # step, the first one included, and their whole list of steps.
     c = random_circuit(6, 2, seed=1)
     doubled = concat(choi_extend(c), adjoint(choi_extend(c)))
-    cones = walk_light_cones(doubled, [(t,) for t in range(12)], "cone {}", 12)
+    cones = walk_light_cones(views(doubled), [(t,) for t in range(12)], "cone {}", 12)
     for p in range(6):
         assert cones[p][0] is cones[6 + p][0]
         assert cones[p] is cones[6 + p]
@@ -448,7 +556,7 @@ def test_overflowing_twins_name_the_lower_index_and_first_layer(backward, revers
     starts = [(q,) for q in qubits]
     first = min(i for i, q in enumerate(qubits) if q in (1, 2, 5, 6))
     with pytest.raises(CapacityError) as exc:
-        walk_light_cones(doubled, starts, "cone {}", 2, backward)
+        walk_light_cones(views(doubled), starts, "cone {}", 2, backward)
     layer = 4 if backward else 1
     assert str(exc.value) == (
         f"cone {first} would reach 3 qubit(s) at layer {layer}, "
@@ -557,7 +665,9 @@ def test_chunks_of_the_strong_check_hold_whole_chains(bound, pair):
     c0, c1 = pair
     composite = concat(choi_extend(c0), adjoint(choi_extend(c1)))
     zeros = [(ZERO_PROJECTOR, (t,)) for t in range(composite.n_qubits)]
-    walked = walk_light_cones(composite, [s for _, s in zeros], "cone {}", DEFAULT_SUPPORT_CAP)
+    walked = walk_light_cones(
+        views(composite), [s for _, s in zeros], "cone {}", DEFAULT_SUPPORT_CAP
+    )
     chain = [[i for i, s in enumerate(walked) if s is steps] for steps in walked]
     chunks = []
     original = cone._chunks
@@ -600,7 +710,9 @@ def test_only_layers_on_the_same_axes_fuse(backward, qubits, calls):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cone, "apply_layer", recording)
-        got = cone.cone_residuals(c, projections, "cone {}", DEFAULT_SUPPORT_CAP, backward)
+        got = cone.cone_residuals(
+            views(c), projections, "cone {}", DEFAULT_SUPPORT_CAP, backward
+        )
     assert len(recorded) == calls
     _assert_same_cones(got, one_cone_at_a_time(c, projections, backward))
 
@@ -617,13 +729,13 @@ def test_cap_below_one_rejected_by_the_walker(cap):
 
 def test_strong_check_validates_each_input_once(monkeypatch):
     calls = []
-    original = equivalence.validate
+    original = equivalence._tabled
 
     def counting(c, *args, **kwargs):
         calls.append(c)
         return original(c, *args, **kwargs)
 
-    monkeypatch.setattr(equivalence, "validate", counting)
+    monkeypatch.setattr(equivalence, "_tabled", counting)
     c0, c1 = random_circuit(6, 2, seed=1), random_circuit(6, 2, seed=2)
     check_strong(c0, c1)
     assert calls == [c0, c1]

@@ -39,7 +39,7 @@ from shallowcheck import (
 )
 from shallowcheck.cone import walk_light_cones
 from shallowcheck.linalg import _conjugate, apply_local
-from support import dagger, gate_in_sorted_order, intersection_rank_small
+from support import dagger, gate_in_sorted_order, intersection_rank_small, views, walk
 
 TOL = 1e-12
 
@@ -84,13 +84,11 @@ def per_gate_reference_description(c):
     re-symmetrized after every layer: the same walk as the production
     engine, without its layer kernel.
     """
-    cones = walk_light_cones(
-        c, [(t,) for t in range(c.n_qubits)], "support of qubit {}", c.n_qubits
-    )
+    cones = walk(c, [(t,) for t in range(c.n_qubits)], "support of qubit {}", c.n_qubits)
     supports, mats = [], []
     for t, steps in enumerate(cones):
         support, p = (t,), np.array([[1, 0], [0, 0]], dtype=complex)
-        for touched, grown in steps:
+        for _, touched, grown in steps:
             p = embed(p, support, grown)
             axis = {q: i for i, q in enumerate(grown)}
             for g in touched:
@@ -113,13 +111,11 @@ def untiled_description(c):
     as the engine, so an entry that its last step keeps as one tile
     matches it bit for bit.
     """
-    cones = walk_light_cones(
-        c, [(t,) for t in range(c.n_qubits)], "support of qubit {}", c.n_qubits
-    )
+    cones = walk(c, [(t,) for t in range(c.n_qubits)], "support of qubit {}", c.n_qubits)
     supports, mats = [], []
     for t, steps in enumerate(cones):
         support, p = (t,), np.array([[1, 0], [0, 0]], dtype=complex)
-        for touched, grown in steps:
+        for _, touched, grown in steps:
             axis = {q: i for i, q in enumerate(support)}
             inside = [g for g in touched if set(g.qubits) <= set(support)]
             straddling = [g for g in touched if not set(g.qubits) <= set(support)]
@@ -276,8 +272,8 @@ class TestLayerKernel:
         # The two central entries span all ten qubits a layer before the
         # last, so their last step is tiled and does not grow.
         c = random_circuit(10, 6, seed=1)
-        cones = walk_light_cones(c, [(t,) for t in range(10)], "support of qubit {}", 10)
-        assert [t for t, steps in enumerate(cones) if steps[-2][1] == steps[-1][1]] == [4, 5]
+        cones = walk(c, [(t,) for t in range(10)], "support of qubit {}", 10)
+        assert [t for t, steps in enumerate(cones) if steps[-2][2] == steps[-1][2]] == [4, 5]
         d = compute_description(c)
         _assert_description_matches(d, *per_gate_reference_description(c))
         for p in d.projections:
@@ -311,11 +307,11 @@ class TestLayerKernel:
         assert sorted(found) == list(range(10))
         inside_ops = 0
         for t, steps in enumerate(
-            walk_light_cones(c, [(t,) for t in range(10)], "support of qubit {}", 10)
+            walk(c, [(t,) for t in range(10)], "support of qubit {}", 10)
         ):
             calls = iter(found[t])
             support = (t,)
-            for k, (touched, grown) in enumerate(steps, 1):
+            for k, (_, touched, grown) in enumerate(steps, 1):
                 inside = [g.matrix for g in touched if set(g.qubits) <= set(support)]
                 straddling = [g.matrix for g in touched if not set(g.qubits) <= set(support)]
                 # Every gate once: the inside ones at the width they start
@@ -900,7 +896,7 @@ class TestCommutation:
         c = random_circuit(4, 2, seed=1) if overlapping else Circuit(3)
         d = compute_description(c)
         with pytest.raises(DomainError) as walker:
-            walk_light_cones(c, [(0,)], "support of qubit {}", cap)
+            walk_light_cones(views(c), [(0,)], "support of qubit {}", cap)
         with pytest.raises(DomainError) as exc:
             commutation_check(d, cap=cap)
         assert str(exc.value) == str(walker.value)

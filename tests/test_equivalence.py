@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import shallowcheck.circuit as circuit
 from shallowcheck import (
     CapacityError,
     Circuit,
@@ -135,6 +136,35 @@ class TestCheckStrong:
         assert strong.mode == "strong"
         assert weak.seconds >= 0.0
         assert strong.seconds >= 0.0
+
+
+@pytest.mark.parametrize("check", [check_weak, check_strong])
+def test_checks_build_no_gate_layer_or_circuit(monkeypatch, check):
+    # The checks walk views of their inputs: no composite circuit, and
+    # no layer or gate of one, is built, checked or derived.
+    c0, c1 = random_circuit(6, 3, seed=1), random_circuit(6, 2, seed=2)
+    built = []
+
+    def counting(cls):
+        post_init = cls.__post_init__
+
+        def count(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", count)
+
+    for cls in (Gate, Layer, Circuit):
+        counting(cls)
+    derived = circuit._derived_gate
+    monkeypatch.setattr(circuit, "_derived_gate", lambda *args: built.append(args) or derived(*args))
+    assert check(c0, c1).verdict == "inequivalent"
+    assert built == []
+    # The spies see what is built: the explicit extension makes its
+    # gates, 1 + depth layers and a circuit.
+    circuit.choi_extend(c1)
+    gates = 6 + sum(len(layer.gates) for layer in c1.layers)
+    assert len(built) == gates + (1 + c1.depth) + 1
 
 
 class TestMicroFixtures:
