@@ -117,19 +117,6 @@ class Gate:
         return f"Gate({tag} on {self.qubits})"
 
 
-def _derived_gate(qubits: tuple[int, ...], matrix: np.ndarray, name: str | None) -> Gate:
-    """A gate made from the parts of gates already built, without checks.
-
-    ``qubits`` must be a tuple of ``int`` and ``matrix`` a read-only
-    complex matrix of the matching dimension that no writable array
-    shares memory with, as ``Gate`` leaves them: a shifted copy of a
-    gate, or its dagger by :func:`_frozen_dagger`.
-    """
-    g = object.__new__(Gate)
-    vars(g).update(qubits=qubits, matrix=matrix, name=name)
-    return g
-
-
 @dataclass(frozen=True, eq=False)
 class Layer:
     """Gates applied simultaneously; supports must be pairwise disjoint."""
@@ -335,9 +322,9 @@ def adjoint(c: Circuit) -> Circuit:
     for layer in reversed(c.layers):
         gates = []
         for g in layer.gates:
-            m = _frozen_dagger(g.matrix)
+            m = np.conj(g.matrix).T
             name = g.name if g.name is not None and np.array_equal(m, g.matrix) else None
-            gates.append(_derived_gate(g.qubits, m, name))
+            gates.append(Gate(g.qubits, m, name))
         new_layers.append(Layer(tuple(gates)))
     return Circuit(c.n_qubits, tuple(new_layers))
 
@@ -345,13 +332,6 @@ def adjoint(c: Circuit) -> Circuit:
 def _inverse(layers: list[_LayerView]) -> list[_LayerView]:
     """The views of :func:`adjoint`'s layers: reversed, each gate daggered."""
     return [view._replace(dagger=not view.dagger) for view in reversed(layers)]
-
-
-def _frozen_dagger(u: np.ndarray) -> np.ndarray:
-    """``u†`` as a read-only transposed view, which ``Gate`` keeps uncopied."""
-    m = np.conj(u)
-    m.setflags(write=False)  # frozen before the transpose
-    return m.T
 
 
 def concat(first: Circuit, second: Circuit) -> Circuit:
@@ -376,14 +356,9 @@ def choi_extend(c: Circuit) -> Circuit:
     Depth grows by one.
     """
     n = c.n_qubits
-    pair_layer = Layer(tuple([_derived_gate((p, n + p), _PAIR_GATE, None) for p in range(n)]))
+    pair_layer = Layer(tuple([Gate((p, n + p), _PAIR_GATE) for p in range(n)]))
     shifted = tuple(
-        Layer(
-            tuple([
-                _derived_gate(tuple([q + n for q in g.qubits]), g.matrix, g.name)
-                for g in layer.gates
-            ])
-        )
+        Layer(tuple([Gate([q + n for q in g.qubits], g.matrix, g.name) for g in layer.gates]))
         for layer in c.layers
     )
     return Circuit(2 * n, (pair_layer,) + shifted)

@@ -173,10 +173,8 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     ``X ↦ G (X ⊗ I) G†`` as one small matrix: 16×4 for a two-qubit gate
     with one new qubit, ``G ⊗ Ḡ`` for one inside the old support, where a
     last step that does not grow takes its layer's inside gates.  So
-    neither the full embedded matrix nor a zero-filled tile is built; on
-    2 vCPUs with one BLAS thread this took the bench's
-    ``describe-dense`` operation (``n = 14``, depth 5) from 0.102 to
-    0.074 s.  An entry of at most ``2^16`` amplitudes (width 8) is one
+    neither the full embedded matrix nor a zero-filled tile is built.
+    An entry of at most ``2^16`` amplitudes (width 8) is one
     tile, embedded, conjugated whole and re-symmetrized as
     ``(P + P†)/2``.
     Within a call, gates are applied in order of smallest qubit index;

@@ -14,8 +14,9 @@ Besides the core operations (:func:`embed`, :func:`is_projection`,
 locality-aware primitives that act on a few tensor axes of a larger
 operator or state without materializing the embedded matrix.
 One kernel, :func:`apply_layer`, applies a layer of operators on
-disjoint axes of a tensor, one matrix product per operator, optionally
-for a whole stack of tensors with one matrix per member; the cone-state
+disjoint axes of a tensor, transposing it at most once before and once
+after and taking one matrix product per operator, optionally for a
+whole stack of tensors with one matrix per member; the cone-state
 kernel calls it once per layer for a group of same-shape cones, and
 the first two of these are one call to it:
 
@@ -37,20 +38,10 @@ against that path in the test suite.
 Every public name here is used by another module of the package; the
 dense helpers that only the tests use (the conjugate transpose, the
 identity, the entrywise maximum) live with the tests, not here.
-
-A layer of plain matrices on contiguous, ascending axes of a
-C-contiguous tensor, at its leading or trailing edge or in the middle
-with at least 64 entries behind, runs as one matrix product per
-operator on a reshaped view, with no transpose: the straddling gates of
-the description engine, at the edges of its widest matrices.  Every
-other layer, batched stacks and middle operators with fewer entries
-behind them included, is transposed at most once before and once after,
-since there a narrow middle product costs more than the transpose.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -73,10 +64,6 @@ __all__ = [
 #: Most amplitudes (1 MiB, width 8) in a tile of :func:`_conjugate_hermitian`
 #: while it has idle axes left to split on.
 _TILE = 1 << 16
-
-#: Smallest trailing block ``B`` of a middle op in the transpose-free
-#: form of :func:`apply_layer`.
-_MIN_TRAILING = 64
 
 
 def _integral(value, what: str) -> int:
@@ -199,19 +186,8 @@ def embed(
         )
     if ops == tgt:
         return op.copy()
-    out = np.zeros((1 << len(tgt), 1 << len(tgt)), dtype=complex)
-    _place(out, op.reshape((2,) * (2 * k)), ops, tgt)
-    return out
-
-
-def _place(out: np.ndarray, op: np.ndarray, ops: list[int], tgt: list[int]) -> None:
-    """Write the tensor ``op`` on ``ops`` into every identity block of ``out``.
-
-    ``out`` is a zeroed operator on ``tgt`` and ``op`` a tensor with
-    two axes per qubit of ``ops``, rows first, which may be a strided
-    view: it is read in the one assignment that fills the blocks.
-    """
-    m, k = len(tgt), len(ops)
+    m = len(tgt)
+    out = np.zeros((1 << m, 1 << m), dtype=complex)
     rest = [q for q in tgt if q not in set(ops)]
     # A view of ``out`` whose axes are op's qubits, then the rest, for
     # the rows and then the columns.
@@ -223,7 +199,8 @@ def _place(out: np.ndarray, op: np.ndarray, ops: list[int], tgt: list[int]) -> N
     blocks = np.arange(1 << (m - k))
     bits = tuple((blocks >> (m - k - 1 - j)) & 1 for j in range(m - k))
     full = (slice(None),) * k
-    view[full + bits + full + bits] = op
+    view[full + bits + full + bits] = op.reshape((2,) * (2 * k))
+    return out
 
 
 def is_projection(p: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
@@ -306,50 +283,6 @@ def _check_local_args(
     return op, pos
 
 
-def _edge_blocks(
-    tensor: np.ndarray, ops: Sequence[tuple[np.ndarray, Sequence[int]]]
-) -> list[tuple[int, int, int]] | None:
-    """``(A, 2**k, B)`` for each op if :func:`apply_layer` takes its
-    transpose-free form, ``None`` if it transposes.
-
-    ``A`` and ``B`` are the sizes of the axes before and after the op's.
-    """
-    if not tensor.flags.c_contiguous:
-        return None
-    blocks = []
-    for u, axes in ops:
-        first, k = min(axes, default=0), len(axes)
-        if u.ndim != 2 or list(axes) != list(range(first, first + k)):
-            return None
-        before = math.prod(tensor.shape[:first])
-        after = math.prod(tensor.shape[first + k:])
-        if before > 1 and 1 < after < _MIN_TRAILING:
-            return None
-        blocks.append((before, 1 << k, after))
-    order = [a for _, axes in ops for a in axes]
-    return None if order in ([], list(range(tensor.ndim))) else blocks
-
-
-def _apply_edges(
-    tensor: np.ndarray,
-    ops: Sequence[tuple[np.ndarray, Sequence[int]]],
-    blocks: list[tuple[int, int, int]],
-) -> np.ndarray:
-    """The transpose-free form of :func:`apply_layer` on the blocks of
-    :func:`_edge_blocks`.  Every product is C-contiguous in the tensor's
-    own axis order, so no axis moves and nothing is copied between ops.
-    """
-    t = tensor
-    for (u, _), (before, dim, after) in zip(ops, blocks):
-        if before == 1:
-            t = u @ t.reshape(dim, -1)
-        elif after == 1:
-            t = t.reshape(-1, dim) @ u.T
-        else:
-            t = u @ t.reshape(before, dim, after)
-    return t.reshape(tensor.shape)
-
-
 def apply_layer(
     tensor: np.ndarray, ops: Sequence[tuple[np.ndarray, Sequence[int]]]
 ) -> np.ndarray:
@@ -364,31 +297,13 @@ def apply_layer(
     ``b`` of the tensor, while a plain matrix acts on every member.
     It checks no arguments, so callers must.
 
-    A layer runs in one of two forms, with the same result up to
-    rounding.  The transpose-free form applies each op as one matrix
-    product on a reshaped view of the tensor: ``u @ t.reshape(2**k,
-    -1)`` when no axis comes before the op's, ``t.reshape(-1, 2**k) @
-    u.T`` when none comes after them, and ``u @ t.reshape(A, 2**k, B)``
-    otherwise, ``A`` and ``B`` being the sizes of the axes before and
-    after.  It runs when the tensor is C-contiguous and every op is a
-    plain matrix on contiguous, ascending axes, with ``B`` at least
-    ``_MIN_TRAILING`` (64) if the op has axes on both sides: on a
-    smaller trailing block the ``A`` narrow products cost more than the
-    transpose they save.  The gates at the two ends of a grown support
-    in the dense description engine, the widest matrices it conjugates,
-    are this case.
-
-    Every other layer takes the transpose form, batched stacks among
-    them, as do layers on every axis in order or on none, which need no
-    transpose there either.  It transposes the tensor at most once so
-    that the acted axes lead (behind the batch axis) in the order the
-    ops use them, and back at most once.  Each op is one matrix product,
-    ``t.reshape(2**k, -1).T @ u.T``, broadcast over the batch axis,
-    which cycles its axes to the back, so no copy is made between ops.
+    The tensor is transposed at most once so that the acted axes lead
+    (behind the batch axis) in the order the ops use them, and back at
+    most once; a layer on every axis in order, or on none, needs no
+    transpose.  Each op is one matrix product, ``t.reshape(2**k, -1).T @
+    u.T``, broadcast over the batch axis, which cycles its axes to the
+    back, so no copy is made between ops.
     """
-    blocks = _edge_blocks(tensor, ops)
-    if blocks is not None:
-        return _apply_edges(tensor, ops, blocks)
     lead = [0] if any(u.ndim == 3 for u, _ in ops) else []
     every = list(range(tensor.ndim))
     order = [a for _, axes in ops for a in axes]
@@ -499,10 +414,7 @@ def _conjugate_hermitian(
     qubit.  So no ``p ⊗ I`` is built and no product reads its zeros.  A
     tile takes one matrix product per op, on axes that cycle to the back
     as in :func:`apply_layer`, and one transpose into a contiguous
-    (rows, columns) tile.  On the brickwork step from width 8 to 10 this
-    took 8.3 ms against 14.1 ms for zero-filled tiles conjugated by
-    :func:`apply_layer` (medians of 200 runs on 2 vCPUs, one BLAS
-    thread).
+    (rows, columns) tile.
 
     A tile ``T`` above the diagonal is written with ``T†`` in the
     mirrored tile, and a diagonal tile as ``T/2 + (T/2)†``, which is
@@ -514,23 +426,15 @@ def _conjugate_hermitian(
     given, and otherwise allocated, for one tile once its embedded input
     has been freed.
     """
-    # Lists, since ``_place`` concatenates them.
-    support, grown = list(support), list(grown)
     w = len(grown)
     acted = {a for _, pos in ops for a in pos}
     idle = [a for a in range(w) if a not in acted]
     split = idle[: max(0, w - (_TILE.bit_length() - 1) // 2)]
     s, k = len(split), w - len(split)
-    source = p.reshape((2,) * (2 * len(support)))
     swap = list(range(k, 2 * k)) + list(range(k))
     if not s:
-        if support == grown:
-            t = _conjugate(source, ops)
-        else:
-            x = np.zeros((1 << w, 1 << w), dtype=complex)
-            _place(x, source, support, grown)
-            t = _conjugate(x.reshape((2,) * (2 * w)), ops)
-            del x  # freed before the result is allocated
+        # The embedded input is freed before the result is allocated.
+        t = _conjugate(embed(p, support, grown), ops).reshape((2,) * (2 * w))
         if out is None:
             out = np.empty((1 << w, 1 << w), dtype=complex)
         d = out.reshape((2,) * (2 * w))
@@ -548,6 +452,7 @@ def _conjugate_hermitian(
             index[width + a] = (c >> (s - 1 - j)) & 1
         return tuple(index)
 
+    source = p.reshape((2,) * (2 * len(support)))
     fixed = [grown[a] for a in split]
     in_p = [support.index(q) for q in fixed]
     # A tile of ``p`` has a row and a column axis per kept qubit;

@@ -8,7 +8,9 @@ or be named in code in README.md, and every name ``linalg`` exports
 must be imported by another module.  Helpers that only the tests call
 live in ``tests/support.py``.  Gates are applied through one kernel,
 ``linalg.apply_layer``: no module may contract tensors with
-``tensordot`` or ``moveaxis`` beside it.  Only ``config.py`` reads the
+``tensordot`` or ``moveaxis`` beside it.  Every module-level private
+name is read by code outside its own definition, and every imported
+name is read or exported.  Only ``config.py`` reads the
 environment.  Numeric arguments of the public entry points (thresholds,
 tolerances, noise, support caps) that are not numbers of the right kind
 raise ``DomainError``.
@@ -65,6 +67,57 @@ def _names(path: Path) -> set[str]:
         elif isinstance(node, ast.alias):
             names.add(node.name.rsplit(".", 1)[-1])
     return names
+
+
+def _defined(stmt: ast.stmt) -> set[str]:
+    """The names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return {stmt.target.id}
+    return set()
+
+
+def _read(node: ast.AST) -> set[str]:
+    """Every name read and attribute taken under ``node``."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute)
+    }
+
+
+def test_every_private_name_is_used_outside_its_definition():
+    # A private helper or constant that no code reads is dead; one read
+    # only by its own body (a recursion) is too.
+    private, used = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            own = _defined(stmt)
+            private |= {name for name in own if name.startswith("_") and not name.endswith("__")}
+            used |= _read(stmt) - own
+    assert private and sorted(private - used) == []
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_import_is_used(name):
+    # A name a module imports is read there or, in ``__init__.py``,
+    # exported through ``__all__``.
+    tree = ast.parse((PACKAGE / name).read_text())
+    used = _read(tree)
+    for stmt in tree.body:
+        if "__all__" in _defined(stmt):
+            used |= set(ast.literal_eval(stmt.value))
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    assert sorted(imported - used) == []
 
 
 @pytest.mark.parametrize("banned", ["tensordot", "moveaxis"])

@@ -257,8 +257,8 @@ class TestLayerKernel:
 
     @pytest.mark.parametrize("n, depth", [(6, 3), (9, 4), (10, 5)])
     def test_brickworks_up_to_width_10_match_references(self, n, depth):
-        # Widths 6, 8 and 10, where the gates at the two ends of a grown
-        # support take the transpose-free form of ``apply_layer``.
+        # Widths 6, 8 and 10, with gates at the two ends of each grown
+        # support.
         c = random_circuit(n, depth, seed=n)
         d = compute_description(c)
         assert max(len(p.support) for p in d.projections) == 2 * depth
