@@ -41,12 +41,16 @@ projection ``P`` on a light cone: how far is ``P|0...0>`` from
   whole group.  Each chain of steps is simulated once: twins share
   their gates, so ``A†|0...0>`` runs on one state per chain and is
   copied out to the chain's members before ``Q``, which is one call per
-  run of members whose ``Q`` has the same axes.  A run of layers whose
-  gates act on the same axes, such as the middle of a paired ladder's
-  cone, is multiplied into one layer first, the standard gate fusion of
-  state-vector simulators (qsim, Isakov et al., arXiv:2111.02396), so
-  it costs one call for ``A†`` and one for ``A``; the fused gates still
-  act only on cone axes.  Each chain's axes and gate indices are built
+  run of members whose ``Q`` has the same axes.  Once per call, before
+  the walk, each gate that repeats the last gate on its qubits (same
+  qubit tuple, same order, nothing between them on those qubits) is
+  multiplied into it, the standard gate fusion of state-vector
+  simulators (qsim, Isakov et al., arXiv:2111.02396): the middle of a
+  paired ladder's composite becomes one layer, walked once and applied
+  with one call for ``A†`` and one for ``A``.  A fused gate acts on the
+  qubits of the gates it replaces, so supports, chains and capacity
+  errors are those of the unfused walk, and the errors name the
+  caller's layers.  Each chain's axes and gate indices are built
   once, and each op of a group is gathered from its layer's stack at
   the rows of the chunk's chains' gates; a daggered view's gates are
   ``conj(u).mT`` of its stack, taken once per call.  A stacked state
@@ -58,6 +62,7 @@ projection ``P`` on a light cone: how far is ``P|0...0>`` from
 
 from __future__ import annotations
 
+from itertools import chain as _chain
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -94,6 +99,7 @@ def walk_light_cones(
     what: str,
     cap: int,
     backward: bool = False,
+    numbers: Sequence[int] | None = None,
 ) -> list[list[ConeStep]]:
     """Grow each starting support through ``layers``.
 
@@ -112,6 +118,9 @@ def walk_light_cones(
         Largest support size allowed.
     backward
         Walk the layers in reverse order.
+    numbers
+        The layer each view stands for in a capacity error; by default
+        its position in ``layers``.
 
     Returns
     -------
@@ -136,6 +145,8 @@ def walk_light_cones(
     """
     if _integral(cap, "the support cap") < 1:
         raise DomainError(f"the support cap must be at least 1, got {cap}")
+    if numbers is None:
+        numbers = range(len(layers))
     # A class of cones with one support (as a tuple and a set) and one
     # list of steps: each cone alone at first, then those whose steps
     # coincide.
@@ -172,7 +183,7 @@ def walk_light_cones(
                 # first member, so this is the lowest-index cone to overflow.
                 raise CapacityError(
                     f"{what.format(members[0])} would reach {len(grown)} qubit(s) at "
-                    f"layer {layer_index}, exceeding the support cap of {cap}",
+                    f"layer {numbers[layer_index]}, exceeding the support cap of {cap}",
                     size=len(grown),
                     cap=cap,
                 )
@@ -192,6 +203,130 @@ def walk_light_cones(
     return steps
 
 
+def _fused(
+    layers: Sequence[_LayerView], backward: bool, daggered: dict[int, dict[int, np.ndarray]]
+) -> tuple[Sequence[_LayerView], Sequence[int]]:
+    """``layers`` with repeated gates multiplied together, and the position
+    in ``layers`` of each view kept.
+
+    In walk order, a gate whose qubits were all last acted on by one gate
+    on the same qubit tuple, in the same order, is multiplied into that
+    gate, ``later @ earlier`` with both as ``A`` applies them
+    (:func:`_applied`).  Such a run of gates acts on its qubits alone, so
+    each cone meets all of it or none of it, at its first gate: supports,
+    and the layers at which they grow, stay as they are.  A view that
+    holds a product or lost a gate is replaced by one whose gates are
+    ``A``'s (``dagger`` equal to ``backward``), in one new table; a view
+    left empty is dropped.  Every other view is passed through, and when
+    nothing repeats, so is ``layers``.
+    """
+    walk = range(len(layers) - 1, -1, -1) if backward else range(len(layers))
+    # The qubit tuple and the view of the first gate of each run of
+    # repeated gates, the run that last acted on each qubit, and the run
+    # of each gate of each view.
+    runs: list[tuple[int, ...]] = []
+    starts: list[int] = []
+    last: dict[int, int] = {}
+    ran: list = [None] * len(layers)
+    # The later gates of the runs in each view, and their runs, in walk order.
+    repeats: dict[int, tuple[list[int], list[int]]] = {}
+    for l in walk:
+        qubits = layers[l].qubits
+        # The run that last acted on each qubit of the view, gate by gate:
+        # a layer's gates are disjoint, so none of them changes another's.
+        found = [*map(last.get, _chain.from_iterable(qubits))]
+        here: list[int] = []
+        js: list[int] = []
+        rs: list[int] = []
+        k = 0
+        for j, gate in enumerate(qubits):
+            r = found[k]
+            width = len(gate)
+            if r is not None and runs[r] == gate and found[k:k + width].count(r) == width:
+                js.append(j)
+                rs.append(r)
+            else:
+                r = len(runs)
+                runs.append(gate)
+                starts.append(l)
+                for q in gate:
+                    last[q] = r
+            here.append(r)
+            k += width
+        ran[l] = here
+        if js:
+            repeats[l] = (js, rs)
+    if not repeats:
+        return layers, range(len(layers))
+    grown = set().union(*(rs for _, rs in repeats.values()))
+    changed = {*repeats, *map(starts.__getitem__, grown)}
+    # The views kept.  A changed one holds its gates, each the first of
+    # its run, at the rows of their runs in one new table, one stack per
+    # dimension.
+    kept: list[_LayerView] = []
+    numbers: list[int] = []
+    table: dict[int, np.ndarray] = {}
+    for l, view in enumerate(layers):
+        if l not in changed:
+            kept.append(view)
+            numbers.append(l)
+            continue
+        gone = set(repeats[l][0]) if l in repeats else set()
+        if len(gone) == len(view.qubits):
+            continue
+        js = [j for j in range(len(view.qubits)) if j not in gone]
+        qubits = [view.qubits[j] for j in js]
+        owner = view.owner if not gone else {
+            q: k for k, gate in enumerate(qubits) for q in gate
+        }
+        rows = np.array([ran[l][j] for j in js], dtype=np.intp)
+        source = view.rows[js]
+        stacks = _applied(view, backward, daggered)
+        for dim, mine in _by_dim(qubits):
+            if dim not in table:
+                table[dim] = np.empty((len(runs), dim, dim), dtype=complex)
+            table[dim][rows[mine]] = stacks[dim][source[mine]]
+        kept.append(_LayerView(qubits, owner, rows, table, backward))
+        numbers.append(l)
+    # Each run's product grows in its row, in walk order.
+    for l, (js, rs) in repeats.items():
+        view = layers[l]
+        heads = np.array(rs, dtype=np.intp)
+        stacks = _applied(view, backward, daggered)
+        rows = view.rows if len(js) == len(view.qubits) else view.rows[js]
+        for dim, mine in _by_dim([runs[r] for r in rs]):
+            stack = table[dim]
+            stack[heads[mine]] = stacks[dim][rows[mine]] @ stack[heads[mine]]
+    return kept, numbers
+
+
+def _by_dim(qubits: list[tuple[int, ...]]) -> Iterator[tuple[int, slice | list[bool]]]:
+    """Each gate dimension among gates ``qubits``, and an index of its gates."""
+    dims = [1 << len(gate) for gate in qubits]
+    if dims.count(dims[0]) == len(dims):
+        yield dims[0], slice(None)
+        return
+    for dim in {*dims}:
+        yield dim, [d == dim for d in dims]
+
+
+def _applied(
+    view: _LayerView, backward: bool, daggered: dict[int, dict[int, np.ndarray]]
+) -> dict[int, np.ndarray]:
+    """``view``'s stacks as ``A`` applies them on a walk in direction ``backward``.
+
+    Where ``view.dagger`` differs from ``backward``, ``A`` applies each
+    gate's dagger: ``conj(u).mT`` copied contiguous, made once per table
+    and kept in ``daggered``.
+    """
+    stacks = view.stacks
+    if view.dagger == backward:
+        return stacks
+    if id(stacks) not in daggered:
+        daggered[id(stacks)] = {dim: np.conj(u).mT.copy() for dim, u in stacks.items()}
+    return daggered[id(stacks)]
+
+
 def cone_residuals(
     layers: Sequence[_LayerView],
     projections: Sequence[tuple[np.ndarray, Sequence[int]]],
@@ -206,9 +341,10 @@ def cone_residuals(
     stacked on a leading batch axis, their gates into ``(B, d, d)``
     stacks.  Members that share a chain of steps, such as Choi twins,
     share ``A†|0...0>``: it runs on one state per chain, which is then
-    copied out to the chain's members before ``Q``.  Layers of ``A``
-    whose gates act on the same axes as the layer before are multiplied
-    into one layer, so each run of them is one
+    copied out to the chain's members before ``Q``.  Gate fusion runs
+    once, before the walk (:func:`_fused`): each gate that repeats the
+    last gate on its qubits is multiplied into it, so a run of layers
+    of repeated gates is walked as one layer and costs one
     :func:`~shallowcheck.linalg.apply_layer` call for ``A†`` and one for
     ``A``.  Members are sorted by the axes of their ``Q``, which is one
     call per run of equal axes on that run's slice of the stacked state.
@@ -246,7 +382,12 @@ def cone_residuals(
     CapacityError
         If a cone would exceed ``cap``, before any cone is simulated.
     """
-    cones = walk_light_cones(layers, [s for _, s in projections], what, cap, backward)
+    # The stacks of each table whose gates A applies daggered.
+    daggered: dict[int, dict[int, np.ndarray]] = {}
+    layers, numbers = _fused(layers, backward, daggered)
+    cones = walk_light_cones(
+        layers, [s for _, s in projections], what, cap, backward, numbers
+    )
     # Cones by shape: width, then each step's layer and the axes of its
     # gates (1 + cone axis, behind the batch axis), and within a shape by
     # chain.  Cones that share a chain of steps (Choi twins) share their
@@ -271,9 +412,6 @@ def cone_residuals(
         support, axis, chain = built[id(steps)]
         chain[1].append((tuple(map(axis, start)), index, support, projector))
     results: list = [None] * len(projections)
-    # The stacks of each table whose gates A applies daggered, daggered
-    # once: ``conj(u).mT`` copied contiguous.
-    daggered: dict[int, dict[int, np.ndarray]] = {}
     for (width, shape), chains in groups.items():
         for chunk in _chunks(chains, max(1, _BATCH_AMPLITUDES >> width)):
             # Members by the axes of Q, so each run of equal axes is one
@@ -285,33 +423,24 @@ def cone_residuals(
             pick = np.array(pick)
             # A's layers in the order A applies them, each op gathered
             # from its layer's stack at the rows of the chains' gates,
-            # one column of ``gates`` per op; a layer on the axes of the
-            # one before is multiplied into it, op by op.
+            # one column of ``gates`` per op.
             gates = np.array([chain_gates for chain_gates, _ in chunk])
-            fused: list[tuple[list, tuple]] = []
+            a_layers: list[tuple[list, tuple]] = []
             column = 0
             for l, axes in shape:
                 rows = layers[l].rows[gates[:, column:column + len(axes)]]
                 column += len(axes)
-                stacks = layers[l].stacks
-                if layers[l].dagger != backward:
-                    if id(stacks) not in daggered:
-                        daggered[id(stacks)] = {
-                            dim: np.conj(u).mT.copy() for dim, u in stacks.items()
-                        }
-                    stacks = daggered[id(stacks)]
+                stacks = _applied(layers[l], backward, daggered)
                 ops = [stacks[1 << len(a)][rows[:, j]] for j, a in enumerate(axes)]
-                if fused and fused[-1][1] == axes:
-                    ops = [later @ earlier for later, earlier in zip(ops, fused.pop()[0])]
-                fused.append((ops, axes))
+                a_layers.append((ops, axes))
             state = np.zeros((len(chunk),) + (2,) * width, dtype=complex)
             state.reshape(len(chunk), -1)[:, 0] = 1.0
-            for ops, axes in fused[::-1]:
+            for ops, axes in a_layers[::-1]:
                 state = apply_layer(state, [(np.conj(u).mT, a) for u, a in zip(ops, axes)])
             # Rebinding frees the chains' states before Q runs.
             state = state[pick]
             _apply_projectors(state, q_axes, projectors)
-            for ops, axes in fused:
+            for ops, axes in a_layers:
                 state = apply_layer(state, [(u[pick], a) for u, a in zip(ops, axes)])
             e = state.reshape(len(indices), -1)
             e[:, 0] -= 1.0

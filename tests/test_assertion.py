@@ -341,6 +341,19 @@ class TestEntryHandling:
         with pytest.raises(DomainError, match="LocalProjection"):
             runtime_assert(state, [P0], seed=0)
 
+    def test_description_entries_are_checked_as_a_sequence_is(self):
+        # A Description holds whatever it was given; a bad entry must get
+        # the same DomainError as in a plain list, not an AttributeError.
+        c = random_circuit(3, 2, seed=1)
+        state = simulate(c)
+        for assertions in (["x"], Description(3, ["x"])):
+            with pytest.raises(DomainError) as static:
+                verify_static(c, assertions)
+            with pytest.raises(DomainError) as runtime:
+                runtime_assert(state, assertions, seed=0)
+            for exc in (static, runtime):
+                assert str(exc.value) == "assertion 0 must be a LocalProjection, got str"
+
     def test_empty_tuple_passes_vacuously(self):
         report = runtime_assert(np.array([1.0, 0.0]), [], seed=0)
         assert report.result == "pass"

@@ -6,11 +6,15 @@ replace (within 1e-12) and their verdicts to the brute-force oracle, on
 circuits with 3-qubit gates, unsorted and non-adjacent gate qubits,
 empty layers, idle qubits and no layers at all.  On translation-invariant
 layouts, where many cones share a shape and are simulated as one batch,
-they are also held to a loop that simulates one cone at a time, with the
-batch bound at its default and small enough to split batches into chunks.
+and on circuits built to repeat gates (in part, reversed, across idle
+layers and across the seam of a composite), they are also held to a
+loop that simulates one cone at a time without fusing, with the batch
+bound at its default and small enough to split batches into chunks.
 Cones that share a chain of steps share one simulation of ``A†``, and
-runs of layers on the same axes are fused; call counts and chunk
-contents pin both.
+gates that repeat the last gate on their qubits are fused once, before
+the walk; call counts, chunk contents and the views the walker sees pin
+both, and capacity errors of fused composites are held to the plain
+walk of the explicit composite.
 """
 
 import tracemalloc
@@ -20,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shallowcheck.assertion as assertion
 import shallowcheck.cone as cone
 import shallowcheck.equivalence as equivalence
 from shallowcheck import (
@@ -267,6 +272,57 @@ def layouts(draw, max_qubits=12, max_depth=2):
     return c0, draw_circuit()
 
 
+@st.composite
+def repeating(draw, max_qubits=5, max_depth=6, n=None):
+    """Circuits whose gates often repeat the last gate on their qubits.
+
+    Each layer keeps a drawn subset of the gates of the last layer that
+    had gates, on the same qubit tuples with fresh Haar matrices, so
+    layers are partly repeated; a kept gate of 2 or 3 qubits sometimes
+    has its qubits reversed, which must not fuse.  The other qubits get
+    fresh 1- to 3-qubit gates or stay idle, and some layers are empty,
+    so idle layers fall between repeats.
+    """
+    if n is None:
+        n = draw(st.integers(1, max_qubits))
+    depth = draw(st.integers(1, max_depth))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers = []
+    previous: list = []
+    for _ in range(depth):
+        if layers and rng.random() < 0.2:
+            layers.append(Layer(()))
+            continue
+        gates = [q for q in previous if rng.random() < 0.7]
+        gates = [q[::-1] if len(q) > 1 and rng.random() < 0.2 else q for q in gates]
+        used = {q for g in gates for q in g}
+        free = [int(q) for q in rng.permutation(n) if q not in used]
+        while free:
+            k = int(rng.integers(0, 4))
+            if k == 0:
+                free.pop()
+                continue
+            gates.append(tuple(free[:k]))
+            free = free[k:]
+        layers.append(Layer(tuple(Gate(g, haar_unitary(len(g), rng)) for g in gates)))
+        previous = gates
+    return Circuit(n, tuple(layers))
+
+
+@st.composite
+def repeating_pairs(draw, max_qubits=5, max_depth=6):
+    """``(c0, c1)`` of :func:`repeating` circuits: equal, equal on
+    ``|0...0>`` only, or unrelated.  Equal ones repeat their gates across
+    the seam of ``c0`` and ``c1†`` too."""
+    c0 = draw(repeating(max_qubits, max_depth))
+    kind = draw(st.sampled_from(("same", "phase", "other")))
+    if kind == "same":
+        return c0, c0
+    if kind == "phase":
+        return c0, _after_phase_layer(c0, draw(st.floats(0.5, 2 * np.pi - 0.5)))
+    return c0, draw(repeating(max_depth=max_depth, n=c0.n_qubits))
+
+
 def one_cone_at_a_time(c, projections, backward=False):
     """The residuals :func:`~shallowcheck.cone.cone_residuals` batches, cone by cone."""
     cones = walk(c, [s for _, s in projections], "cone {}", DEFAULT_SUPPORT_CAP, backward)
@@ -305,8 +361,8 @@ def _weak_cones(report):
 
 
 @BOUNDS
-@settings(max_examples=25, deadline=None)
-@given(layouts())
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(layouts(), repeating_pairs()))
 def test_batched_weak_cones_match_one_at_a_time_and_dense(bound, pair):
     c0, c1 = pair
     composite = concat(c0, adjoint(c1))
@@ -319,8 +375,8 @@ def test_batched_weak_cones_match_one_at_a_time_and_dense(bound, pair):
 
 
 @BOUNDS
-@settings(max_examples=15, deadline=None)
-@given(layouts(max_qubits=8, max_depth=1))
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(layouts(max_qubits=8, max_depth=1), repeating_pairs(max_qubits=3, max_depth=4)))
 def test_batched_strong_cones_match_one_at_a_time_and_dense(bound, pair):
     c0, c1 = pair
     composite = concat(choi_extend(c0), adjoint(choi_extend(c1)))
@@ -333,8 +389,8 @@ def test_batched_strong_cones_match_one_at_a_time_and_dense(bound, pair):
 
 
 @BOUNDS
-@settings(max_examples=25, deadline=None)
-@given(layouts())
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(layouts(), repeating_pairs()))
 def test_batched_static_cones_match_one_at_a_time_and_dense(bound, pair):
     c, other = pair
     claims = compute_description(other).projections
@@ -604,11 +660,12 @@ def test_strong_check_of_a_paired_ladder_batches_by_gate_layout(monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(layouts())
+@given(st.one_of(layouts(), repeating_pairs()))
 def test_weak_residuals_equal_static_residuals_of_the_inverse_on_layouts(pair):
-    # Paired ladders put whole runs of layers on one pair of axes, which
-    # fuse: forward from the walked gates, backward from their daggers,
-    # multiplied in the order A applies them either way.
+    # Paired ladders and repeating circuits put runs of repeated gates
+    # on one qubit tuple, which fuse: forward from the walked gates,
+    # backward from their daggers, multiplied in the order A applies
+    # them either way.
     c0, c1 = pair
     v = concat(c0, adjoint(c1))
     claims = [LocalProjection((t,), ZERO_PROJECTOR) for t in range(v.n_qubits)]
@@ -739,3 +796,85 @@ def test_strong_check_validates_each_input_once(monkeypatch):
     c0, c1 = random_circuit(6, 2, seed=1), random_circuit(6, 2, seed=2)
     check_strong(c0, c1)
     assert calls == [c0, c1]
+
+
+def _blocked_ladder(n, rng):
+    """Two layers of gates on the pairs (0, 1), (2, 3), ..., two on (1, 2),
+    (3, 4), ..., then two more on the first pairs: each second layer
+    fuses into the first, and cones grow only at layers 0, 2 and 4."""
+    return Circuit(n, [
+        Layer([Gate((q, q + 1), haar_unitary(2, rng)) for q in range(start, n - 1, 2)])
+        for start in (0, 0, 1, 1, 0, 0)
+    ])
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_capacity_errors_of_fused_composites_name_the_original_layer(monkeypatch, n):
+    # Fusion drops views, so a fused walk's positions are not the
+    # composite's layers; at every cap the message must still be the one
+    # the plain walk of the explicit composite gives, weak and strong
+    # forward, static backward.
+    rng = np.random.default_rng(13)
+    c0, c1 = _blocked_ladder(n, rng), _blocked_ladder(n, rng)
+    claims = [LocalProjection((t,), ZERO_PROJECTOR) for t in range(n)]
+    checks = [
+        (lambda: check_weak(c0, c1), concat(c0, adjoint(c1)), "support of qubit {}", False),
+        (lambda: check_strong(c0, c1), concat(choi_extend(c0), adjoint(choi_extend(c1))),
+         "support of qubit {}", False),
+        (lambda: verify_static(c0, claims), c0, "assertion {}: support", True),
+    ]
+    for check, composite, what, backward in checks:
+        assert len(cone._fused(views(composite), backward, {})[0]) < composite.depth
+        starts = [(t,) for t in range(composite.n_qubits)]
+        failed = 0
+        for cap in range(1, composite.n_qubits + 1):
+            monkeypatch.setenv(SUPPORT_CAP_ENV, str(cap))
+            try:
+                unmemoised_walk(composite, starts, what, cap, backward)
+            except CapacityError as want:
+                failed += 1
+                with pytest.raises(CapacityError) as exc:
+                    check()
+                assert (str(exc.value), exc.value.size, exc.value.cap) == (
+                    str(want), want.size, want.cap
+                )
+            else:
+                check()
+        # Cones overflow at more than one layer as the cap rises.
+        assert failed > 1
+
+
+def test_fusion_runs_once_before_the_walk(monkeypatch):
+    # The strong composite of two paired ladders is the pair layer, 2 + 3
+    # layers on the pairs (n + 2k, n + 2k + 1), then the pair daggers:
+    # the walker sees 3 views, the middle one fused.  Nothing repeats in
+    # a brickwork, so a static check walks the very views it tabled.
+    walked = []
+    original = cone.walk_light_cones
+
+    def spying(layers, *args):
+        walked.append(layers)
+        return original(layers, *args)
+
+    monkeypatch.setattr(cone, "walk_light_cones", spying)
+    n = 6
+    rng = np.random.default_rng(17)
+    check_strong(_paired_ladder(n, 2, rng), _paired_ladder(n, 3, rng))
+    [(pair, fused, closing)] = walked
+    assert pair.qubits == closing.qubits == [(p, n + p) for p in range(n)]
+    assert (pair.dagger, closing.dagger) == (False, True)
+    assert fused.qubits == [(n + q, n + q + 1) for q in range(0, n, 2)]
+    tabled = []
+    original_tabled = assertion._tabled
+
+    def recording(c, *args):
+        out = original_tabled(c, *args)
+        tabled.append(out[0])
+        return out
+
+    monkeypatch.setattr(assertion, "_tabled", recording)
+    c = random_circuit(8, 4, seed=3)
+    verify_static(c, compute_description(random_circuit(8, 4, seed=4)))
+    [own] = tabled
+    assert len(walked[1]) == len(own) == 4
+    assert all(seen is mine for seen, mine in zip(walked[1], own))
