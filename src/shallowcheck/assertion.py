@@ -6,11 +6,11 @@ of a circuit is claimed to satisfy.  Two checking modes exist:
 * :func:`verify_static` decides each claim exactly, without simulating
   the whole state: the output satisfies ``Q`` iff the all-zeros input
   satisfies the back-propagated projection ``U† Q U``.  It is one call
-  of :func:`.cone.cone_residuals` on a backward walk, the loop the
-  weak check runs forward: supports grow by the light-cone walker the
-  description engine uses, and the membership test runs on a
-  ``16·2^w``-byte state vector over the ``w`` cone qubits rather than
-  on the ``16·4^w``-byte projection, so the check stays linear in
+  of :func:`.cone.cone_residuals` on the views of ``U†``, the loop the
+  weak check runs on its composite: supports grow by the light-cone
+  walker the description engine uses, and the membership test runs on
+  a ``16·2^w``-byte state vector over the ``w`` cone qubits rather
+  than on the ``16·4^w``-byte projection, so the check stays linear in
   qubit count for fixed depth.
 
 * :func:`runtime_assert` simulates what measuring the assertions one by
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, _tabled
+from .circuit import Circuit, _inverse, _tabled
 from .cone import cone_residuals
 from .config import EQUIV_THRESHOLD, _checked_threshold, support_cap
 from .description import Description, LocalProjection, commutator_deviations
@@ -116,8 +116,9 @@ def verify_static(
 
     The output of ``c`` on the all-zeros input satisfies projection
     ``Q`` exactly when the all-zeros input satisfies ``U† Q U``, the
-    conjugation of ``Q`` backward through the circuit.  Walking layers
-    last to first, each entry's support grows by the overlapping gates'
+    conjugation of ``Q`` backward through the circuit.  Walking the
+    views of ``U†``, ``c``'s layers last to first with each gate
+    daggered, each entry's support grows by the overlapping gates'
     qubits; the membership residual of the all-zeros state on the final
     support decides the verdict.  It is computed on the cone's state
     vector, ``U† Q U|0...0>``, so ``U† Q U`` is never formed.
@@ -155,11 +156,10 @@ def verify_static(
     if cap is None:
         cap = support_cap()
     cones = cone_residuals(
-        layers,
+        _inverse(layers),
         [(e.matrix, e.support) for e in entries],
         "assertion {}: support",
         cap,
-        backward=True,
     )
     return [
         StaticCheck(index, residual.linf <= threshold, support, residual)

@@ -180,16 +180,16 @@ class _LayerView(NamedTuple):
     ``owner`` maps each qubit the layer acts on to its gate, and gate
     ``j``'s matrix is ``stacks[2**len(qubits[j])][rows[j]]``; ``rows``
     is an integer array, so the rows of many gates are gathered at once.
-    With ``dagger`` set the layer applies each gate's conjugate
-    transpose, as the inverse of a circuit does with its layers
-    reversed.  Views are read, never modified.
+    The stacks hold the gates as a walk applies them: an inverse view
+    (:func:`_inverse`) holds their daggers.  ``layer`` is the layer a
+    capacity error names.  Views are read, never modified.
     """
 
     qubits: list[tuple[int, ...]]
     owner: dict[int, int]
     rows: np.ndarray
     stacks: dict[int, np.ndarray]
-    dagger: bool
+    layer: int
 
 
 def _tabled(c: Circuit, offset: int = 0) -> tuple[list[_LayerView], list[str]]:
@@ -204,7 +204,7 @@ def _tabled(c: Circuit, offset: int = 0) -> tuple[list[_LayerView], list[str]]:
     by_dim: dict[int, list[np.ndarray]] = {}
     stacks: dict[int, np.ndarray] = {}
     views = []
-    for layer in c.layers:
+    for number, layer in enumerate(c.layers):
         qubits: list[tuple[int, ...]] = []
         owner: dict[int, int] = {}
         rows = []
@@ -217,7 +217,7 @@ def _tabled(c: Circuit, offset: int = 0) -> tuple[list[_LayerView], list[str]]:
             for q in gate_qubits:
                 owner[q] = j
         rows = np.array(rows, dtype=np.intp)
-        views.append(_LayerView(qubits, owner, rows, stacks, False))
+        views.append(_LayerView(qubits, owner, rows, stacks, number))
     stacks.update((dim, np.array(matrices)) for dim, matrices in by_dim.items())
     return views, _violations(c, views, offset)
 
@@ -330,8 +330,16 @@ def adjoint(c: Circuit) -> Circuit:
 
 
 def _inverse(layers: list[_LayerView]) -> list[_LayerView]:
-    """The views of :func:`adjoint`'s layers: reversed, each gate daggered."""
-    return [view._replace(dagger=not view.dagger) for view in reversed(layers)]
+    """The views of :func:`adjoint`'s layers: reversed, each gate daggered.
+
+    Each distinct table is daggered once, ``conj(u).mT`` copied
+    contiguous, and shared by its views; each view keeps its ``layer``.
+    """
+    daggered: dict[int, dict[int, np.ndarray]] = {}
+    for view in layers:
+        if id(view.stacks) not in daggered:
+            daggered[id(view.stacks)] = {d: np.conj(u).mT.copy() for d, u in view.stacks.items()}
+    return [view._replace(stacks=daggered[id(view.stacks)]) for view in reversed(layers)]
 
 
 def concat(first: Circuit, second: Circuit) -> Circuit:
@@ -372,7 +380,7 @@ def _pair_layer(n: int) -> _LayerView:
     owner = {p: p for p in range(n)}
     owner.update({n + p: p for p in range(n)})
     rows = np.zeros(n, dtype=np.intp)
-    return _LayerView([(p, n + p) for p in range(n)], owner, rows, _PAIR_STACKS, False)
+    return _LayerView([(p, n + p) for p in range(n)], owner, rows, _PAIR_STACKS, 0)
 
 
 def haar_unitary(

@@ -7,28 +7,32 @@ projection ``P`` on a light cone: how far is ``P|0...0>`` from
 * :func:`walk_light_cones` grows supports layer by layer: at each layer
   a support absorbs the qubits of every gate that overlaps it.  The
   description engine, the static assertion check and the weak and
-  strong equivalence checks all walk their cones with it, so supports,
-  gate order and capacity errors agree between them.  It walks layer
-  views (``circuit._LayerView``): each layer's gate qubits, an owner
-  map from qubit to gate index, and the rows of the gates' matrices in
-  one stack per gate dimension, built once per call from each input
-  circuit.  A composite is a list of views over its inputs, so the
-  checks build no composite circuit: the weak check walks ``c0``'s
-  views, then ``c1``'s reversed with ``dagger`` set, and the strong
-  check the same views shifted up by ``n``, between two views of the
-  Bell pair layer on ``(p, n + p)``.  Steps hold gate indices, not
-  gates.  Cones whose first steps reach the same support form one
-  chain, walked once: the Choi twins of the strong check, the cones of
-  ``t`` and ``n + t``, from the pair layer on.
+  strong equivalence checks all walk their cones with it, first view
+  to last, so supports, gate order and capacity errors agree between
+  them.  It walks layer views (``circuit._LayerView``): each layer's
+  gate qubits, an owner map from qubit to gate index, the rows of the
+  gates' matrices in one stack per gate dimension, built once per call
+  from each input circuit, and the layer number a capacity error names.
+  A view's stacks hold its gates as the walk applies them.  A composite
+  is a list of views over its inputs, so the checks build no composite
+  circuit: the weak check walks ``c0``'s views, then the inverse views
+  of ``c1`` (``circuit._inverse``: reversed, over one daggered copy of
+  each table), and the strong check the same views shifted up by
+  ``n``, between the Bell pair layer on ``(p, n + p)`` and its inverse.
+  The static check walks the inverse views of its circuit, keeping the
+  circuit's own layer numbers.  Steps hold gate indices, not gates.
+  Cones whose first steps reach the same support form one chain,
+  walked once: the Choi twins of the strong check, the cones of ``t``
+  and ``n + t``, from the pair layer on.
 
 * :func:`cone_residuals` answers the question for the weak, strong and
   static checks alike, without ever forming ``P`` as a matrix.  Each
   projection is ``P = A Q A†`` for a local projector ``Q`` and the
-  product ``A`` of the cone's gates: the gates in circuit order on a
-  forward walk (the weak check's ``V Π_t V†``), ``U†`` on a backward
-  walk (the static check's ``U† Q U``).  It runs ``|0...0>`` on the
-  ``w`` cone qubits through ``A†``, ``Q`` and ``A``, one layer of
-  gates per :func:`~shallowcheck.linalg.apply_layer` call, and measures the
+  product ``A`` of the cone's gates in walk order: ``V`` for the weak
+  check's ``V Π_t V†``, ``U†`` for the static check's ``U† Q U``, whose
+  views are those of ``U†``.  It runs ``|0...0>`` on the ``w`` cone
+  qubits through ``A†``, ``Q`` and ``A``, one layer of gates per
+  :func:`~shallowcheck.linalg.apply_layer` call, and measures the
   defect: ``16·2^w`` bytes and ``O(gates·2^w)`` time instead of the
   ``16·4^w`` bytes of the dense projection, the light-cone idea of
   Bravyi, Gosset and Movassagh ("Classical algorithms for quantum mean
@@ -52,12 +56,11 @@ projection ``P`` on a light cone: how far is ``P|0...0>`` from
   errors are those of the unfused walk, and the errors name the
   caller's layers.  Each chain's axes and gate indices are built
   once, and each op of a group is gathered from its layer's stack at
-  the rows of the chunk's chains' gates; a daggered view's gates are
-  ``conj(u).mT`` of its stack, taken once per call.  A stacked state
-  holds at most ``2^16`` amplitudes (1 MiB); larger groups are split
-  into chunks that hold whole chains where one fits, and a cone of
-  ``2^16`` amplitudes or more runs alone, so wide cones take no more
-  memory than one cone at a time does.
+  the rows of the chunk's chains' gates.  A stacked state holds at
+  most ``2^16`` amplitudes (1 MiB); larger groups are split into
+  chunks that hold whole chains where one fits, and a cone of ``2^16``
+  amplitudes or more runs alone, so wide cones take no more memory
+  than one cone at a time does.
 """
 
 from __future__ import annotations
@@ -87,9 +90,9 @@ ZERO_PROJECTOR.setflags(write=False)
 #: above it runs alone.
 _BATCH_AMPLITUDES = 1 << 16
 
-#: One layer of a cone walk: the layer's index, its gates that overlapped
-#: the support, by index and sorted by smallest qubit, and the grown,
-#: sorted support.
+#: One layer of a cone walk: the view's position in the walk, its gates
+#: that overlapped the support, by index and sorted by smallest qubit,
+#: and the grown, sorted support.
 ConeStep = tuple[int, list[int], tuple[int, ...]]
 
 
@@ -98,17 +101,14 @@ def walk_light_cones(
     starts: Sequence[Sequence[int]],
     what: str,
     cap: int,
-    backward: bool = False,
-    numbers: Sequence[int] | None = None,
 ) -> list[list[ConeStep]]:
-    """Grow each starting support through ``layers``.
+    """Grow each starting support through ``layers``, first to last.
 
     Parameters
     ----------
     layers
-        The views of the layers walked, first to last, or last to first
-        when ``backward`` is set; only their ``owner`` maps and gate
-        qubits are read.
+        The views of the layers walked, in walk order; only their
+        ``owner`` maps, gate qubits and ``layer`` numbers are read.
     starts
         Sorted starting supports, one per cone.
     what
@@ -116,11 +116,6 @@ def walk_light_cones(
         ``"support of qubit {}"``.
     cap
         Largest support size allowed.
-    backward
-        Walk the layers in reverse order.
-    numbers
-        The layer each view stands for in a capacity error; by default
-        its position in ``layers``.
 
     Returns
     -------
@@ -139,24 +134,21 @@ def walk_light_cones(
         If ``cap`` is not an integer, or below 1, which no support can meet.
     CapacityError
         If a support would exceed ``cap``.  All cones advance one layer
-        at a time, so the error names the first layer, in walk order, at
+        at a time, so the error names the ``layer`` of the first view at
         which any cone overflows, and the lowest-index cone that does,
         and no cone is simulated before every cone is known to fit.
     """
     if _integral(cap, "the support cap") < 1:
         raise DomainError(f"the support cap must be at least 1, got {cap}")
-    if numbers is None:
-        numbers = range(len(layers))
     # A class of cones with one support (as a tuple and a set) and one
     # list of steps: each cone alone at first, then those whose steps
     # coincide.
     classes = [(tuple(s), {*s}, [], [i]) for i, s in enumerate(starts)]
-    order = range(len(layers) - 1, -1, -1) if backward else range(len(layers))
-    for layer_index in order:
+    for layer_index, view in enumerate(layers):
         # The owner map finds the gates that overlap a support in
         # O(|support|) rather than a scan of the whole layer; this keeps
         # the total work linear in qubit count.
-        owner, qubits = layers[layer_index].owner, layers[layer_index].qubits
+        owner, qubits = view.owner, view.qubits
         advanced = []
         # Two classes with steps differ in an earlier step, or they would
         # be one class, so only classes without steps merge: those that
@@ -183,7 +175,7 @@ def walk_light_cones(
                 # first member, so this is the lowest-index cone to overflow.
                 raise CapacityError(
                     f"{what.format(members[0])} would reach {len(grown)} qubit(s) at "
-                    f"layer {numbers[layer_index]}, exceeding the support cap of {cap}",
+                    f"layer {view.layer}, exceeding the support cap of {cap}",
                     size=len(grown),
                     cap=cap,
                 )
@@ -203,24 +195,19 @@ def walk_light_cones(
     return steps
 
 
-def _fused(
-    layers: Sequence[_LayerView], backward: bool, daggered: dict[int, dict[int, np.ndarray]]
-) -> tuple[Sequence[_LayerView], Sequence[int]]:
-    """``layers`` with repeated gates multiplied together, and the position
-    in ``layers`` of each view kept.
+def _fused(layers: Sequence[_LayerView]) -> Sequence[_LayerView]:
+    """``layers`` with repeated gates multiplied together.
 
     In walk order, a gate whose qubits were all last acted on by one gate
     on the same qubit tuple, in the same order, is multiplied into that
-    gate, ``later @ earlier`` with both as ``A`` applies them
-    (:func:`_applied`).  Such a run of gates acts on its qubits alone, so
-    each cone meets all of it or none of it, at its first gate: supports,
-    and the layers at which they grow, stay as they are.  A view that
-    holds a product or lost a gate is replaced by one whose gates are
-    ``A``'s (``dagger`` equal to ``backward``), in one new table; a view
-    left empty is dropped.  Every other view is passed through, and when
+    gate, ``later @ earlier``.  Such a run of gates acts on its qubits
+    alone, so each cone meets all of it or none of it, at its first
+    gate: supports, and the layers at which they grow, stay as they are.
+    A view that holds a product or lost a gate is replaced by one with
+    the same ``layer`` whose gates are in one new table; a view left
+    empty is dropped.  Every other view is passed through, and when
     nothing repeats, so is ``layers``.
     """
-    walk = range(len(layers) - 1, -1, -1) if backward else range(len(layers))
     # The qubit tuple and the view of the first gate of each run of
     # repeated gates, the run that last acted on each qubit, and the run
     # of each gate of each view.
@@ -230,8 +217,8 @@ def _fused(
     ran: list = [None] * len(layers)
     # The later gates of the runs in each view, and their runs, in walk order.
     repeats: dict[int, tuple[list[int], list[int]]] = {}
-    for l in walk:
-        qubits = layers[l].qubits
+    for l, view in enumerate(layers):
+        qubits = view.qubits
         # The run that last acted on each qubit of the view, gate by gate:
         # a layer's gates are disjoint, so none of them changes another's.
         found = [*map(last.get, _chain.from_iterable(qubits))]
@@ -257,19 +244,17 @@ def _fused(
         if js:
             repeats[l] = (js, rs)
     if not repeats:
-        return layers, range(len(layers))
+        return layers
     grown = set().union(*(rs for _, rs in repeats.values()))
     changed = {*repeats, *map(starts.__getitem__, grown)}
     # The views kept.  A changed one holds its gates, each the first of
     # its run, at the rows of their runs in one new table, one stack per
     # dimension.
     kept: list[_LayerView] = []
-    numbers: list[int] = []
     table: dict[int, np.ndarray] = {}
     for l, view in enumerate(layers):
         if l not in changed:
             kept.append(view)
-            numbers.append(l)
             continue
         gone = set(repeats[l][0]) if l in repeats else set()
         if len(gone) == len(view.qubits):
@@ -281,23 +266,20 @@ def _fused(
         }
         rows = np.array([ran[l][j] for j in js], dtype=np.intp)
         source = view.rows[js]
-        stacks = _applied(view, backward, daggered)
         for dim, mine in _by_dim(qubits):
             if dim not in table:
                 table[dim] = np.empty((len(runs), dim, dim), dtype=complex)
-            table[dim][rows[mine]] = stacks[dim][source[mine]]
-        kept.append(_LayerView(qubits, owner, rows, table, backward))
-        numbers.append(l)
+            table[dim][rows[mine]] = view.stacks[dim][source[mine]]
+        kept.append(_LayerView(qubits, owner, rows, table, view.layer))
     # Each run's product grows in its row, in walk order.
     for l, (js, rs) in repeats.items():
         view = layers[l]
         heads = np.array(rs, dtype=np.intp)
-        stacks = _applied(view, backward, daggered)
         rows = view.rows if len(js) == len(view.qubits) else view.rows[js]
         for dim, mine in _by_dim([runs[r] for r in rs]):
             stack = table[dim]
-            stack[heads[mine]] = stacks[dim][rows[mine]] @ stack[heads[mine]]
-    return kept, numbers
+            stack[heads[mine]] = view.stacks[dim][rows[mine]] @ stack[heads[mine]]
+    return kept
 
 
 def _by_dim(qubits: list[tuple[int, ...]]) -> Iterator[tuple[int, slice | list[bool]]]:
@@ -310,29 +292,11 @@ def _by_dim(qubits: list[tuple[int, ...]]) -> Iterator[tuple[int, slice | list[b
         yield dim, [d == dim for d in dims]
 
 
-def _applied(
-    view: _LayerView, backward: bool, daggered: dict[int, dict[int, np.ndarray]]
-) -> dict[int, np.ndarray]:
-    """``view``'s stacks as ``A`` applies them on a walk in direction ``backward``.
-
-    Where ``view.dagger`` differs from ``backward``, ``A`` applies each
-    gate's dagger: ``conj(u).mT`` copied contiguous, made once per table
-    and kept in ``daggered``.
-    """
-    stacks = view.stacks
-    if view.dagger == backward:
-        return stacks
-    if id(stacks) not in daggered:
-        daggered[id(stacks)] = {dim: np.conj(u).mT.copy() for dim, u in stacks.items()}
-    return daggered[id(stacks)]
-
-
 def cone_residuals(
     layers: Sequence[_LayerView],
     projections: Sequence[tuple[np.ndarray, Sequence[int]]],
     what: str,
     cap: int,
-    backward: bool = False,
 ) -> list[tuple[tuple[int, ...], ErrorTriple]]:
     """Norms of ``A Q A†|0...0> - |0...0>`` on the light cone of each ``Q``.
 
@@ -357,17 +321,15 @@ def cone_residuals(
     ----------
     layers
         The views of the layers whose cones are walked, as for
-        :func:`walk_light_cones`; gate matrices are gathered from their
-        stacks, daggered where a view says so.
+        :func:`walk_light_cones`.  ``A`` is the cone's gates, gathered
+        from their stacks and applied in walk order: ``V`` restricted to
+        the cone for the weak check's composite, ``U†`` for the static
+        check's inverse views.
     projections
         ``(matrix, support)`` pairs: a local projector ``Q`` and the
         sorted qubits it acts on, which start its cone.
     what, cap
         As for :func:`walk_light_cones`.
-    backward
-        Walk last layer first.  ``A`` is the cone's gates applied in
-        walk order: ``V`` restricted to the cone on a forward walk,
-        ``U†`` on a backward one.
 
     Returns
     -------
@@ -382,12 +344,8 @@ def cone_residuals(
     CapacityError
         If a cone would exceed ``cap``, before any cone is simulated.
     """
-    # The stacks of each table whose gates A applies daggered.
-    daggered: dict[int, dict[int, np.ndarray]] = {}
-    layers, numbers = _fused(layers, backward, daggered)
-    cones = walk_light_cones(
-        layers, [s for _, s in projections], what, cap, backward, numbers
-    )
+    layers = _fused(layers)
+    cones = walk_light_cones(layers, [s for _, s in projections], what, cap)
     # Cones by shape: width, then each step's layer and the axes of its
     # gates (1 + cone axis, behind the batch axis), and within a shape by
     # chain.  Cones that share a chain of steps (Choi twins) share their
@@ -430,7 +388,7 @@ def cone_residuals(
             for l, axes in shape:
                 rows = layers[l].rows[gates[:, column:column + len(axes)]]
                 column += len(axes)
-                stacks = _applied(layers[l], backward, daggered)
+                stacks = layers[l].stacks
                 ops = [stacks[1 << len(a)][rows[:, j]] for j, a in enumerate(axes)]
                 a_layers.append((ops, axes))
             state = np.zeros((len(chunk),) + (2,) * width, dtype=complex)

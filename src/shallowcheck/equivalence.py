@@ -8,21 +8,22 @@ all-zeros state satisfies the composite's local-projection description;
 the residuals of that membership test are the report's diagnostics.
 Each entry is tested by :func:`.cone.cone_residuals` on a state vector
 over its light cone (``16·2^w`` bytes for a cone of ``w`` qubits), the
-same loop the static assertion check runs backward, so the dense
-``16·4^w``-byte projections that ``compute_description`` emits are
-never formed here; their residuals agree with the dense path to
-rounding.
+same loop the static assertion check runs on the inverse circuit's
+views, so the dense ``16·4^w``-byte projections that
+``compute_description`` emits are never formed here; their residuals
+agree with the dense path to rounding.
 The strong check reduces to the weak one by doubling both circuits with
 Bell-pair preparations, which turns agreement on every input into
 agreement on a single state.
 
 Neither check builds its composite circuit.  Each input is read once
 per call into layer views (``circuit._tabled``), which also validate
-it, and a composite is a list of those views: ``c0``'s layers, then
-``c1``'s reversed and marked daggered, the composite
-``concat(c0, adjoint(c1))`` builds; the strong check shifts both up by
-``n`` and walks them between two views of the Bell pair layer, the
-composite ``concat(choi_extend(c0), adjoint(choi_extend(c1)))`` builds.
+it, and a composite is a list of views numbered by position: ``c0``'s
+layers, then ``c1``'s inverse views (reversed, over one daggered copy
+of its table), the composite ``concat(c0, adjoint(c1))`` builds; the
+strong check shifts both up by ``n`` and walks them between the Bell
+pair layer and its inverse, the composite
+``concat(choi_extend(c0), adjoint(choi_extend(c1)))`` builds.
 
 Verdicts are decided by a single threshold on the largest L-infinity
 residual.  Inequivalent random circuits produce residuals of order one
@@ -129,11 +130,12 @@ def _weak_report(
     """The weak check of a valid composite ``V`` on ``n_qubits``, timed from ``start``.
 
     Entry ``t`` of ``V`` is the projection ``V Π_t V†`` with
-    ``Π_t = |0><0|`` on qubit ``t``, whose residual the forward cone
-    walk of ``V`` gives.
+    ``Π_t = |0><0|`` on qubit ``t``, whose residual the cone walk of
+    ``V`` gives.  Capacity errors name the composite's layers, its
+    views' positions.
     """
     cones = cone_residuals(
-        composite,
+        [view._replace(layer=i) for i, view in enumerate(composite)],
         [(ZERO_PROJECTOR, (t,)) for t in range(n_qubits)],
         "support of qubit {}",
         support_cap(),

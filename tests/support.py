@@ -39,7 +39,7 @@ from shallowcheck import (
     validate,
 )
 from shallowcheck.assertion import _check_commuting, _check_entry_shapes, _entries
-from shallowcheck.circuit import _tabled
+from shallowcheck.circuit import _inverse, _tabled
 from shallowcheck.cone import walk_light_cones
 from shallowcheck.config import DEFAULT_ORACLE_CAP
 from shallowcheck.linalg import _integral, apply_local
@@ -59,12 +59,18 @@ def views(c: Circuit) -> list:
 
 
 def walk(c: Circuit, starts, what: str, cap: int, backward: bool = False) -> list:
-    """:func:`~shallowcheck.cone.walk_light_cones` on ``c``, each step's gate
-    indices resolved to ``c``'s gates: ``(layer, gates, grown)`` steps."""
-    return [
-        [(l, [c.layers[l].gates[j] for j in gates], grown) for l, gates, grown in steps]
-        for steps in walk_light_cones(views(c), starts, what, cap, backward)
-    ]
+    """:func:`~shallowcheck.cone.walk_light_cones` on ``c``, or on the views
+    of its inverse when ``backward`` is set, each step's view and gate
+    indices resolved to ``c``'s layer and gates: ``(layer, gates, grown)``
+    steps."""
+    layers = _inverse(views(c)) if backward else views(c)
+    resolved = []
+    for steps in walk_light_cones(layers, starts, what, cap):
+        resolved.append([])
+        for l, gates, grown in steps:
+            number = layers[l].layer
+            resolved[-1].append((number, [c.layers[number].gates[j] for j in gates], grown))
+    return resolved
 
 
 def max_abs(a: np.ndarray) -> float:

@@ -48,6 +48,7 @@ from shallowcheck import (
     verify_static,
     zero_state,
 )
+from shallowcheck.circuit import _PAIR_GATE, _inverse, _tabled
 from shallowcheck.cone import ZERO_PROJECTOR, walk_light_cones
 from shallowcheck.config import DEFAULT_SUPPORT_CAP, EQUIV_THRESHOLD, SUPPORT_CAP_ENV
 from shallowcheck.linalg import ErrorTriple, apply_layer, apply_local, embed
@@ -164,8 +165,8 @@ def test_static_residuals_match_dense_back_propagation(pair):
 @settings(max_examples=60, deadline=None)
 @given(pairs())
 def test_weak_residuals_equal_static_residuals_of_the_inverse(pair):
-    # The backward walk of V† meets the gates of V's forward walk in the
-    # same order, so the two directions must agree bit for bit.
+    # The static check walks the inverse views of V†, which hold V's
+    # gates in V's order, so the two checks must agree bit for bit.
     c0, c1 = pair
     v = concat(c0, adjoint(c1))
     zero = np.diag([1.0, 0.0]).astype(complex)
@@ -604,15 +605,16 @@ def test_overflowing_twins_name_the_lower_index_and_first_layer(backward, revers
     # Layers of the composite: 0 pairs (p, 4 + p), 1 gate (5, 6), 2 gate
     # (4, 7), 3 its dagger, 4 the dagger of (5, 6), 5 the pair daggers.
     # At cap 2 the cones of qubits 1, 2, 5 and 6, two pairs of twins,
-    # overflow first: at layer 1 forward, at layer 4 backward.
+    # overflow first: at layer 1 forward, at layer 4 on the inverse views.
     u, v = haar_unitary(2, seed=1), haar_unitary(2, seed=2)
     c = Circuit(4, [Layer([Gate((1, 2), u)]), Layer([Gate((0, 3), v)])])
     doubled = concat(choi_extend(c), adjoint(choi_extend(c)))
     qubits = list(range(8))[::-1] if reverse else list(range(8))
     starts = [(q,) for q in qubits]
     first = min(i for i, q in enumerate(qubits) if q in (1, 2, 5, 6))
+    layers = _inverse(views(doubled)) if backward else views(doubled)
     with pytest.raises(CapacityError) as exc:
-        walk_light_cones(views(doubled), starts, "cone {}", 2, backward)
+        walk_light_cones(layers, starts, "cone {}", 2)
     layer = 4 if backward else 1
     assert str(exc.value) == (
         f"cone {first} would reach 3 qubit(s) at layer {layer}, "
@@ -663,9 +665,9 @@ def test_strong_check_of_a_paired_ladder_batches_by_gate_layout(monkeypatch):
 @given(st.one_of(layouts(), repeating_pairs()))
 def test_weak_residuals_equal_static_residuals_of_the_inverse_on_layouts(pair):
     # Paired ladders and repeating circuits put runs of repeated gates
-    # on one qubit tuple, which fuse: forward from the walked gates,
-    # backward from their daggers, multiplied in the order A applies
-    # them either way.
+    # on one qubit tuple, which fuse: from the composite's gates, or from
+    # the daggers of the inverse views, multiplied in the order A
+    # applies them either way.
     c0, c1 = pair
     v = concat(c0, adjoint(c1))
     claims = [LocalProjection((t,), ZERO_PROJECTOR) for t in range(v.n_qubits)]
@@ -752,13 +754,15 @@ def test_chunks_of_the_strong_check_hold_whole_chains(bound, pair):
     ([(1, 0), (0, 1)], 5),
 ])
 def test_only_layers_on_the_same_axes_fuse(backward, qubits, calls):
-    # The cone of qubit 0 meets every layer, walked either way.  Layers
-    # fuse only when adjacent and listing their gates' qubits in the same
-    # order; else A† and A make one call per layer, with Q between them.
+    # The cone of qubit 0 meets every layer, of c's views or of its
+    # inverse views.  Layers fuse only when adjacent and listing their
+    # gates' qubits in the same order; else A† and A make one call per
+    # layer, with Q between them.
     rng = np.random.default_rng(7)
     n = 1 + max(q for g in qubits for q in g)
     c = Circuit(n, [Layer([Gate(g, haar_unitary(2, rng))]) for g in qubits])
     projections = [(ZERO_PROJECTOR, (0,))]
+    layers = _inverse(views(c)) if backward else views(c)
     recorded = []
 
     def recording(tensor, ops):
@@ -767,9 +771,7 @@ def test_only_layers_on_the_same_axes_fuse(backward, qubits, calls):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cone, "apply_layer", recording)
-        got = cone.cone_residuals(
-            views(c), projections, "cone {}", DEFAULT_SUPPORT_CAP, backward
-        )
+        got = cone.cone_residuals(layers, projections, "cone {}", DEFAULT_SUPPORT_CAP)
     assert len(recorded) == calls
     _assert_same_cones(got, one_cone_at_a_time(c, projections, backward))
 
@@ -813,7 +815,7 @@ def test_capacity_errors_of_fused_composites_name_the_original_layer(monkeypatch
     # Fusion drops views, so a fused walk's positions are not the
     # composite's layers; at every cap the message must still be the one
     # the plain walk of the explicit composite gives, weak and strong
-    # forward, static backward.
+    # forward, static backward over the inverse views.
     rng = np.random.default_rng(13)
     c0, c1 = _blocked_ladder(n, rng), _blocked_ladder(n, rng)
     claims = [LocalProjection((t,), ZERO_PROJECTOR) for t in range(n)]
@@ -824,7 +826,8 @@ def test_capacity_errors_of_fused_composites_name_the_original_layer(monkeypatch
         (lambda: verify_static(c0, claims), c0, "assertion {}: support", True),
     ]
     for check, composite, what, backward in checks:
-        assert len(cone._fused(views(composite), backward, {})[0]) < composite.depth
+        layers = _inverse(views(composite)) if backward else views(composite)
+        assert len(cone._fused(layers)) < composite.depth
         starts = [(t,) for t in range(composite.n_qubits)]
         failed = 0
         for cap in range(1, composite.n_qubits + 1):
@@ -848,21 +851,33 @@ def test_fusion_runs_once_before_the_walk(monkeypatch):
     # The strong composite of two paired ladders is the pair layer, 2 + 3
     # layers on the pairs (n + 2k, n + 2k + 1), then the pair daggers:
     # the walker sees 3 views, the middle one fused.  Nothing repeats in
-    # a brickwork, so a static check walks the very views it tabled.
+    # a brickwork, so a static check walks the inverse views of the very
+    # views it tabled, over one daggered table.
+    composites = []
     walked = []
+    original_residuals = equivalence.cone_residuals
     original = cone.walk_light_cones
+
+    def spying_residuals(layers, *args):
+        composites.append(layers)
+        return original_residuals(layers, *args)
 
     def spying(layers, *args):
         walked.append(layers)
         return original(layers, *args)
 
+    monkeypatch.setattr(equivalence, "cone_residuals", spying_residuals)
     monkeypatch.setattr(cone, "walk_light_cones", spying)
     n = 6
     rng = np.random.default_rng(17)
     check_strong(_paired_ladder(n, 2, rng), _paired_ladder(n, 3, rng))
+    [composite] = composites
+    assert [view.layer for view in composite] == list(range(2 + 2 + 3))
     [(pair, fused, closing)] = walked
     assert pair.qubits == closing.qubits == [(p, n + p) for p in range(n)]
-    assert (pair.dagger, closing.dagger) == (False, True)
+    assert (pair.layer, fused.layer, closing.layer) == (0, 1, 6)
+    assert np.array_equal(pair.stacks[4][0], _PAIR_GATE)
+    assert np.array_equal(closing.stacks[4][0], np.conj(_PAIR_GATE).T)
     assert fused.qubits == [(n + q, n + q + 1) for q in range(0, n, 2)]
     tabled = []
     original_tabled = assertion._tabled
@@ -877,4 +892,27 @@ def test_fusion_runs_once_before_the_walk(monkeypatch):
     verify_static(c, compute_description(random_circuit(8, 4, seed=4)))
     [own] = tabled
     assert len(walked[1]) == len(own) == 4
-    assert all(seen is mine for seen, mine in zip(walked[1], own))
+    assert all(
+        seen.qubits is mine.qubits and seen.layer == mine.layer
+        for seen, mine in zip(walked[1], own[::-1])
+    )
+    assert all(seen.stacks is walked[1][0].stacks for seen in walked[1])
+
+
+def test_inverse_views_share_one_daggered_table():
+    # Each table is daggered once, its views reversed and numbered as
+    # before, and the inverse of the inverse holds the same bits.
+    layers, _ = _tabled(random_circuit(7, 5, seed=2), 3)
+    inverse = _inverse(layers)
+    assert all(view.stacks is inverse[0].stacks for view in inverse)
+    assert inverse[0].stacks is not layers[0].stacks
+    assert [view.layer for view in inverse] == [4, 3, 2, 1, 0]
+    for view, back in zip(layers[::-1], inverse):
+        assert back.qubits is view.qubits and back.rows is view.rows
+    for dim, stack in layers[0].stacks.items():
+        assert np.array_equal(inverse[0].stacks[dim], np.conj(stack).mT)
+        assert inverse[0].stacks[dim].flags.c_contiguous
+    twice = _inverse(inverse)
+    assert [view.layer for view in twice] == [0, 1, 2, 3, 4]
+    for dim, stack in layers[0].stacks.items():
+        assert twice[0].stacks[dim].tobytes() == stack.tobytes()
