@@ -54,10 +54,10 @@ _PAULI_FLIPS = (
 
 
 def _entries(assertions) -> tuple[LocalProjection, ...]:
-    """The entries of a :class:`Description` or a sequence, each checked
-    to be a :class:`LocalProjection`."""
+    """The entries of a :class:`Description`, checked when it was built,
+    or of a sequence, each checked to be a :class:`LocalProjection`."""
     if isinstance(assertions, Description):
-        assertions = assertions.projections
+        return assertions.projections
     entries = tuple(assertions)
     for i, e in enumerate(entries):
         if not isinstance(e, LocalProjection):

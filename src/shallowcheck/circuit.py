@@ -244,18 +244,13 @@ def _violations(c: Circuit, views: list[_LayerView], offset: int) -> list[str]:
     for i, (layer, view) in enumerate(zip(c.layers, views)):
         owner = view.owner
         if (
-            len(owner) == sum(map(len, view.qubits))
+            not faulty
+            and len(owner) == sum(map(len, view.qubits))
             and (not owner or (min(owner) >= offset and max(owner) < offset + c.n_qubits))
             and all(len(qubits) <= DEFAULT_K_MAX for qubits in view.qubits)
         ):
-            # Distinct, in-range qubits and small gates: only a matrix
-            # can be at fault, and the loop below would say the same.
-            if faulty:
-                violations += [
-                    _matrix_violation(i, j, faulty[len(qubits), row])
-                    for j, (qubits, row) in enumerate(zip(view.qubits, view.rows))
-                    if (len(qubits), row) in faulty
-                ]
+            # Sound matrices, and distinct, in-range qubits and small
+            # gates: the loop below would find nothing.
             continue
         claimed: dict[int, int] = {}
         for j, g in enumerate(layer.gates):

@@ -23,7 +23,10 @@ projection ``P`` on a light cone: how far is ``P|0...0>`` from
   circuit's own layer numbers.  Steps hold gate indices, not gates.
   Cones whose first steps reach the same support form one chain,
   walked once: the Choi twins of the strong check, the cones of ``t``
-  and ``n + t``, from the pair layer on.
+  and ``n + t``, from the pair layer on.  The walker returns its
+  chains, each as its steps and its members, the indices of the
+  starts that share them, so every consumer builds each chain's
+  layout or gates once, for all its members.
 
 * :func:`cone_residuals` answers the question for the weak, strong and
   static checks alike, without ever forming ``P`` as a matrix.  Each
@@ -101,7 +104,7 @@ def walk_light_cones(
     starts: Sequence[Sequence[int]],
     what: str,
     cap: int,
-) -> list[list[ConeStep]]:
+) -> list[tuple[list[ConeStep], list[int]]]:
     """Grow each starting support through ``layers``, first to last.
 
     Parameters
@@ -119,14 +122,18 @@ def walk_light_cones(
 
     Returns
     -------
-    list of list of ConeStep
-        For each start, one step per layer in which some gate overlapped
-        the support, in walk order.  The last step's support is the
-        cone's final support; a cone with no steps keeps its start.
-        Cones whose first steps reach the same support in one layer, such
-        as Choi twins, touch the same gates from then on, since a layer's
-        gates are disjoint, so they are walked once and share one list.
-        Callers must modify none of these.
+    list of (steps, members)
+        The chains of the walk.  Cones whose first steps reach the same
+        support in one layer, such as Choi twins, touch the same gates
+        from then on, since a layer's gates are disjoint, so they are
+        walked once, as one chain.  ``steps`` holds one
+        :data:`ConeStep` per layer in which some gate overlapped the
+        chain's support, in walk order, and the last step's support is
+        its final one; ``members`` holds the indices of the starts whose
+        cone it is, in ascending order.  A start with no step is a chain
+        of its own, and keeps its support.  Every start is a member of
+        exactly one chain, and chains come in order of their first
+        member.  Callers must modify none of these.
 
     Raises
     ------
@@ -140,9 +147,9 @@ def walk_light_cones(
     """
     if _integral(cap, "the support cap") < 1:
         raise DomainError(f"the support cap must be at least 1, got {cap}")
-    # A class of cones with one support (as a tuple and a set) and one
-    # list of steps: each cone alone at first, then those whose steps
-    # coincide.
+    # A class of cones with one support (as a tuple and a set), one
+    # chain of steps and its members: each cone alone at first, then
+    # those whose steps coincide.
     classes = [(tuple(s), {*s}, [], [i]) for i, s in enumerate(starts)]
     for layer_index, view in enumerate(layers):
         # The owner map finds the gates that overlap a support in
@@ -152,7 +159,9 @@ def walk_light_cones(
         advanced = []
         # Two classes with steps differ in an earlier step, or they would
         # be one class, so only classes without steps merge: those that
-        # take the same first step, to the same grown support.
+        # take the same first step, to the same grown support.  Such a
+        # class is one cone, and merges into the first of them, so each
+        # class's members stay in ascending order.
         fresh: dict[tuple[int, ...], list[int]] = {}
         for current, inside, chain, members in classes:
             touched = {*map(owner.get, current)}
@@ -160,6 +169,8 @@ def walk_light_cones(
             if not touched:
                 advanced.append((current, inside, chain, members))
                 continue
+            # One gate, the usual case, needs no sort: without this branch
+            # strong checks of n = 40 paired ladders ran about 5% slower.
             if len(touched) == 1:
                 gates = [*touched]
                 reached = qubits[gates[0]]
@@ -188,11 +199,7 @@ def walk_light_cones(
             chain.append((layer_index, gates, grown))
             advanced.append((grown, inside, chain, members))
         classes = advanced
-    steps: list = [None] * len(starts)
-    for _, _, chain, members in classes:
-        for i in members:
-            steps[i] = chain
-    return steps
+    return [(chain, members) for _, _, chain, members in classes]
 
 
 def _fused(layers: Sequence[_LayerView]) -> Sequence[_LayerView]:
@@ -303,14 +310,15 @@ def cone_residuals(
     Cones of the same shape (the same width and the same cone axes for
     every gate of every layer) are simulated together: their states are
     stacked on a leading batch axis, their gates into ``(B, d, d)``
-    stacks.  Members that share a chain of steps, such as Choi twins,
-    share ``A†|0...0>``: it runs on one state per chain, which is then
-    copied out to the chain's members before ``Q``.  Gate fusion runs
-    once, before the walk (:func:`_fused`): each gate that repeats the
-    last gate on its qubits is multiplied into it, so a run of layers
-    of repeated gates is walked as one layer and costs one
-    :func:`~shallowcheck.linalg.apply_layer` call for ``A†`` and one for
-    ``A``.  Members are sorted by the axes of their ``Q``, which is one
+    stacks.  It takes the walker's chains as they come: the members of
+    a chain, such as Choi twins, share its support, axes and gates,
+    built once, and ``A†|0...0>``, which runs on one state per chain
+    and is then copied out to the chain's members before ``Q``.  Gate
+    fusion runs once, before the walk (:func:`_fused`): each gate that
+    repeats the last gate on its qubits is multiplied into it, so a run
+    of layers of repeated gates is walked as one layer and costs one
+    :func:`~shallowcheck.linalg.apply_layer` call for ``A†`` and one
+    for ``A``.  Members are sorted by the axes of their ``Q``, which is one
     call per run of equal axes on that run's slice of the stacked state.
     A group is split into chunks of at most ``_BATCH_AMPLITUDES``
     amplitudes, each holding whole chains where one fits, so a cone that
@@ -345,30 +353,24 @@ def cone_residuals(
         If a cone would exceed ``cap``, before any cone is simulated.
     """
     layers = _fused(layers)
-    cones = walk_light_cones(layers, [s for _, s in projections], what, cap)
-    # Cones by shape: width, then each step's layer and the axes of its
-    # gates (1 + cone axis, behind the batch axis), and within a shape by
-    # chain.  Cones that share a chain of steps (Choi twins) share their
-    # support, axes and gates, so each chain's are built once.  A chain
-    # is the indices of its gates, step by step in one flat list, and
-    # its members: each member's Q axes, index, support and Q.
+    # Chains by shape: width, then each step's layer and the axes of its
+    # gates (1 + cone axis, behind the batch axis).  The members of a
+    # chain (Choi twins) share its support, axes and gates, built once.
+    # A chain is the indices of its gates, step by step in one flat
+    # list, and its members: each member's Q axes, index, support and Q.
     groups: dict[tuple, list] = {}
-    built: dict[int, tuple] = {}
-    for index, ((projector, start), steps) in enumerate(zip(projections, cones)):
-        if id(steps) not in built:
-            support = steps[-1][2] if steps else tuple(start)
-            axis = {q: 1 + i for i, q in enumerate(support)}.__getitem__
-            shape = []
-            gate_indices = []
-            for l, gates, _ in steps:
-                qubits = layers[l].qubits
-                shape.append((l, tuple([tuple(map(axis, qubits[j])) for j in gates])))
-                gate_indices += gates
-            chain = (gate_indices, [])
-            built[id(steps)] = (support, axis, chain)
-            groups.setdefault((len(support), tuple(shape)), []).append(chain)
-        support, axis, chain = built[id(steps)]
-        chain[1].append((tuple(map(axis, start)), index, support, projector))
+    for steps, members in walk_light_cones(layers, [s for _, s in projections], what, cap):
+        support = steps[-1][2] if steps else tuple(projections[members[0]][1])
+        axis = {q: 1 + i for i, q in enumerate(support)}.__getitem__
+        shape = []
+        gate_indices = []
+        for l, gates, _ in steps:
+            qubits = layers[l].qubits
+            shape.append((l, tuple([tuple(map(axis, qubits[j])) for j in gates])))
+            gate_indices += gates
+        piece = [(tuple(map(axis, projections[i][1])), i, support, projections[i][0])
+                 for i in members]
+        groups.setdefault((len(support), tuple(shape)), []).append((gate_indices, piece))
     results: list = [None] * len(projections)
     for (width, shape), chains in groups.items():
         for chunk in _chunks(chains, max(1, _BATCH_AMPLITUDES >> width)):

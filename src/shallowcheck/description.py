@@ -105,7 +105,8 @@ class Description:
     Entry ``t`` originates from qubit ``t``; supports of different
     entries may coincide, and the tuple always has exactly ``n_qubits``
     entries.  Deduplication would not change what the tuple describes
-    and is intentionally not performed.
+    and is intentionally not performed.  Every entry must be a
+    :class:`LocalProjection`; anything else is a ``DomainError``.
     """
 
     n_qubits: int
@@ -114,6 +115,11 @@ class Description:
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", _integral(self.n_qubits, "n_qubits"))
         object.__setattr__(self, "projections", tuple(self.projections))
+        for i, p in enumerate(self.projections):
+            if not isinstance(p, LocalProjection):
+                raise DomainError(
+                    f"projection {i} must be a LocalProjection, got {type(p).__name__}"
+                )
 
     def __repr__(self) -> str:
         return (
@@ -194,10 +200,10 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     at a time.  Another BLAS, whose count cannot be set, builds serially,
     as do one-CPU hosts and narrower descriptions, whose entries spend
     their time in Python under the interpreter lock.  Each final matrix
-    is allocated untouched on the calling thread first, so pool threads
-    allocate only temporaries and glibc's per-thread arenas keep no freed
-    output resident.  The output is bit-identical whichever thread builds
-    an entry.
+    is allocated untouched on the calling thread first, whichever way
+    the entries are built, so pool threads allocate only temporaries and
+    glibc's per-thread arenas keep no freed output resident.  The output
+    is bit-identical whichever thread builds an entry.
     """
     layers, violations = _tabled(c)
     if violations:
@@ -205,22 +211,23 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     if cap is None:
         cap = support_cap()
     n = c.n_qubits
-    walked = walk_light_cones(layers, [(t,) for t in range(n)], "support of qubit {}", cap)
-    # Each chain's gate indices resolved to ``c``'s own gates, once.
-    resolved: dict[int, list[tuple[list[Gate], tuple[int, ...]]]] = {}
-    for steps in walked:
-        if id(steps) not in resolved:
-            resolved[id(steps)] = [
-                ([c.layers[l].gates[j] for j in gates], grown) for l, gates, grown in steps
-            ]
-    cones = [resolved[id(steps)] for steps in walked]
-    # Amplitudes of each entry's final matrix, 0 for an entry no gate touches.
-    sizes = [1 << 2 * len(steps[-1][1]) if steps else 0 for steps in cones]
+    # Each chain's gate indices resolved to ``c``'s own gates, once, and
+    # handed to its members.
+    cones: list = [None] * n
+    starts = [(t,) for t in range(n)]
+    for steps, members in walk_light_cones(layers, starts, "support of qubit {}", cap):
+        resolved = [([c.layers[l].gates[j] for j in gates], grown) for l, gates, grown in steps]
+        for t in members:
+            cones[t] = resolved
+    # Each entry's final matrix, allocated untouched, and its amplitudes;
+    # an entry no gate touches has neither.
+    outs = [np.empty((1 << len(s[-1][1]),) * 2, dtype=complex) if s else None for s in cones]
+    sizes = [0 if out is None else out.size for out in outs]
     workers = _pool_threads() if max(sizes, default=0) >= _TILE else 1
     blas = _openblas() if workers > 1 else None
     if blas is None:
-        return Description(n, tuple(_entry(t, s, None) for t, s in enumerate(cones)))
-    return Description(n, _pooled(cones, sizes, workers, blas))
+        return Description(n, tuple(map(_entry, range(n), cones, outs)))
+    return Description(n, _pooled(cones, outs, sizes, workers, blas))
 
 
 def _pool_threads() -> int:
@@ -259,10 +266,15 @@ _Step = tuple[list[Gate], tuple[int, ...]]
 
 
 def _pooled(
-    cones: Sequence[Sequence[_Step]], sizes: Sequence[int], workers: int, blas: tuple
+    cones: Sequence[Sequence[_Step]],
+    outs: Sequence[np.ndarray | None],
+    sizes: Sequence[int],
+    workers: int,
+    blas: tuple,
 ) -> tuple[LocalProjection, ...]:
     """The entries of :func:`compute_description`, built widest first on
-    ``workers`` pool threads while each BLAS call runs on one thread.
+    ``workers`` pool threads while each BLAS call runs on one thread,
+    each entry's last step writing into its ``outs``.
 
     On the first exception, here or in an entry, the entries not yet
     started are cancelled, and once the running ones end the first
@@ -273,10 +285,6 @@ def _pooled(
     # does not load the executor and the logging module it imports.
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
-    outs = [
-        np.empty((1 << len(steps[-1][1]),) * 2, dtype=complex) if steps else None
-        for steps in cones
-    ]
     get_threads, set_threads = blas
     with _PINNED:
         threads = get_threads()
@@ -300,7 +308,7 @@ def _entry(
     t: int, steps: Sequence[_Step], out: np.ndarray | None
 ) -> LocalProjection:
     """Entry ``t`` from its light-cone ``steps``, the last step writing
-    into ``out`` when one is given."""
+    into ``out``; ``out`` is ``None`` only for an entry with no step."""
     support: tuple[int, ...] = (t,)
     p = ZERO_PROJECTOR
     for k, (touched, grown) in enumerate(steps, 1):

@@ -390,7 +390,7 @@ def _conjugate_hermitian(
     support: Sequence[int],
     grown: Sequence[int],
     ops: Sequence[tuple[np.ndarray, Sequence[int]]],
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """``U (p ⊗ I) U†`` on ``grown``, exactly Hermitian, for one layer ``U``.
 
@@ -422,9 +422,7 @@ def _conjugate_hermitian(
     bit for bit.  A diagonal tile is halved through its last
     superoperator, at no cost.  Besides ``p`` and the result, one tile
     and its conjugate are live at a time.  The result is written into
-    ``out``, a C-contiguous complex matrix on ``grown``, when one is
-    given, and otherwise allocated, for one tile once its embedded input
-    has been freed.
+    ``out``, a C-contiguous complex matrix on ``grown``, and returned.
     """
     w = len(grown)
     acted = {a for _, pos in ops for a in pos}
@@ -433,10 +431,7 @@ def _conjugate_hermitian(
     s, k = len(split), w - len(split)
     swap = list(range(k, 2 * k)) + list(range(k))
     if not s:
-        # The embedded input is freed before the result is allocated.
         t = _conjugate(embed(p, support, grown), ops).reshape((2,) * (2 * w))
-        if out is None:
-            out = np.empty((1 << w, 1 << w), dtype=complex)
         d = out.reshape((2,) * (2 * w))
         np.conjugate(t.transpose(swap), out=d)
         d += t
@@ -472,8 +467,6 @@ def _conjugate_hermitian(
     consumed = [i for _, axes in plan for i in axes]
     passed = [i for i in range(2 * len(kept)) if i not in consumed]
     back = np.argsort([label[i] for i in passed] + outs).tolist()
-    if out is None:
-        out = np.empty((1 << w, 1 << w), dtype=complex)
     full = out.reshape((2,) * (2 * w))
     for r in range(1 << s):
         for c in range(r, 1 << s):

@@ -60,16 +60,18 @@ def views(c: Circuit) -> list:
 
 def walk(c: Circuit, starts, what: str, cap: int, backward: bool = False) -> list:
     """:func:`~shallowcheck.cone.walk_light_cones` on ``c``, or on the views
-    of its inverse when ``backward`` is set, each step's view and gate
-    indices resolved to ``c``'s layer and gates: ``(layer, gates, grown)``
-    steps."""
+    of its inverse when ``backward`` is set, as one list of steps per
+    start, each step's view and gate indices resolved to ``c``'s layer
+    and gates: ``(layer, gates, grown)`` steps."""
     layers = _inverse(views(c)) if backward else views(c)
-    resolved = []
-    for steps in walk_light_cones(layers, starts, what, cap):
-        resolved.append([])
+    resolved: list = [None] * len(starts)
+    for steps, members in walk_light_cones(layers, starts, what, cap):
+        chain = []
         for l, gates, grown in steps:
             number = layers[l].layer
-            resolved[-1].append((number, [c.layers[number].gates[j] for j in gates], grown))
+            chain.append((number, [c.layers[number].gates[j] for j in gates], grown))
+        for i in members:
+            resolved[i] = chain
     return resolved
 
 

@@ -342,17 +342,20 @@ class TestEntryHandling:
             runtime_assert(state, [P0], seed=0)
 
     def test_description_entries_are_checked_as_a_sequence_is(self):
-        # A Description holds whatever it was given; a bad entry must get
-        # the same DomainError as in a plain list, not an AttributeError.
+        # A bad entry gets a DomainError, not an AttributeError: from the
+        # checks in a plain list, and from the constructor in a
+        # Description, which cannot be built with one.
         c = random_circuit(3, 2, seed=1)
         state = simulate(c)
-        for assertions in (["x"], Description(3, ["x"])):
-            with pytest.raises(DomainError) as static:
-                verify_static(c, assertions)
-            with pytest.raises(DomainError) as runtime:
-                runtime_assert(state, assertions, seed=0)
-            for exc in (static, runtime):
-                assert str(exc.value) == "assertion 0 must be a LocalProjection, got str"
+        with pytest.raises(DomainError) as static:
+            verify_static(c, ["x"])
+        with pytest.raises(DomainError) as runtime:
+            runtime_assert(state, ["x"], seed=0)
+        for exc in (static, runtime):
+            assert str(exc.value) == "assertion 0 must be a LocalProjection, got str"
+        with pytest.raises(DomainError) as built:
+            Description(3, ["x"])
+        assert str(built.value) == "projection 0 must be a LocalProjection, got str"
 
     def test_empty_tuple_passes_vacuously(self):
         report = runtime_assert(np.array([1.0, 0.0]), [], seed=0)

@@ -563,18 +563,26 @@ def unmemoised_walk(c, starts, what, cap, backward=False):
     return steps
 
 
-@settings(max_examples=60, deadline=None)
-@given(circuits(max_qubits=5), st.booleans(), st.booleans(), st.integers(1, 10), st.data())
-def test_walker_matches_the_unmemoised_walk(c, doubled, backward, cap, data):
-    # A doubled composite has Choi twins, cones of ``p`` and ``n + p``
-    # that share a support after the pair layer.  Starts are single
-    # qubits, or supports of a static check's claims, repeats among them.
+def _walked_inputs(c, doubled, data):
+    """A circuit and the starts of its cones for the walker's property tests.
+
+    A doubled composite has Choi twins, cones of ``p`` and ``n + p``
+    that share a support after the pair layer.  Starts are single
+    qubits, or supports of a static check's claims, repeats among them.
+    """
     if doubled:
         c = concat(choi_extend(c), adjoint(choi_extend(c)))
     starts = [(t,) for t in range(c.n_qubits)]
     if data.draw(st.booleans()):
         qubits = st.sets(st.integers(0, c.n_qubits - 1), min_size=1, max_size=3)
         starts = [tuple(sorted(s)) for s in data.draw(st.lists(qubits, min_size=1, max_size=8))]
+    return c, starts
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits(max_qubits=5), st.booleans(), st.booleans(), st.integers(1, 10), st.data())
+def test_walker_matches_the_unmemoised_walk(c, doubled, backward, cap, data):
+    c, starts = _walked_inputs(c, doubled, data)
     try:
         want = unmemoised_walk(c, starts, "cone {}", cap, backward)
     except CapacityError as error:
@@ -590,13 +598,37 @@ def test_walker_matches_the_unmemoised_walk(c, doubled, backward, cap, data):
 
 def test_walker_shares_the_step_of_a_shared_support():
     # Twins grow to one support at the pair layer, so they share every
-    # step, the first one included, and their whole list of steps.
+    # step, the first one included: one chain per pair of twins.
     c = random_circuit(6, 2, seed=1)
     doubled = concat(choi_extend(c), adjoint(choi_extend(c)))
-    cones = walk_light_cones(views(doubled), [(t,) for t in range(12)], "cone {}", 12)
-    for p in range(6):
-        assert cones[p][0] is cones[6 + p][0]
-        assert cones[p] is cones[6 + p]
+    chains = walk_light_cones(views(doubled), [(t,) for t in range(12)], "cone {}", 12)
+    assert [members for _, members in chains] == [[p, 6 + p] for p in range(6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits(max_qubits=5), st.booleans(), st.booleans(), st.integers(1, 10), st.data())
+def test_walker_chains_partition_the_starts_by_their_steps(c, doubled, backward, cap, data):
+    # Each start is in one chain, and two starts with steps share one
+    # exactly when their cones, grown on their own, take the same steps.
+    c, starts = _walked_inputs(c, doubled, data)
+    try:
+        want = unmemoised_walk(c, starts, "cone {}", cap, backward)
+    except CapacityError:
+        return
+    layers = _inverse(views(c)) if backward else views(c)
+    chains = walk_light_cones(layers, starts, "cone {}", cap)
+    members = [m for _, m in chains]
+    assert sorted(i for m in members for i in m) == list(range(len(starts)))
+    assert all(m == sorted(m) for m in members)
+    assert [m[0] for m in members] == sorted(m[0] for m in members)
+    chain_of = {i: k for k, m in enumerate(members) for i in m}
+    for i in range(len(starts)):
+        if not want[i]:
+            assert members[chain_of[i]] == [i]
+            continue
+        for j in range(len(starts)):
+            if want[j]:
+                assert (chain_of[i] == chain_of[j]) == (want[i] == want[j])
 
 
 @pytest.mark.parametrize("backward", [False, True])
@@ -724,10 +756,10 @@ def test_chunks_of_the_strong_check_hold_whole_chains(bound, pair):
     c0, c1 = pair
     composite = concat(choi_extend(c0), adjoint(choi_extend(c1)))
     zeros = [(ZERO_PROJECTOR, (t,)) for t in range(composite.n_qubits)]
-    walked = walk_light_cones(
+    chains = walk_light_cones(
         views(composite), [s for _, s in zeros], "cone {}", DEFAULT_SUPPORT_CAP
     )
-    chain = [[i for i, s in enumerate(walked) if s is steps] for steps in walked]
+    chain = {i: members for _, members in chains for i in members}
     chunks = []
     original = cone._chunks
 

@@ -442,6 +442,19 @@ class TestLocalProjection:
             Description(1.5, ())
         assert Description(np.int8(0), ()).n_qubits == 0
 
+    @pytest.mark.parametrize(
+        "use", [lambda d: d, commutation_check, initial_state_residuals, description_to_json]
+    )
+    def test_description_entries_must_be_local_projections(self, use):
+        # A bad entry is a DomainError when the Description is built, so
+        # no reader of its entries meets an AttributeError.
+        with pytest.raises(DomainError) as exc:
+            use(Description(3, ["x"]))
+        assert str(exc.value) == "projection 0 must be a LocalProjection, got str"
+        good = LocalProjection((0,), np.eye(2))
+        with pytest.raises(DomainError, match="projection 1 must be a LocalProjection, got int"):
+            use(Description(2, (good, 7)))
+
     def test_matrix_readonly(self):
         p = LocalProjection((0,), np.eye(2))
         with pytest.raises(ValueError):

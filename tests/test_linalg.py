@@ -347,6 +347,12 @@ def wide_layers(draw):
     return grown, [q for a, q in enumerate(grown) if a not in new], gates
 
 
+def _hermitian_step(p, support, grown, ops):
+    """:func:`linalg._conjugate_hermitian` into a new matrix on ``grown``."""
+    out = np.empty((1 << len(grown),) * 2, dtype=complex)
+    return _conjugate_hermitian(p, support, grown, ops, out)
+
+
 class TestConjugateHermitian:
     """The last step of a described entry, :func:`linalg._conjugate_hermitian`,
     against ``embed``, ``linalg._conjugate`` and ``(P + P†)/2``."""
@@ -363,7 +369,7 @@ class TestConjugateHermitian:
         with pytest.MonkeyPatch.context() as patch:
             if tile is not None:
                 patch.setattr(linalg, "_TILE", tile)
-            got = _conjugate_hermitian(p, support, grown, ops)
+            got = _hermitian_step(p, support, grown, ops)
         assert np.array_equal(p.view(np.uint64), before.view(np.uint64))
         assert np.array_equal(got, got.conj().T)
         assert max_abs(got - cls._reference(p, support, grown, ops)) <= 1e-12
@@ -464,10 +470,10 @@ class TestConjugateHermitian:
         ops = [(haar_unitary(2, rng), [0, 1]), (haar_unitary(2, rng), [8, 9])]
         monkeypatch.setattr(linalg, "embed", spy_embed)
         monkeypatch.setattr(np, "zeros", spy_zeros)
-        _conjugate_hermitian(self._hermitian(7, rng), range(1, 8), range(8), ops[:1])
+        _hermitian_step(self._hermitian(7, rng), range(1, 8), range(8), ops[:1])
         assert calls == ["embed", "zeros"]
         calls.clear()
-        _conjugate_hermitian(self._hermitian(8, rng), range(1, 9), range(10), ops)
+        _hermitian_step(self._hermitian(8, rng), range(1, 9), range(10), ops)
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -489,7 +495,7 @@ class TestConjugateHermitian:
         ops = [(haar_unitary(len(g), rng), g) for g in gates]
         p = self._hermitian(len(support), rng)
         monkeypatch.setattr(linalg, "apply_layer", spy)
-        _conjugate_hermitian(p, support, range(10), ops)
+        _hermitian_step(p, support, range(10), ops)
         assert calls == []
 
     @pytest.mark.parametrize("w", [2, 5, 8])
@@ -514,7 +520,7 @@ class TestConjugateHermitian:
         ops = [(haar_unitary(2, rng), [0, 1]), (haar_unitary(2, rng), [8, 9])]
         tracemalloc.start()
         try:
-            out = _conjugate_hermitian(p, range(1, 9), range(10), ops)
+            out = _hermitian_step(p, range(1, 9), range(10), ops)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -675,7 +681,7 @@ class TestLocalPrimitives:
         p.imag[rng.random((dim, dim)) < 0.5] = 0.0
         before = p.copy()
         want = (p + dagger(p)) / 2
-        got = _conjugate_hermitian(p, range(n), range(n), [])
+        got = _hermitian_step(p, range(n), range(n), [])
         assert np.array_equal(p.view(np.uint64), before.view(np.uint64))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
