@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_K_MAX, STRUCTURAL_TOL, support_cap
+from .config import DEFAULT_K_MAX, STRUCTURAL_TOL, _check_per_qubit, support_cap
 from .errors import CapacityError, DomainError, SchemaError
 from .linalg import _as_frozen, _integral, _seed
 
@@ -430,11 +430,21 @@ def random_circuit(
         Layer count; 0 yields a circuit with no layers.
     seed
         Non-negative integer seed or generator for the gate stream.
+
+    Raises
+    ------
+    DomainError
+        If ``n`` or ``depth`` is not an integer, ``n`` is below 2 or
+        ``depth`` below 0.
+    CapacityError
+        If ``n`` is more qubits than the host can hold one entry per
+        qubit for.
     """
     if _integral(n, "the qubit count") < 2:
         raise DomainError(f"random circuits need at least 2 qubits, got {n}")
     if _integral(depth, "depth") < 0:
         raise DomainError(f"depth must be non-negative, got {depth}")
+    _check_per_qubit(n)
     rng = np.random.default_rng(_seed(seed))
     layers = []
     for ell in range(depth):

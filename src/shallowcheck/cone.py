@@ -42,13 +42,15 @@ projection ``P`` on a light cone: how far is ``P|0...0>`` from
   values", arXiv:1909.11485) applied to the membership test.
 
   Narrow cones cost Python and numpy call overhead rather than
-  arithmetic, so cones of the same shape (width and gate axes layer by
-  layer) run as one group: their states are stacked on a leading batch
-  axis and each layer of gates is one ``apply_layer`` call for the
-  whole group.  Each chain of steps is simulated once: twins share
-  their gates, so ``A†|0...0>`` runs on one state per chain and is
-  copied out to the chain's members before ``Q``, which is one call per
-  run of members whose ``Q`` has the same axes.  Once per call, before
+  arithmetic, so chains of the same shape (width, gate axes layer by
+  layer, and the axes of each member's ``Q``, slot by slot) run as one
+  group: their states are stacked on a leading chain axis and each
+  layer of gates is one ``apply_layer`` call for the whole group.  Each
+  chain is carried as one state from ``|0...0>`` to its residuals:
+  twins share their gates, so ``A†|0...0>`` runs once per chain, each
+  member's ``Q`` is applied to its own copy, one call per member slot,
+  and the copies are stacked on a member axis behind the chain axis,
+  over which ``A``'s gates broadcast.  Once per call, before
   the walk, each gate that repeats the last gate on its qubits (same
   qubit tuple, same order, nothing between them on those qubits) is
   multiplied into it, the standard gate fusion of state-vector
@@ -60,16 +62,16 @@ projection ``P`` on a light cone: how far is ``P|0...0>`` from
   caller's layers.  Each chain's axes and gate indices are built
   once, and each op of a group is gathered from its layer's stack at
   the rows of the chunk's chains' gates.  A stacked state holds at
-  most ``2^16`` amplitudes (1 MiB); larger groups are split into
-  chunks that hold whole chains where one fits, and a cone of ``2^16``
-  amplitudes or more runs alone, so wide cones take no more memory
-  than one cone at a time does.
+  most ``2^16`` amplitudes (1 MiB): larger groups are split into
+  chunks of as many whole chains as fit, a chain whose members do not
+  fit together runs them apart, ``A†`` rerun for each run, and a cone
+  of ``2^16`` amplitudes or more runs alone, so wide cones take no
+  more memory than one cone at a time does.
 """
 
 from __future__ import annotations
 
 from itertools import chain as _chain
-from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -89,8 +91,8 @@ ZERO_PROJECTOR = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 ZERO_PROJECTOR.setflags(write=False)
 
 #: Most amplitudes in one stacked state of :func:`cone_residuals`,
-#: ``B·2^w <= 2^16`` (1 MiB of complex128); a cone of ``2^w`` at or
-#: above it runs alone.
+#: chains × members × ``2^w <= 2^16`` (1 MiB of complex128); a cone of
+#: ``2^w`` at or above it runs alone.
 _BATCH_AMPLITUDES = 1 << 16
 
 #: One layer of a cone walk: the view's position in the walk, its gates
@@ -307,23 +309,28 @@ def cone_residuals(
 ) -> list[tuple[tuple[int, ...], ErrorTriple]]:
     """Norms of ``A Q A†|0...0> - |0...0>`` on the light cone of each ``Q``.
 
-    Cones of the same shape (the same width and the same cone axes for
-    every gate of every layer) are simulated together: their states are
-    stacked on a leading batch axis, their gates into ``(B, d, d)``
-    stacks.  It takes the walker's chains as they come: the members of
-    a chain, such as Choi twins, share its support, axes and gates,
-    built once, and ``A†|0...0>``, which runs on one state per chain
-    and is then copied out to the chain's members before ``Q``.  Gate
+    Chains of the same shape (the same width, the same cone axes for
+    every gate of every layer and the same ``Q`` axes in each member
+    slot) are simulated together: their states are stacked on a leading
+    chain axis, their gates into ``(C, 1, d, d)`` stacks.  It takes the
+    walker's chains as they come: the members of a chain, such as Choi
+    twins, share its support, axes and gates, built once, and
+    ``A†|0...0>``, which runs on one state per chain.  Each member's
+    ``Q`` is then applied to its own copy of that state, one call per
+    member slot, and the copies are stacked on a member axis behind the
+    chain axis, over which each chain's gates of ``A`` broadcast.  Gate
     fusion runs once, before the walk (:func:`_fused`): each gate that
     repeats the last gate on its qubits is multiplied into it, so a run
     of layers of repeated gates is walked as one layer and costs one
     :func:`~shallowcheck.linalg.apply_layer` call for ``A†`` and one
-    for ``A``.  Members are sorted by the axes of their ``Q``, which is one
-    call per run of equal axes on that run's slice of the stacked state.
-    A group is split into chunks of at most ``_BATCH_AMPLITUDES``
-    amplitudes, each holding whole chains where one fits, so a cone that
-    wide or wider runs alone.  Each member's residual equals the one its
-    cone gives on its own, bit for bit.
+    for ``A``.  A group is split into chunks of at most
+    ``_BATCH_AMPLITUDES`` amplitudes: ``size = _BATCH_AMPLITUDES >> w``
+    members a call, so ``max(1, size // members)`` whole chains a
+    chunk, and a chain of more than ``size`` members runs them in runs
+    of ``size``, ``A†`` rerun for each; a cone that wide or wider runs
+    alone.  Each member's products are its own, so its residual equals
+    the one its cone gives on its own, bit for bit, however its group is
+    chunked.
 
     Parameters
     ----------
@@ -353,91 +360,64 @@ def cone_residuals(
         If a cone would exceed ``cap``, before any cone is simulated.
     """
     layers = _fused(layers)
-    # Chains by shape: width, then each step's layer and the axes of its
-    # gates (1 + cone axis, behind the batch axis).  The members of a
-    # chain (Choi twins) share its support, axes and gates, built once.
-    # A chain is the indices of its gates, step by step in one flat
-    # list, and its members: each member's Q axes, index, support and Q.
+    # Chains by shape: width, each step's layer and the axes of its gates
+    # (2 + cone axis, behind the chain and member axes), and the axes of
+    # each member's Q, slot by slot.  A chain is its support, the indices
+    # of its gates, step by step in one flat list, and its members.
     groups: dict[tuple, list] = {}
     for steps, members in walk_light_cones(layers, [s for _, s in projections], what, cap):
         support = steps[-1][2] if steps else tuple(projections[members[0]][1])
-        axis = {q: 1 + i for i, q in enumerate(support)}.__getitem__
+        axis = {q: 2 + i for i, q in enumerate(support)}.__getitem__
         shape = []
         gate_indices = []
         for l, gates, _ in steps:
             qubits = layers[l].qubits
             shape.append((l, tuple([tuple(map(axis, qubits[j])) for j in gates])))
             gate_indices += gates
-        piece = [(tuple(map(axis, projections[i][1])), i, support, projections[i][0])
-                 for i in members]
-        groups.setdefault((len(support), tuple(shape)), []).append((gate_indices, piece))
+        slots = tuple([tuple(map(axis, projections[i][1])) for i in members])
+        groups.setdefault((len(support), tuple(shape), slots), []).append(
+            (support, gate_indices, members)
+        )
     results: list = [None] * len(projections)
-    for (width, shape), chains in groups.items():
-        for chunk in _chunks(chains, max(1, _BATCH_AMPLITUDES >> width)):
-            # Members by the axes of Q, so each run of equal axes is one
-            # slice; ``pick`` holds each member's chain in the chunk.
-            members = [(*m, k) for k, (_, piece) in enumerate(chunk) for m in piece]
-            if len(members) > 1:
-                members.sort(key=itemgetter(0))
-            q_axes, indices, supports, projectors, pick = zip(*members)
-            pick = np.array(pick)
+    for (width, shape, slots), chains in groups.items():
+        # Members per call; whole chains per chunk, or one chain whose
+        # members run apart when it holds more than that.
+        size = max(1, _BATCH_AMPLITUDES >> width)
+        per = max(1, size // len(slots))
+        for first in range(0, len(chains), per):
+            chunk = chains[first:first + per]
             # A's layers in the order A applies them, each op gathered
             # from its layer's stack at the rows of the chains' gates,
-            # one column of ``gates`` per op.
-            gates = np.array([chain_gates for chain_gates, _ in chunk])
+            # one column of ``gates`` per op, with an axis of 1 that
+            # broadcasts over the members.
+            gates = np.array([chain_gates for _, chain_gates, _ in chunk])
             a_layers: list[tuple[list, tuple]] = []
             column = 0
             for l, axes in shape:
                 rows = layers[l].rows[gates[:, column:column + len(axes)]]
                 column += len(axes)
-                stacks = layers[l].stacks
-                ops = [stacks[1 << len(a)][rows[:, j]] for j, a in enumerate(axes)]
+                ops = [layers[l].stacks[1 << len(a)][rows[:, j, None]] for j, a in enumerate(axes)]
                 a_layers.append((ops, axes))
-            state = np.zeros((len(chunk),) + (2,) * width, dtype=complex)
-            state.reshape(len(chunk), -1)[:, 0] = 1.0
-            for ops, axes in a_layers[::-1]:
-                state = apply_layer(state, [(np.conj(u).mT, a) for u, a in zip(ops, axes)])
-            # Rebinding frees the chains' states before Q runs.
-            state = state[pick]
-            _apply_projectors(state, q_axes, projectors)
-            for ops, axes in a_layers:
-                state = apply_layer(state, [(u[pick], a) for u, a in zip(ops, axes)])
-            e = state.reshape(len(indices), -1)
-            e[:, 0] -= 1.0
-            for index, support, norms in zip(indices, supports, residual_norms(e)):
-                results[index] = (support, norms)
+            for lo in range(0, len(slots), size):
+                run = range(lo, min(lo + size, len(slots)))
+                state = np.zeros((len(chunk), 1) + (2,) * width, dtype=complex)
+                state.reshape(len(chunk), -1)[:, 0] = 1.0
+                for ops, axes in a_layers[::-1]:
+                    state = apply_layer(state, [(np.conj(u).mT, a) for u, a in zip(ops, axes)])
+                # One copy of the chains' state per member slot, with its
+                # Q applied, stacked on the member axis; the chains' state
+                # and the copies are dropped as soon as they are used.
+                qs = [np.array([projections[members[k]][0] for *_, members in chunk]) for k in run]
+                copies = [apply_layer(state, [(q, slots[k])]) for q, k in zip(qs, run)]
+                del state
+                state = np.concatenate(copies, axis=1)
+                del copies
+                for ops, axes in a_layers:
+                    state = apply_layer(state, list(zip(ops, axes)))
+                e = state.reshape(-1, 1 << width)
+                e[:, 0] -= 1.0
+                norms = iter(residual_norms(e))
+                for support, _, members in chunk:
+                    for k in run:
+                        results[members[k]] = (support, next(norms))
     return results
-
-
-def _chunks(chains: list[tuple[list, list]], size: int) -> Iterator[list]:
-    """``(gates, members)`` chains packed into chunks of at most ``size`` members.
-
-    A chain goes whole into the current chunk when it fits, else it
-    starts a new one; only a chain of more than ``size`` members is cut.
-    """
-    chunk: list = []
-    held = 0
-    for gates, members in chains:
-        for first in range(0, len(members), size):
-            piece = members[first:first + size]
-            if held + len(piece) > size:
-                yield chunk
-                chunk, held = [], 0
-            chunk.append((gates, piece))
-            held += len(piece)
-    yield chunk
-
-
-def _apply_projectors(
-    state: np.ndarray, q_axes: Sequence[tuple[int, ...]], projectors: Sequence[np.ndarray]
-) -> None:
-    """Apply member ``b``'s ``projectors[b]`` on its ``q_axes[b]`` of ``state``, in place.
-
-    Equal axes come in sorted runs; each run is one
-    :func:`~shallowcheck.linalg.apply_layer` call on its slice of the
-    stacked state, written back into that slice, so no third state is
-    allocated beside the kernel's.
-    """
-    runs = [b for b in range(1, len(q_axes)) if q_axes[b] != q_axes[b - 1]]
-    for lo, hi in zip([0] + runs, runs + [len(q_axes)]):
-        state[lo:hi] = apply_layer(state[lo:hi], [(np.array(projectors[lo:hi]), q_axes[lo])])

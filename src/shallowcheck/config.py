@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
 #: Tolerance for structural predicates (projector and unitary checks).
 STRUCTURAL_TOL = 1e-9
@@ -57,6 +58,26 @@ def support_cap() -> int:
     if value < 1:
         raise DomainError(f"{SUPPORT_CAP_ENV} must be at least 1, got {value}")
     return value
+
+
+def _check_per_qubit(count: int) -> None:
+    """Raise :class:`CapacityError` if ``count`` per-qubit entries cannot be held.
+
+    A list holds at most ``sys.maxsize`` entries, and physical memory
+    no more than one per 64 bytes, the size of one 2×2 complex matrix,
+    the least a per-qubit entry holds; the memory bound is skipped
+    where physical memory is unknown.
+    Callers check a declared qubit count before building any per-qubit
+    list, so an absurd one fails at once instead of filling memory.
+    """
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        memory = 0
+    limit = min(sys.maxsize, memory // 64) if memory > 0 else sys.maxsize
+    if count > limit:
+        raise CapacityError(f"{count} per-qubit entries exceed the {limit} this host can hold",
+                            size=count, cap=limit)
 
 
 def _checked_threshold(threshold: float, what: str = "threshold") -> float:

@@ -34,7 +34,7 @@ from .circuit import (
     matrix_from_json,
 )
 from .cone import ZERO_PROJECTOR, walk_light_cones
-from .config import support_cap
+from .config import _check_per_qubit, support_cap
 from .errors import CapacityError, DomainError, SchemaError, ValidationError
 from .linalg import (
     ErrorTriple,
@@ -154,6 +154,8 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     CapacityError
         If any support would exceed the cap; the message names the
         originating qubit, the layer, and the support size reached.
+        Also if the qubit count is more than the host can hold one entry
+        per qubit for, before any per-qubit list is built.
 
     Notes
     -----
@@ -211,6 +213,7 @@ def compute_description(c: Circuit, cap: int | None = None) -> Description:
     if cap is None:
         cap = support_cap()
     n = c.n_qubits
+    _check_per_qubit(n)
     # Each chain's gate indices resolved to ``c``'s own gates, once, and
     # handed to its members.
     cones: list = [None] * n

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, _LayerView, _inverse, _pair_layer, _tabled
 from .cone import ZERO_PROJECTOR, cone_residuals
-from .config import EQUIV_THRESHOLD, _checked_threshold, support_cap
+from .config import EQUIV_THRESHOLD, _check_per_qubit, _checked_threshold, support_cap
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -110,7 +110,12 @@ class EquivalenceReport:
 def _tabled_pair(
     c0: Circuit, c1: Circuit, offset: int
 ) -> tuple[list[_LayerView], list[_LayerView]]:
-    """The layer views of valid ``c0`` and ``c1``, qubits shifted by ``offset``."""
+    """The layer views of valid ``c0`` and ``c1``, qubits shifted by ``offset``.
+
+    A composite on ``offset + n`` qubits, more than the host can hold one
+    entry per qubit for, raises :class:`CapacityError` before any
+    per-qubit list is built.
+    """
     views = []
     for c, which in ((c0, "first circuit"), (c1, "second circuit")):
         layers, violations = _tabled(c, offset)
@@ -121,6 +126,7 @@ def _tabled_pair(
         raise DomainError(
             f"cannot compare circuits on {c0.n_qubits} and {c1.n_qubits} qubits"
         )
+    _check_per_qubit(offset + c0.n_qubits)
     return views[0], views[1]
 
 
@@ -188,7 +194,9 @@ def check_weak(
         number, is negative or is not finite.
     CapacityError
         If a light cone of the composite would exceed the support cap;
-        the message names the qubit and the composite's layer.
+        the message names the qubit and the composite's layer.  Also if
+        the qubit count is more than the host can hold one entry per
+        qubit for, before any per-qubit list is built.
     """
     threshold = _checked_threshold(threshold)
     v0, v1 = _tabled_pair(c0, c1, 0)
@@ -215,7 +223,8 @@ def check_strong(
     are validated once, as they are read; the doubling needs no check.
     Capacity errors name the qubit in the composite's numbering and its
     layer: 0 for the pair layer, then ``c0``'s, ``c1``'s and the
-    closing pair layer.
+    closing pair layer; ``2n`` qubits more than the host can hold one
+    entry per qubit for raise :class:`CapacityError` at once.
     """
     threshold = _checked_threshold(threshold)
     n = c0.n_qubits

@@ -291,20 +291,22 @@ def apply_layer(
     ``ops`` holds ``(matrix, axes)`` pairs, ``axes[i]`` carrying the
     ``i``-th (most significant first) qubit of the ``2**k``-dimensional
     matrix.  Acted axes have size 2; other axes ride along, whatever
-    their size.  A matrix may also be a stack of shape ``(B, 2**k,
-    2**k)``: the tensor's axis 0 is then a batch axis of size ``B``,
-    which no op acts on, and member ``b`` of the stack acts on member
-    ``b`` of the tensor, while a plain matrix acts on every member.
-    It checks no arguments, so callers must.
+    their size.  A matrix may also be a stack of shape ``B + (2**k,
+    2**k)``: the tensor's leading ``len(B)`` axes are then batch axes,
+    which no op acts on, and each matrix of the stack acts on the
+    members at its index, broadcast where ``B`` has size 1, while a
+    plain matrix acts on every member.  Every member's product is its
+    own, so its output does not depend on the other members, bit for
+    bit.  It checks no arguments, so callers must.
 
     The tensor is transposed at most once so that the acted axes lead
-    (behind the batch axis) in the order the ops use them, and back at
+    (behind the batch axes) in the order the ops use them, and back at
     most once; a layer on every axis in order, or on none, needs no
     transpose.  Each op is one matrix product, ``t.reshape(2**k, -1).T @
-    u.T``, broadcast over the batch axis, which cycles its axes to the
+    u.T``, broadcast over the batch axes, which cycles its axes to the
     back, so no copy is made between ops.
     """
-    lead = [0] if any(u.ndim == 3 for u, _ in ops) else []
+    lead = list(range(max((u.ndim for u, _ in ops), default=2) - 2))
     every = list(range(tensor.ndim))
     order = [a for _, axes in ops for a in axes]
     idle = [a for a in every[len(lead):] if a not in order]

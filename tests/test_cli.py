@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from shallowcheck import (
     named_gate,
     random_circuit,
 )
+import shallowcheck
 from shallowcheck import description
 from shallowcheck.cli import CSV_HEADER, main
 from shallowcheck.config import SUPPORT_CAP_ENV
@@ -662,3 +666,75 @@ class TestIntegerOptions:
         with contextlib.redirect_stdout(io.StringIO()):
             with contextlib.redirect_stderr(io.StringIO()):
                 assert main([arg.format(folder=folder) for arg in argv]) in (0, 2, 3)
+
+
+#: Address space of a child process that must fail before it allocates
+#: much: enough to import the package and numpy, far below one entry per
+#: qubit of the circuits below.
+_ADDRESS_SPACE = 512 << 20
+
+
+def _run_limited(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run Python ``code`` with ``args`` in a child process whose address
+    space is capped at :data:`_ADDRESS_SPACE`, on one BLAS thread, so a
+    run that starts filling memory fails there instead of exhausting the
+    machine."""
+    pytest.importorskip("resource")
+    prelude = (
+        "import resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({_ADDRESS_SPACE}, {_ADDRESS_SPACE}))\n"
+    )
+    src = str(Path(shallowcheck.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", prelude + code, *args],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+
+
+class TestAbsurdQubitCounts:
+    """A circuit that declares more qubits than the host can hold one
+    entry per qubit for is a capacity error (exit 3), raised before any
+    per-qubit list is built.  Each run is a child process with a small
+    address space, where building such a list fails with an
+    out-of-memory error instead, or an overflow for 10^20 qubits."""
+
+    @pytest.mark.parametrize("argv, n, count", [
+        (["describe", "{path}"], 10**20, 10**20),
+        (["describe", "{path}"], 1 << 40, 1 << 40),
+        (["equiv", "{path}", "{path}"], 1 << 40, 1 << 40),
+        (["equiv", "--mode", "strong", "{path}", "{path}"], 1 << 40, 2 << 40),
+        (["random", "--n", "{n}", "--depth", "1"], 1 << 40, 1 << 40),
+    ], ids=["describe-1e20", "describe-2^40", "weak-2^40", "strong-2^40", "random-2^40"])
+    def test_commands_exit_three_before_memory_grows(self, tmp_path, argv, n, count):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n_qubits": n, "layers": []}))
+        cli = "import runpy\nrunpy.run_module('shallowcheck.cli', run_name='__main__')\n"
+        done = _run_limited(cli, *[arg.format(path=path, n=n) for arg in argv])
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith(f"error: {count} per-qubit entries exceed the ")
+
+    def test_entry_points_raise_capacity_errors_before_memory_grows(self):
+        code = """
+import shallowcheck as sc
+n = 1 << 40
+calls = {
+    "compute_description": (lambda: sc.compute_description(sc.Circuit(n)), n),
+    "check_weak": (lambda: sc.check_weak(sc.Circuit(n), sc.Circuit(n)), n),
+    "check_strong": (lambda: sc.check_strong(sc.Circuit(n), sc.Circuit(n)), 2 * n),
+    "random_circuit": (lambda: sc.random_circuit(n, 1), n),
+}
+for name, (call, count) in calls.items():
+    try:
+        call()
+    except sc.CapacityError as e:
+        print(name, e.size == count, e.cap < count)
+"""
+        done = _run_limited(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            f"{name} True True"
+            for name in ("compute_description", "check_weak", "check_strong", "random_circuit")
+        ]

@@ -51,7 +51,7 @@ from shallowcheck import (
 from shallowcheck.circuit import _PAIR_GATE, _inverse, _tabled
 from shallowcheck.cone import ZERO_PROJECTOR, walk_light_cones
 from shallowcheck.config import DEFAULT_SUPPORT_CAP, EQUIV_THRESHOLD, SUPPORT_CAP_ENV
-from shallowcheck.linalg import ErrorTriple, apply_layer, apply_local, embed
+from shallowcheck.linalg import ErrorTriple, apply_layer, apply_local, embed, residual_norms
 from support import dagger, equal_up_to_phase, full_unitary, views, walk
 
 TOL = 1e-12
@@ -408,12 +408,60 @@ def test_batched_static_cones_match_one_at_a_time_and_dense(bound, pair):
         assert max(abs(a - b) for a, b in zip(residual, dense_residual)) <= TOL
 
 
+def _at_three_bounds(check):
+    """``check()``'s cones, as supports and residual bits, at three batch
+    bounds: the default; the most amplitudes any chain's members hold,
+    so every chain runs whole and the widest alone in its chunk; and 1,
+    so every member runs alone and ``A†`` reruns for each member of a
+    chain."""
+    walked = []
+
+    def recording(layers, starts, what, cap):
+        chains = walk_light_cones(layers, starts, what, cap)
+        walked.extend(
+            len(members) << len(steps[-1][2] if steps else starts[members[0]])
+            for steps, members in chains
+        )
+        return chains
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cone, "walk_light_cones", recording)
+        cones = [check()]
+    for bound in (max(walked), 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cone, "_BATCH_AMPLITUDES", bound)
+            cones.append(check())
+    return [[(support, [float.hex(x) for x in triple]) for support, triple in c] for c in cones]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(layouts(), repeating_pairs()))
+def test_weak_and_static_residuals_do_not_depend_on_chunking(pair):
+    c, other = pair
+    claims = compute_description(other).projections
+    weak = _at_three_bounds(lambda: _weak_cones(check_weak(c, other)))
+    assert weak[0] == weak[1] == weak[2]
+    static = _at_three_bounds(
+        lambda: [(check.support, check.residual) for check in verify_static(c, claims)]
+    )
+    assert static[0] == static[1] == static[2]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(layouts(max_qubits=8, max_depth=1), repeating_pairs(max_qubits=3, max_depth=4)))
+def test_strong_residuals_do_not_depend_on_chunking(pair):
+    # Choi twins share a chain, so at a bound of 1 each twin runs alone.
+    strong = _at_three_bounds(lambda: _weak_cones(check_strong(*pair)))
+    assert strong[0] == strong[1] == strong[2]
+
+
 @pytest.mark.parametrize("bound", [8, 16])
 def test_batches_stay_within_the_bound(monkeypatch, bound):
     # Qubits 0-11 form a paired ladder, whose two-qubit cones batch six
     # at a time unbounded; qubits 12-19 a brickwork, whose cones reach 4
     # to 8 qubits.  The bound is small enough that the wide cones meet or
-    # pass it, so nothing large is allocated.
+    # pass it, so nothing large is allocated.  Each call's state holds
+    # its chains times its member axis times 2^w amplitudes.
     shapes = []
 
     def recording(tensor, ops):
@@ -432,13 +480,13 @@ def test_batches_stay_within_the_bound(monkeypatch, bound):
     monkeypatch.setattr(cone, "_BATCH_AMPLITUDES", bound)
     widths = {len(r.support) for r in check_weak(c, c).residuals}
     assert min(widths) == 2 and 1 << max(widths) > bound
-    assert max(batch for batch, *_ in shapes) == bound // 4
-    for batch, *qubits in shapes:
+    assert max(chains * members for chains, members, *_ in shapes) == bound // 4
+    for chains, members, *qubits in shapes:
         assert qubits == [2] * len(qubits)
         if 1 << len(qubits) >= bound:
-            assert batch == 1
+            assert chains * members == 1
         else:
-            assert batch << len(qubits) <= bound
+            assert (chains * members) << len(qubits) <= bound
 
 
 def test_a_wide_cone_keeps_at_most_three_states_live():
@@ -665,8 +713,8 @@ def test_strong_check_of_a_paired_ladder_batches_by_gate_layout(monkeypatch):
     # chains each.  Each chain has 2 * depth + 2 steps: the pair layer,
     # then 2 * depth layers on the same pair of axes, which fuse into
     # one op, then the pair daggers, so 3 fused layers.  A† runs them on
-    # one state per chain, A on every member, and Q is one call per run
-    # of equal axes, one run per twin.
+    # one state per chain, Q is one call per member slot, one per twin,
+    # and A runs on the chains with a member axis of 2.
     n, depth = 6, 2
     rng = np.random.default_rng(3)
 
@@ -679,7 +727,7 @@ def test_strong_check_of_a_paired_ladder_batches_by_gate_layout(monkeypatch):
     batches = []
 
     def recording(tensor, ops):
-        batches.append(tensor.shape[0])
+        batches.append(tensor.shape[:2])
         return apply_layer(tensor, ops)
 
     monkeypatch.setattr(cone, "apply_layer", recording)
@@ -687,10 +735,10 @@ def test_strong_check_of_a_paired_ladder_batches_by_gate_layout(monkeypatch):
     assert {len(r.support) for r in report.residuals} == {4}
     fused = 3
     assert len(batches) == 2 * (2 * fused + 2)
-    # A's layers run on a whole group; A†'s on its chains and Q on one
-    # twin's run, n / 2 states each.
-    assert batches.count(n) == 2 * fused
-    assert batches.count(n // 2) == 2 * (fused + 2)
+    # A's layers run on a group's n / 2 chains, each with both twins on
+    # its member axis; A†'s and Q's on the n / 2 chain states.
+    assert batches.count((n // 2, 2)) == 2 * fused
+    assert batches.count((n // 2, 1)) == 2 * (fused + 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -720,7 +768,8 @@ def test_static_check_of_a_ladder_fuses_its_backward_walk(monkeypatch):
     # Every cone of a paired ladder is one pair, and its 4 layers fuse
     # into one op.  The cones of 2k and 2k + 1 share a chain: one group
     # of n claims in n / 2 chains, so A† is one call, Q one call per
-    # qubit of the pair, and A one call.
+    # qubit of the pair, and A one call on the chains with both claims
+    # on the member axis.
     n, depth = 6, 4
     rng = np.random.default_rng(5)
     c = _paired_ladder(n, depth, rng)
@@ -731,12 +780,12 @@ def test_static_check_of_a_ladder_fuses_its_backward_walk(monkeypatch):
     calls = []
 
     def recording(tensor, ops):
-        calls.append(tensor.shape[0])
+        calls.append(tensor.shape[:2])
         return apply_layer(tensor, ops)
 
     monkeypatch.setattr(cone, "apply_layer", recording)
     checks = verify_static(c, zeros)
-    assert calls == [n // 2, n // 2, n // 2, n]
+    assert calls == [(n // 2, 1)] * 3 + [(n // 2, 2)]
     checks += verify_static(c, ones + described)
     for check, entry in zip(checks, zeros + ones + described):
         support, residual = dense_static(c, entry)
@@ -750,33 +799,38 @@ def test_static_check_of_a_ladder_fuses_its_backward_walk(monkeypatch):
 @settings(max_examples=15, deadline=None)
 @given(layouts(max_qubits=8, max_depth=1))
 def test_chunks_of_the_strong_check_hold_whole_chains(bound, pair):
-    # At these bounds a chunk holds one member of a cone of 16 or more
-    # amplitudes (16), or 3 members of a 4-qubit cone (48), so the twins
-    # of a chain run apart or, with one chain per chunk, together.
+    # Every chain of the strong check is a pair of Choi twins.  At these
+    # bounds a 4-qubit cone's chain fits in a call with both twins on
+    # its member axis (48), or its twins run apart, one chain and one
+    # member a call (16).  Each chunk is read from the shape of its last
+    # A call, made just before its residuals are reduced.
     c0, c1 = pair
     composite = concat(choi_extend(c0), adjoint(choi_extend(c1)))
     zeros = [(ZERO_PROJECTOR, (t,)) for t in range(composite.n_qubits)]
-    chains = walk_light_cones(
-        views(composite), [s for _, s in zeros], "cone {}", DEFAULT_SUPPORT_CAP
-    )
-    chain = {i: members for _, members in chains for i in members}
+    shapes = []
     chunks = []
-    original = cone._chunks
 
-    def recording(chains, size):
-        for chunk in original(chains, size):
-            chunks.append([m[1] for _, piece in chunk for m in piece])
-            yield chunk
+    def applying(tensor, ops):
+        shapes.append(tensor.shape)
+        return apply_layer(tensor, ops)
+
+    def reducing(e):
+        chunks.append((shapes[-1], e.shape))
+        return residual_norms(e)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cone, "_BATCH_AMPLITUDES", bound)
-        mp.setattr(cone, "_chunks", recording)
+        mp.setattr(cone, "apply_layer", applying)
+        mp.setattr(cone, "residual_norms", reducing)
         report = check_strong(c0, c1)
     _assert_same_cones(_weak_cones(report), one_cone_at_a_time(composite, zeros))
-    assert sorted(i for chunk in chunks for i in chunk) == list(range(composite.n_qubits))
-    for chunk in chunks:
-        if len(chunk) > 1:
-            assert all(set(chain[i]) <= set(chunk) for i in chunk)
+    assert sum(rows for _, (rows, _) in chunks) == composite.n_qubits
+    for (chains, members, *qubits), rows in chunks:
+        assert rows == (chains * members, 1 << len(qubits))
+        if 2 << len(qubits) <= bound:
+            assert members == 2
+        else:
+            assert (chains, members) == (1, 1)
 
 
 @pytest.mark.parametrize("backward", [False, True])

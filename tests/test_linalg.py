@@ -204,6 +204,40 @@ class TestApplyLayer:
             want = (dense @ rows.reshape(1 << n, -1)).reshape(rows.shape)
             assert max_abs(out - want) <= 1e-12
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 6), st.integers(1, 3), st.integers(1, 4), st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stacks_broadcast_over_a_member_axis_bit_for_bit(
+        self, n, chains, members, idle, seed
+    ):
+        # Stacks of shape (chains, 1, d, d) on a (chains, members, 2, ...)
+        # tensor, as the cone kernel applies A: each chain's matrices act
+        # on all of its members, and each member's output equals, bit for
+        # bit, that of its chain's matrices applied to it alone through a
+        # one-axis batch.  Some qubits stay idle.
+        rng = np.random.default_rng(seed)
+        free = [int(q) for q in rng.permutation(n)]
+        ops = []
+        while free:
+            k = min(int(rng.integers(1, 4)), len(free))
+            axes, free = free[:k], free[k:]
+            if idle and ops and rng.random() < 0.3:
+                continue
+            u = np.stack([haar_unitary(k, rng) for _ in range(chains)])[:, None]
+            ops.append((u, [2 + a for a in axes]))
+        shape = (chains, members) + (2,) * n
+        tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = apply_layer(tensor, ops)
+        assert got.shape == shape
+        for c in range(chains):
+            for m in range(members):
+                alone = apply_layer(
+                    tensor[c, m:m + 1], [(u[c], [a - 1 for a in axes]) for u, axes in ops]
+                )
+                assert np.array_equal(got[c, m], alone[0])
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(1, 9), st.integers(0, 3), st.integers(0, 2), st.integers(0, 3),
