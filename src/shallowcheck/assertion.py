@@ -267,7 +267,7 @@ def runtime_assert(
                 psi = apply_local(flip, psi, [q], n)
     log: list[int] = []
     for index, entry in enumerate(entries):
-        projected = apply_local(entry.matrix, psi, list(entry.support), n)
+        projected = apply_local(entry.matrix, psi, entry.support, n)
         p_pass = min(1.0, float(np.vdot(projected, projected).real))
         if rng.random() < p_pass:
             log.append(0)

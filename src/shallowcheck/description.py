@@ -103,10 +103,12 @@ class Description:
     """The per-qubit tuple of local projections for one circuit.
 
     Entry ``t`` originates from qubit ``t``; supports of different
-    entries may coincide, and the tuple always has exactly ``n_qubits``
-    entries.  Deduplication would not change what the tuple describes
-    and is intentionally not performed.  Every entry must be a
-    :class:`LocalProjection`; anything else is a ``DomainError``.
+    entries may coincide.  :func:`compute_description` and
+    :func:`description_from_json` give exactly ``n_qubits`` entries, but
+    the constructor accepts any count.  Deduplication would not change
+    what the tuple describes and is intentionally not performed.  Every
+    entry must be a :class:`LocalProjection`; anything else is a
+    ``DomainError``.
     """
 
     n_qubits: int

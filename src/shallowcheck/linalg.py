@@ -20,8 +20,8 @@ whole stack of tensors with one matrix per member; the cone-state
 kernel calls it once per layer for a group of same-shape cones, and
 the first two of these are one call to it:
 
-* :func:`apply_local` applies an operator to some qubit axes of a
-  state, or of the rows of a matrix;
+* :func:`apply_local`, unchecked, applies an operator to some qubit
+  axes of a state, or of the rows of a matrix;
 * ``_conjugate``, unchecked, conjugates a matrix by a layer of disjoint
   operators, the kernel of the dense description engine;
 * ``_conjugate_hermitian``, unchecked, the last step of each described entry,
@@ -34,7 +34,9 @@ the first two of these are one call to it:
 
 They are algebraically identical to ``embed`` followed by a dense
 product (and, for the last, ``(P + P†)/2``) and are cross-checked
-against that path in the test suite.
+against that path in the test suite.  None of these kernels checks its
+arguments: their callers have already validated the circuit, state or
+entries they pass at the package's door.
 Every public name here is used by another module of the package; the
 dense helpers that only the tests use (the conjugate transpose, the
 identity, the entrywise maximum) live with the tests, not here.
@@ -68,8 +70,8 @@ _TILE = 1 << 16
 
 def _integral(value, what: str) -> int:
     """``value`` as an ``int``; only ``int`` and numpy integers are accepted."""
-    # Plain ints first: positions are checked on every kernel call, and
-    # this case costs no more than ``int()``.
+    # Plain ints first: every qubit of every gate and entry built is
+    # checked, and this case costs no more than ``int()``.
     if type(value) is int:
         return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
@@ -113,13 +115,6 @@ def _as_frozen(a: np.ndarray | Sequence) -> np.ndarray:
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
     return out
-
-
-def _qubit_count(dim: int, what: str = "matrix") -> int:
-    """Number of qubits for a dimension that must be a power of two."""
-    if dim < 1 or dim & (dim - 1):
-        raise DomainError(f"{what} dimension {dim} is not a power of two")
-    return dim.bit_length() - 1
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -264,25 +259,6 @@ def membership_residual(p: np.ndarray, v: np.ndarray) -> ErrorTriple:
     return residual_norms((p @ v - v)[None])[0]
 
 
-def _check_local_args(
-    op: np.ndarray, positions: Sequence[int], n_qubits: int
-) -> tuple[np.ndarray, list[int]]:
-    op = _as_operator(op, "op")
-    pos = [_integral(p, "a position") for p in positions]
-    k = _qubit_count(op.shape[0], "op")
-    if k != len(pos):
-        raise DomainError(
-            f"op acts on {k} qubit(s) but {len(pos)} position(s) were given"
-        )
-    if len(set(pos)) != len(pos):
-        raise DomainError(f"positions must be distinct, got {pos}")
-    if pos and (min(pos) < 0 or max(pos) >= n_qubits):
-        raise DomainError(
-            f"positions {pos} out of range for {n_qubits} qubit(s)"
-        )
-    return op, pos
-
-
 def apply_layer(
     tensor: np.ndarray, ops: Sequence[tuple[np.ndarray, Sequence[int]]]
 ) -> np.ndarray:
@@ -336,17 +312,11 @@ def apply_local(
     on.  ``positions[i]`` is the axis acted on by the ``i``-th (most
     significant first) qubit of ``op``, so an unsorted positions list
     expresses a gate whose listed qubit order differs from ascending
-    order.
+    order.  ``op`` and ``vec`` are complex arrays.  It checks no
+    arguments, so callers must.
     """
-    op, pos = _check_local_args(op, positions, n_qubits)
-    vec = np.asarray(vec, dtype=complex)
-    dim = 1 << n_qubits
-    if vec.ndim not in (1, 2) or vec.shape[0] != dim:
-        raise DomainError(
-            f"state has shape {vec.shape}, expected ({dim},) or ({dim}, m)"
-        )
     t = vec.reshape((2,) * n_qubits + vec.shape[1:])
-    return apply_layer(t, [(op, pos)]).reshape(vec.shape)
+    return apply_layer(t, [(op, positions)]).reshape(vec.shape)
 
 
 def _conjugate(

@@ -10,8 +10,10 @@ from shallowcheck import (
     Circuit,
     Description,
     DomainError,
+    Gate,
     Layer,
     LocalProjection,
+    ValidationError,
     compute_description,
     named_gate,
     random_circuit,
@@ -42,6 +44,11 @@ class TestVerifyStatic:
     def test_malformed_threshold_is_a_domain_error(self, threshold):
         with pytest.raises(DomainError, match="threshold"):
             verify_static(Circuit(1), [zero_assertion(0)], threshold=threshold)
+
+    def test_invalid_circuit_rejected(self):
+        c = Circuit(2, [Layer([Gate((0, 0), np.eye(4))])])
+        with pytest.raises(ValidationError, match="duplicate qubit indices"):
+            verify_static(c, [zero_assertion(0)])
 
     def test_zero_threshold_is_valid(self):
         (ch,) = verify_static(Circuit(1), [zero_assertion(0)], threshold=0)

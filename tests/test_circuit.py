@@ -59,6 +59,11 @@ class TestGate:
         with pytest.raises(DomainError):
             Gate((0, 1), np.eye(2))
 
+    @pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones(2)], ids=["2x3", "1-D"])
+    def test_matrix_must_be_square(self, matrix):
+        with pytest.raises(DomainError, match="must be square"):
+            Gate((0,), matrix)
+
     def test_matrix_is_defensive_readonly_copy(self):
         m = np.eye(2, dtype=complex)
         g = Gate((0,), m)
@@ -588,6 +593,17 @@ class TestJson:
                 {"n_qubits": 1, "layers": [[{"label": "a"}]]},
                 "layers[0][0]: unknown field(s) ['label']",
             ),
+            ([], "circuit: expected a JSON object at top level"),
+            ({"n_qubits": 1, "layers": {"a": []}}, "layers: expected a list"),
+            (
+                {"n_qubits": 1, "layers": [{"qubits": [0], "name": "X"}]},
+                "layers[0]: expected a list of gates",
+            ),
+            ({"n_qubits": 1, "layers": [[1]]}, "layers[0][0]: expected a gate object"),
+            (
+                {"n_qubits": 1, "layers": [[{"qubits": [0], "name": 1}]]},
+                "layers[0][0].name: expected a string, got 1",
+            ),
         ],
     )
     def test_field_check_messages(self, obj, message):
@@ -654,6 +670,22 @@ class TestJson:
     def test_empty_qubits_rejected(self):
         obj = {"n_qubits": 1, "layers": [[{"qubits": [], "name": "X"}]]}
         with pytest.raises(SchemaError, match="non-empty"):
+            circuit_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ({}, "expected a non-empty list of rows"),
+            ([], "expected a non-empty list of rows"),
+            ([[[1, 0], [0, 0]], [[0, 0]]], "row 1 must be a list of 2 entries"),
+            ([[["1", 0], [0, 0]], [[0, 0], [1, 0]]], r"\[0\]\[0\]: expected a number"),
+            ([[[1, 0], [0, 0]], [[0, 0], [True, 0]]], r"\[1\]\[1\]: expected a number"),
+        ],
+        ids=["object", "empty", "ragged row", "string entry", "boolean entry"],
+    )
+    def test_malformed_matrix_nodes(self, matrix, message):
+        obj = {"n_qubits": 1, "layers": [[{"qubits": [0], "matrix": matrix}]]}
+        with pytest.raises(SchemaError, match=r"layers\[0\]\[0\]\.matrix.*" + message):
             circuit_from_json(obj)
 
     def test_named_gate_arity_mismatch_in_json(self):

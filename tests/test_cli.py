@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from shallowcheck import (
     Circuit,
+    DomainError,
     Layer,
     circuit_to_json,
     description_to_json,
@@ -24,8 +25,8 @@ from shallowcheck import (
 )
 import shallowcheck
 from shallowcheck import description
-from shallowcheck.cli import CSV_HEADER, main
-from shallowcheck.config import SUPPORT_CAP_ENV
+from shallowcheck.cli import CSV_HEADER, _write_atomic, main
+from shallowcheck.config import SUPPORT_CAP_ENV, support_cap
 from shallowcheck.description import compute_description
 
 
@@ -134,6 +135,18 @@ class TestDescribe:
         doc.write_text(json.dumps(circuit_to_json(random_circuit(8, 3, seed=1))))
         assert main(["describe", str(doc), "--cap", "8"]) == 0
         assert len(json.loads(capsys.readouterr().out)["projections"]) == 8
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [("abc", "must be an integer"), ("1.5", "must be an integer"),
+         ("0", "must be at least 1"), ("-3", "must be at least 1")],
+    )
+    def test_malformed_configured_cap(self, circuit_file, capsys, monkeypatch, raw, message):
+        monkeypatch.setenv(SUPPORT_CAP_ENV, raw)
+        with pytest.raises(DomainError, match=f"{SUPPORT_CAP_ENV} {message}"):
+            support_cap()
+        assert main(["describe", circuit_file]) == 2
+        assert f"{SUPPORT_CAP_ENV} {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("depth", [0, 2])
     @pytest.mark.parametrize("cap", ["0", "-3"])
@@ -410,6 +423,15 @@ class TestBench:
         assert len(lines) == 3
         assert CSV_HEADER not in lines[1:]
 
+    def test_append_after_a_header_without_newline(self, tmp_path):
+        csv = tmp_path / "bench.csv"
+        csv.write_text(CSV_HEADER)
+        assert main(["bench", "--mode", "describe", "--n-range", "4",
+                     "--depth", "1", "--trials", "2", "--csv", str(csv)]) == 0
+        lines = csv.read_text().split("\n")
+        assert lines[0] == CSV_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["describe", "describe", ""]
+
     def test_deterministic_except_seconds(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -587,6 +609,19 @@ class TestOutput:
         assert main(["assert", circuit_file, str(desc)]) == 0
         printed = capsys.readouterr().out
         assert printed == _expected(json.loads(printed))
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text("old\n")
+
+        def write(fh):
+            fh.write("partial")
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError, match="writer failed"):
+            _write_atomic(str(path), write)
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json"]
 
     @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
     def test_new_file_mode_follows_the_umask(self, circuit_file, tmp_path, umask):

@@ -973,11 +973,22 @@ class TestJson:
                 {"n_qubits": 1, "projections": [{}]},
                 "projections[0]: missing required field 'support'",
             ),
+            ([], "description: expected a JSON object at top level"),
+            ({"n_qubits": 0, "projections": []}, "n_qubits: must be at least 1, got 0"),
+            ({"n_qubits": 1, "projections": {}}, "projections: expected a list"),
+            ({"n_qubits": 1, "projections": [1]}, "projections[0]: expected an object"),
+            (
+                {"n_qubits": 1, "projections": [{"support": [], "matrix": [[[1, 0]]]}]},
+                "projections[0].support: expected a non-empty list",
+            ),
         ],
     )
     def test_field_check_messages(self, obj, message):
         with pytest.raises(SchemaError) as raised:
             projection_entries_from_json(obj)
+        assert str(raised.value) == message
+        with pytest.raises(SchemaError) as raised:
+            description_from_json(obj)
         assert str(raised.value) == message
 
     def test_unsorted_support_rejected(self):

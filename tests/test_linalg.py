@@ -58,6 +58,8 @@ class TestBasics:
         for n in (2.0, True):
             with pytest.raises(DomainError, match="must be an integer"):
                 zero_state(n)
+        with pytest.raises(DomainError, match="non-negative"):
+            zero_state(-1)
 
     def test_max_abs(self):
         assert max_abs(np.array([[1, -3j], [2, 0]])) == 3.0
@@ -97,6 +99,10 @@ class TestEmbed:
     def test_unsorted_support_rejected(self):
         with pytest.raises(DomainError):
             embed(np.eye(4), [2, 1], [1, 2, 3])
+
+    def test_unsorted_target_rejected(self):
+        with pytest.raises(DomainError, match="target_support must be sorted"):
+            embed(np.eye(2), [0], [1, 0])
 
     def test_duplicate_support_rejected(self):
         with pytest.raises(DomainError):
@@ -592,6 +598,13 @@ class TestPredicates:
     def test_hadamard_is_not_projection(self):
         assert not is_projection(H)
 
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(DomainError, match="p must be square"):
+            is_projection(np.ones((2, 3)))
+
+    def test_empty_matrix_is_a_projection(self):
+        assert is_projection(np.zeros((0, 0)))
+
 
 class TestMembershipResidual:
     def test_member_vector(self):
@@ -616,6 +629,11 @@ class TestMembershipResidual:
         with pytest.raises(DomainError):
             membership_residual(np.eye(4), [1, 0])
 
+    def test_non_square_matrix_rejected(self):
+        for v in ([1, 0], [1, 0, 0]):
+            with pytest.raises(DomainError, match="p must be square"):
+                membership_residual(np.ones((2, 3)), v)
+
 
 class TestIntegerPositions:
     """Qubit positions that are not integers raise, never truncate."""
@@ -626,10 +644,6 @@ class TestIntegerPositions:
                 embed(X, op_support, target)
         numpy_ints = embed(X, [np.int64(1)], [0, np.int32(1)])
         assert np.array_equal(numpy_ints, embed(X, [1], [0, 1]))
-
-    def test_apply_local(self):
-        with pytest.raises(DomainError, match="must be an integer"):
-            apply_local(X, zero_state(2), [0.9], 2)
 
 
 class TestLocalPrimitives:
@@ -718,16 +732,3 @@ class TestLocalPrimitives:
         got = _hermitian_step(p, range(n), range(n), [])
         assert np.array_equal(p.view(np.uint64), before.view(np.uint64))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    def test_position_validation(self):
-        v = self._random_state(2, 12)
-        with pytest.raises(DomainError):
-            apply_local(X, v, [0, 1], 2)
-        with pytest.raises(DomainError):
-            apply_local(np.eye(4), v, [0, 0], 2)
-        with pytest.raises(DomainError):
-            apply_local(X, v, [5], 2)
-        with pytest.raises(DomainError):
-            apply_local(X, v.reshape(2, 2), [0], 2)
-        with pytest.raises(DomainError):
-            apply_local(X, np.ones((4, 2, 2)), [0], 2)

@@ -57,6 +57,10 @@ class TestSimulate:
         c = Circuit(4, layers)
         assert np.allclose(simulate(c), full_unitary(c)[:, 0], atol=1e-14)
 
+    def test_input_state_size_checked(self):
+        with pytest.raises(DomainError, match="input state has 4 amplitudes, expected 8"):
+            simulate(random_circuit(3, 2, seed=1), input_state=np.ones(4))
+
     def test_invalid_circuit_rejected(self):
         c = Circuit(1, [Layer([named_gate("X", (3,))])])
         with pytest.raises(ValidationError):
